@@ -35,6 +35,7 @@ from .rotgeom import (
     order_corners,
     quad_to_box180,
     rotated_iou,
+    rotated_iou_matrix,
     to_quad,
 )
 from .targets import AnchorGridSpec, AssignmentConfig, assign_targets, generate_anchors

@@ -206,11 +206,12 @@ def _class_table(names):
 def _cmd_nms(args):
     table = _class_table(args.classes)
     dets = evaluation.parse_detections(Path(args.dets).read_text(), table)
+    groups = {}
+    for d in dets:
+        groups.setdefault((d.image_id, d.class_id), []).append(d)
     kept = []
-    keys = sorted({(d.image_id, d.class_id) for d in dets})
-    for image_id, cid in keys:
-        group = [d for d in dets if d.image_id == image_id and d.class_id == cid]
-        kept.extend(evaluation.rotated_nms(group, args.iou_thresh))
+    for key in sorted(groups):
+        kept.extend(evaluation.rotated_nms(groups[key], args.iou_thresh))
     rows = [
         (d.image_id, d.class_id, d.score, d.box.cx, d.box.cy, d.box.h, d.box.w, d.box.theta) for d in kept
     ]

@@ -122,9 +122,7 @@ def window_value(cfg, delta_bins):
 def encode(theta, cfg):
     """Encode an angle as a circular smooth label."""
     gt = angle_to_bin(theta, cfg)
-    bins = np.arange(cfg.bin_count, dtype=float)
-    values = window_value(cfg, bins - gt)
-    return CslLabel(values=values, gt_bin=gt)
+    return CslLabel(values=encode_batch([theta], cfg)[0], gt_bin=gt)
 
 
 def decode(scores, cfg):
@@ -141,7 +139,8 @@ def decode(scores, cfg):
 
 
 def encode_batch(thetas, cfg):
-    """Vectorized encode: (N,) angles -> (N, T) label matrix."""
+    """Vectorized encode: (N,) angles -> (N, T) label matrix. Row n is
+    the window row of bin 0 rotated to the angle's bin."""
     thetas = np.asarray(thetas, dtype=float)
     lo = cfg.range_min
     hi = lo + cfg.range_span
@@ -149,13 +148,18 @@ def encode_batch(thetas, cfg):
         raise ValueError("angles outside canonical range")
     t = cfg.bin_count
     gt = np.minimum(np.floor((thetas - lo) / cfg.omega).astype(int), t - 1)
-    delta = np.arange(t)[None, :] - gt[:, None]
-    return window_value(cfg, delta)
+    bins = np.arange(t)
+    return window_value(cfg, bins)[(bins[None, :] - gt[:, None]) % t]
 
 
 def decode_batch(labels, cfg):
-    """Vectorized decode: (N, T) scores -> (N,) midpoint angles."""
+    """Vectorized decode: (N, T) scores -> (N,) midpoint angles (ties to
+    the smallest index)."""
     labels = np.asarray(labels, dtype=float)
+    if labels.ndim != 2 or labels.shape[1] != cfg.bin_count:
+        raise ValueError(f"expected shape (N, {cfg.bin_count}), got {labels.shape}")
+    if not np.all(np.isfinite(labels)):
+        raise ValueError("non-finite scores")
     b = np.argmax(labels, axis=1)
     return cfg.range_min + (b + 0.5) * cfg.omega
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rotgeom import OrientedBox180, canonicalize180, order_corners, quad_to_box180, rotated_iou
+from .rotgeom import OrientedBox180, box_rows, canonicalize180, order_corners, quad_to_box180, rotated_iou_matrix
 
 log = logging.getLogger(__name__)
 
@@ -77,12 +77,19 @@ class EvalReport:
 
 def rotated_nms(dets, iou_thresh=0.1):
     """Greedy descending-score suppression with rotated IoU; stable sort
-    (score desc, then input index) makes the result deterministic."""
+    (score desc, then input index) makes the result deterministic. Each
+    kept detection suppresses, in one IoU row, the later ones still live."""
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    rows = box_rows([dets[i].box for i in order])
+    live = np.ones(len(order), dtype=bool)
     kept = []
-    for i in order:
-        if all(rotated_iou(dets[i].box, dets[k].box) <= iou_thresh for k in kept):
-            kept.append(i)
+    for r in range(len(order)):
+        if not live[r]:
+            continue
+        kept.append(order[r])
+        rest = r + 1 + np.flatnonzero(live[r + 1:])
+        if len(rest):
+            live[rest] = rotated_iou_matrix(rows[rest], rows[r : r + 1])[:, 0] <= iou_thresh
     return [dets[i] for i in sorted(kept)]
 
 
@@ -116,24 +123,33 @@ def compute_ap(dets, gts, iou_thresh=0.5, metric="voc12"):
 def _pr_and_ap(dets, gts, iou_thresh=0.5):
     n_pos = sum(1 for g in gts if not g.difficult)
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    by_image = {}
+    gts_of, dets_of = {}, {}
     for gi, g in enumerate(gts):
-        by_image.setdefault(g.image_id, []).append(gi)
+        gts_of.setdefault(g.image_id, []).append(gi)
+    for di, d in enumerate(dets):
+        dets_of.setdefault(d.image_id, []).append(di)
+    # each detection's match: the first gt with the strictly largest IoU,
+    # if that IoU is above 0
+    best_gi = np.full(len(dets), -1)
+    best_iou = np.zeros(len(dets))
+    for image_id, dis in dets_of.items():
+        gis = gts_of.get(image_id)
+        if not gis:
+            continue
+        iou = rotated_iou_matrix(box_rows([dets[di].box for di in dis]), box_rows([gts[gi].box for gi in gis]))
+        col = np.argmax(iou, axis=1)
+        best_iou[dis] = iou[np.arange(len(dis)), col]
+        best_gi[dis] = np.where(best_iou[dis] > 0.0, np.asarray(gis)[col], -1)
     matched = set()
     tp = np.zeros(len(order))
     fp = np.zeros(len(order))
     for rank, di in enumerate(order):
-        d = dets[di]
-        best_iou, best_gi = 0.0, -1
-        for gi in by_image.get(d.image_id, []):
-            iou = rotated_iou(d.box, gts[gi].box)
-            if iou > best_iou:
-                best_iou, best_gi = iou, gi
-        if best_gi >= 0 and best_iou >= iou_thresh:
-            if gts[best_gi].difficult:
+        gi = int(best_gi[di])
+        if gi >= 0 and best_iou[di] >= iou_thresh:
+            if gts[gi].difficult:
                 continue  # neither TP nor FP
-            if best_gi not in matched:
-                matched.add(best_gi)
+            if gi not in matched:
+                matched.add(gi)
                 tp[rank] = 1
             else:
                 fp[rank] = 1

@@ -9,6 +9,11 @@ Two five-parameter conventions are supported:
 
 All angles are degrees, all coordinates use the mathematical convention
 (y up, counter-clockwise positive).
+
+Batched geometry works on float box rows ``(cx, cy, along, across,
+theta)``: ``along`` is the side at angle theta, so an OrientedBox180
+gives ``(cx, cy, h, w, theta)`` and an OrientedBox90 ``(cx, cy, w, h,
+theta)``.
 """
 
 from __future__ import annotations
@@ -19,10 +24,20 @@ from dataclasses import dataclass
 import numpy as np
 
 EPS = 1e-9
+# boundary tolerance of the IoU kernel, relative to the size of each pair
+REL_EPS = 1e-10
+# box pairs per kernel pass; bounds the kernel's temporaries
+PAIR_CHUNK = 2048
 
 
 class InvalidGeometryError(ValueError):
     """Raised for degenerate or malformed geometric input."""
+
+
+def _require_finite(**fields):
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise InvalidGeometryError(f"non-finite {name}: {value}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +52,7 @@ class OrientedBox90:
     theta: float
 
     def __post_init__(self):
+        _require_finite(cx=self.cx, cy=self.cy, w=self.w, h=self.h, theta=self.theta)
         if not (self.w > 0 and self.h > 0):
             raise InvalidGeometryError(f"non-positive sides: w={self.w}, h={self.h}")
         if not (-90.0 <= self.theta < 0.0):
@@ -55,6 +71,7 @@ class OrientedBox180:
     theta: float
 
     def __post_init__(self):
+        _require_finite(cx=self.cx, cy=self.cy, h=self.h, w=self.w, theta=self.theta)
         if not (self.h >= self.w > 0):
             raise InvalidGeometryError(f"need h >= w > 0, got h={self.h}, w={self.w}")
         if not (-90.0 <= self.theta < 90.0):
@@ -76,6 +93,7 @@ def canonicalize90(cx, cy, w, h, theta_free):
     """Reduce a free-angle (cx, cy, w, h, theta) into the 90-degree
     convention. A 90-degree shift of theta swaps w and h; theta = 0 is
     represented as theta = -90 with sides swapped."""
+    _require_finite(cx=cx, cy=cy, w=w, h=h, theta=theta_free)
     if not (w > 0 and h > 0):
         raise InvalidGeometryError(f"non-positive sides: w={w}, h={h}")
     t = theta_free % 90.0  # [0, 90); may round up to exactly 90.0
@@ -161,64 +179,74 @@ def polygon_area(pts):
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _signed_area(pts):
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _next(poly):
+    """Each vertex's successor along (K, n, 2) polygons."""
+    return np.concatenate([poly[:, 1:], poly[:, :1]], axis=1)
+
+
+def _cross(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _intersection_vertices(p, q, tol):
+    """Vertices of the intersections of K pairs of convex
+    counter-clockwise polygons p (K, n, 2) and q (K, m, 2).
+
+    The candidates are every vertex of either polygon and every crossing
+    of an edge of p with an edge of q; a candidate is kept when it lies
+    inside every edge of both polygons within the distance tol (K,).
+    Kept points are all on the boundary of the intersection, so sorting
+    them by angle around their centroid orders them counter-clockwise.
+    Returns the candidates relative to that centroid, sorted, with the
+    dropped ones last (K, C, 2); the sorted keep mask (K, C); and the
+    centroids (K, 2)."""
+    k = len(p)
+    ep = _next(p) - p
+    eq = _next(q) - q
+    starts = np.concatenate([p, q], axis=1)
+    edges = np.concatenate([ep, eq], axis=1)
+    inward = edges[..., ::-1] * (-1.0, 1.0) / np.hypot(edges[..., 0], edges[..., 1])[..., None]
+    # edge i of p meets edge j of q at p_i + t * ep_i; parallel edges give
+    # an infinite or undefined t, and such points fail the inside test
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = _cross(q[:, None] - p[:, :, None], eq[:, None]) / _cross(ep[:, :, None], eq[:, None])
+        crossings = p[:, :, None] + t[..., None] * ep[:, :, None]
+        pts = np.concatenate([starts, crossings.reshape(k, -1, 2)], axis=1)
+        dist = pts @ inward.transpose(0, 2, 1) - np.einsum("kei,kei->ke", inward, starts)[:, None]
+        keep = np.all(dist >= -tol[:, None, None], axis=2)
+    pts = np.where(keep[..., None], pts, 0.0)
+    centroid = pts.sum(axis=1) / np.maximum(keep.sum(axis=1), 1)[:, None]
+    rel = pts - centroid[:, None]
+    order = np.argsort(np.where(keep, np.arctan2(rel[..., 1], rel[..., 0]), np.inf), axis=1)
+    order += np.arange(0, order.size, order.shape[1])[:, None]
+    return rel.reshape(-1, 2)[order], keep.ravel()[order], centroid
+
+
+def _intersection_area(p, q, tol):
+    """Areas (K,) of the intersections of K pairs of convex polygons."""
+    rel, keep, _ = _intersection_vertices(p, q, tol)
+    # dropped points repeat the first vertex and add zero-length edges
+    rel = np.where(keep[..., None], rel, rel[:, :1])
+    return np.maximum(0.5 * _cross(rel, _next(rel)).sum(axis=1), 0.0)
 
 
 def convex_intersection(p, q):
-    """Intersection of two convex counter-clockwise polygons by
-    successive half-plane clipping (closed half-planes, so boundary
-    contacts are kept but contribute zero area). Returns an (N, 2)
-    array, possibly empty."""
-    out = [tuple(v) for v in np.asarray(p, dtype=float)]
-    clip = np.asarray(q, dtype=float)
-    n = len(clip)
-    for i in range(n):
-        if not out:
-            break
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-
-        def side(pt):
-            return ex * (pt[1] - ay) - ey * (pt[0] - ax)
-
-        nxt = []
-        m = len(out)
-        for j in range(m):
-            cur, prv = out[j], out[j - 1]
-            sc, sp = side(cur), side(prv)
-            if sc >= -EPS:
-                if sp < -EPS:
-                    nxt.append(_line_intersect(prv, cur, (ax, ay), (bx, by)))
-                nxt.append(cur)
-            elif sp >= -EPS:
-                nxt.append(_line_intersect(prv, cur, (ax, ay), (bx, by)))
-        out = _dedup(nxt)
-    return np.asarray(out, dtype=float).reshape(-1, 2)
-
-
-def _line_intersect(p1, p2, p3, p4):
-    x1, y1 = p1
-    x2, y2 = p2
-    x3, y3 = p3
-    x4, y4 = p4
-    den = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
-    if abs(den) < 1e-300:
-        return p2  # parallel; endpoint already on the line
-    t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / den
-    return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
-
-
-def _dedup(pts):
+    """Intersection of two convex counter-clockwise polygons. Boundary
+    contacts are kept but contribute zero area. Returns the
+    counter-clockwise (N, 2) vertex array, possibly empty."""
+    p = np.asarray(p, dtype=float).reshape(1, -1, 2)
+    q = np.asarray(q, dtype=float).reshape(1, -1, 2)
+    # work around p's first vertex, with a tolerance relative to the size
+    origin = p[0, 0]
+    tol = REL_EPS * max(np.ptp(p[0], axis=0).max(), np.ptp(q[0], axis=0).max())
+    rel, keep, centroid = _intersection_vertices(p - origin, q - origin, np.array([tol]))
     out = []
-    for p in pts:
-        if not out or (abs(p[0] - out[-1][0]) > EPS or abs(p[1] - out[-1][1]) > EPS):
-            out.append(p)
-    if len(out) > 1 and abs(out[0][0] - out[-1][0]) <= EPS and abs(out[0][1] - out[-1][1]) <= EPS:
+    for v in rel[0][keep[0]]:
+        if not out or np.abs(v - out[-1]).max() > tol:
+            out.append(v)
+    if len(out) > 1 and np.abs(out[0] - out[-1]).max() <= tol:
         out.pop()
-    return out
+    return np.asarray(out).reshape(-1, 2) + centroid[0] + origin
 
 
 def _convex_hull(pts):
@@ -272,22 +300,75 @@ def quad_to_box180(quad):
     return min(ties, key=lambda b: b.theta)
 
 
-def box_area(box):
-    if isinstance(box, OrientedBox90):
-        return box.w * box.h
-    return box.h * box.w
+def box_rows(boxes):
+    """(N, 5) float rows (cx, cy, along, across, theta) of a sequence of
+    OrientedBox90 / OrientedBox180 records."""
+    rows = []
+    for box in boxes:
+        if isinstance(box, OrientedBox90):
+            rows.append((box.cx, box.cy, box.w, box.h, box.theta))
+        elif isinstance(box, OrientedBox180):
+            rows.append((box.cx, box.cy, box.h, box.w, box.theta))
+        else:
+            raise TypeError(f"unsupported box type {type(box)!r}")
+    return np.asarray(rows, dtype=float).reshape(-1, 5)
+
+
+def _check_rows(rows):
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 5:
+        raise InvalidGeometryError(f"expected (N, 5) box rows, got shape {rows.shape}")
+    if not (np.isfinite(rows).all() and (rows[:, 2:4] > 0).all()):
+        raise InvalidGeometryError("box rows need finite values and positive sides")
+    return rows
+
+
+_CORNER_SIGNS = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
+
+
+def _rect_corners(center, rows):
+    """Counter-clockwise corners (K, 4, 2) of K rectangles given their
+    centers (K, 2) and box rows (K, 5)."""
+    t = np.radians(rows[:, 4])
+    c, s = np.cos(t), np.sin(t)
+    axes = np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)  # unit vectors along, across
+    return (_CORNER_SIGNS * (rows[:, None, 2:4] / 2.0)) @ axes + center[:, None]
+
+
+def rotated_iou_matrix(a, b):
+    """Exact IoU of every pair of two sets of oriented boxes, given as
+    (N, 5) and (M, 5) box rows (see the module docstring); returns the
+    (N, M) matrix.
+
+    Each pair is computed in a frame centred on its box from ``a``, with
+    a tolerance relative to the pair's size, so the result does not
+    depend on coordinate scale or translation. Pairs whose circumcircles
+    do not meet are 0 without further work; the others go through the
+    kernel PAIR_CHUNK pairs at a time."""
+    a = _check_rows(a)
+    b = _check_rows(b)
+    n, m = len(a), len(b)
+    out = np.zeros((n, m))
+    radius_a = np.hypot(a[:, 2], a[:, 3]) / 2.0
+    radius_b = np.hypot(b[:, 2], b[:, 3]) / 2.0
+    for start in range(0, n * m, PAIR_CHUNK):
+        i, j = np.divmod(np.arange(start, min(start + PAIR_CHUNK, n * m)), m)
+        offset = b[j, :2] - a[i, :2]
+        reach = radius_a[i] + radius_b[j]
+        near = np.flatnonzero(np.hypot(offset[:, 0], offset[:, 1]) <= reach)
+        if not len(near):
+            continue
+        i, j, offset = i[near], j[near], offset[near]
+        pa, pb = a[i], b[j]
+        inter = _intersection_area(_rect_corners(np.zeros_like(offset), pa), _rect_corners(offset, pb), REL_EPS * reach[near])
+        out[i, j] = np.clip(inter / (pa[:, 2] * pa[:, 3] + pb[:, 2] * pb[:, 3] - inter), 0.0, 1.0)
+    return out
 
 
 def rotated_iou(a, b):
-    """Exact intersection-over-union of two oriented boxes via convex
-    polygon clipping. Symmetric; 1 iff the point sets coincide."""
-    pa = to_quad(a).as_array()
-    pb = to_quad(b).as_array()
-    inter = polygon_area(convex_intersection(pa, pb))
-    union = box_area(a) + box_area(b) - inter
-    if union <= 0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    """Exact intersection-over-union of two oriented boxes. Symmetric;
+    1 iff the point sets coincide."""
+    return float(rotated_iou_matrix(box_rows([a]), box_rows([b]))[0, 0])
 
 
 def aligned_bbox(box):

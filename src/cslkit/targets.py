@@ -9,7 +9,7 @@ import numpy as np
 
 from .csl_codec import encode
 from .losses import encode_regression
-from .rotgeom import aligned_bbox, aligned_iou, canonicalize180, rotated_iou
+from .rotgeom import aligned_bbox, aligned_iou, box_rows, canonicalize180, rotated_iou_matrix
 
 DEFAULT_RATIOS = (1.0, 1 / 2, 2.0, 1 / 4, 4.0, 1 / 6, 6.0)
 DEFAULT_ANGLES = (-90.0, -75.0, -60.0, -45.0, -30.0, -15.0)
@@ -88,20 +88,17 @@ class AssignmentResult:
 
 
 def _iou_matrix(anchors, gts, mode):
+    if mode == "rotated":
+        return rotated_iou_matrix(box_rows(anchors), box_rows(gts))
+    # horizontal anchors are matched against the gt's axis-aligned
+    # enclosing rectangle
     n, m = len(anchors), len(gts)
     out = np.zeros((n, m))
-    if mode == "horizontal":
-        # horizontal anchors are matched against the gt's axis-aligned
-        # enclosing rectangle
-        a_bb = [aligned_bbox(a) for a in anchors]
-        g_bb = [aligned_bbox(g) for g in gts]
-        for i in range(n):
-            for j in range(m):
-                out[i, j] = aligned_iou(a_bb[i], g_bb[j])
-    else:
-        for i in range(n):
-            for j in range(m):
-                out[i, j] = rotated_iou(anchors[i], gts[j])
+    a_bb = [aligned_bbox(a) for a in anchors]
+    g_bb = [aligned_bbox(g) for g in gts]
+    for i in range(n):
+        for j in range(m):
+            out[i, j] = aligned_iou(a_bb[i], g_bb[j])
     return out
 
 

@@ -1,5 +1,6 @@
 """Independent oracles used to freeze expected values: Monte-Carlo
 rasterization IoU, closed-form IoU of concentric congruent rectangles,
+a scalar Sutherland-Hodgman clipper and the rotated IoU built on it,
 vertex-set comparison, brute-force minimum rectangle and central finite
 differences. Deliberately avoid the library's own clipping / calipers
 code paths."""
@@ -11,6 +12,7 @@ import numpy as np
 from cslkit.rotgeom import to_quad
 
 MC_CHUNK = 1 << 16
+CLIP_EPS = 1e-9  # absolute, so the clipper is exact only near unit scale
 
 
 def box_contains(box, pts):
@@ -76,6 +78,74 @@ def concentric_rect_iou(long, short, delta_deg):
     c = short / 2 - long / 2 * half
     inter = long * short - math.tan(delta) * (a * a + c * c)
     return inter / (2 * long * short - inter)
+
+
+def clip_convex(p, q):
+    """Intersection of two convex counter-clockwise polygons by
+    successive half-plane clipping (closed half-planes, so boundary
+    contacts are kept but contribute zero area). Returns an (N, 2)
+    array, possibly empty."""
+    out = [tuple(v) for v in np.asarray(p, dtype=float)]
+    clip = np.asarray(q, dtype=float)
+    n = len(clip)
+    for i in range(n):
+        if not out:
+            break
+        ax, ay = clip[i]
+        bx, by = clip[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+
+        def side(pt):
+            return ex * (pt[1] - ay) - ey * (pt[0] - ax)
+
+        nxt = []
+        m = len(out)
+        for j in range(m):
+            cur, prv = out[j], out[j - 1]
+            sc, sp = side(cur), side(prv)
+            if sc >= -CLIP_EPS:
+                if sp < -CLIP_EPS:
+                    nxt.append(_line_intersect(prv, cur, (ax, ay), (bx, by)))
+                nxt.append(cur)
+            elif sp >= -CLIP_EPS:
+                nxt.append(_line_intersect(prv, cur, (ax, ay), (bx, by)))
+        out = _dedup(nxt)
+    return np.asarray(out, dtype=float).reshape(-1, 2)
+
+
+def _line_intersect(p1, p2, p3, p4):
+    x1, y1 = p1
+    x2, y2 = p2
+    x3, y3 = p3
+    x4, y4 = p4
+    den = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
+    if abs(den) < 1e-300:
+        return p2  # parallel; endpoint already on the line
+    t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / den
+    return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
+
+
+def _dedup(pts):
+    out = []
+    for p in pts:
+        if not out or (abs(p[0] - out[-1][0]) > CLIP_EPS or abs(p[1] - out[-1][1]) > CLIP_EPS):
+            out.append(p)
+    if len(out) > 1 and abs(out[0][0] - out[-1][0]) <= CLIP_EPS and abs(out[0][1] - out[-1][1]) <= CLIP_EPS:
+        out.pop()
+    return out
+
+
+def shoelace_area(pts):
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def clipped_iou(a, b):
+    """Rotated IoU of two oriented boxes by the scalar clipper."""
+    inter = shoelace_area(clip_convex(to_quad(a).as_array(), to_quad(b).as_array()))
+    union = a.h * a.w + b.h * b.w - inter
+    return min(max(inter / union, 0.0), 1.0) if union > 0 else 0.0
 
 
 def vertex_set_equal(q1, q2, tol=1e-9):

@@ -54,6 +54,8 @@ class TestIou:
     def test_bad_literal(self, capsys):
         code, _ = run(capsys, "iou", "--a", "0 0 9 1", "--b", "0 0 9 1 0.5")
         assert code == 2
+        code, _ = run(capsys, "iou", "--a", "0 nan 9 1 0", "--b", "0 0 9 1 0.5")
+        assert code == 2
 
 
 class TestQuantError:
@@ -105,6 +107,52 @@ class TestNmsAndEval(object):
         )
         assert payload["ap12"]["ship"] == pytest.approx(1.0)
         assert payload["subset_map12"] == pytest.approx(1.0)
+
+    def test_nms_groups_output(self, tmp_path, capsys):
+        # groups interleaved in the file; kept detections come out grouped
+        # by (image, class id) in sorted order, each group in input order
+        dets = tmp_path / "dets.txt"
+        dets.write_text(
+            "im2 plane 0.6 5 5 4 2 30\nim1 ship 0.9 0 0 4 2 0\nim1 plane 0.85 0.5 0 4 2 0\n"
+            "im2 plane 0.95 5.2 5 4 2 31\nim1 ship 0.8 0.3 0.1 4 2 2\nim1 ship 0.7 100 0 4 2 0\n"
+            "im1 plane 0.5 40 40 6 3 -45\nim2 ship 0.4 5 5 2 4 -60\nim1 plane 0.45 41 40 6 3 -44\n"
+        )
+        argv = ("nms", "--dets", str(dets), "--classes", "ship", "plane", "--iou-thresh", "0.3")
+        code, out = run(capsys, "--format", "csv", *argv)
+        assert code == 0
+        assert out == (
+            "image_id,class_id,score,cx,cy,h,w,theta\n"
+            "im1,0,0.9,0.0,0.0,4.0,2.0,0.0\n"
+            "im1,0,0.7,100.0,0.0,4.0,2.0,0.0\n"
+            "im1,1,0.85,0.5,0.0,4.0,2.0,0.0\n"
+            "im1,1,0.5,40.0,40.0,6.0,3.0,-45.0\n"
+            "im2,0,0.4,5.0,5.0,4.0,2.0,30.0\n"
+            "im2,1,0.95,5.2,5.0,4.0,2.0,31.0\n"
+        )
+        payload = run_json(capsys, *argv)
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [[d["image_id"], str(d["class_id"]), str(d["score"]), *map(str, d["box"])] for d in payload["kept"]] == rows
+
+    @pytest.mark.parametrize("line", ["im1 ship 0.9 nan 0 4 2 0", "im1 ship 0.9 0 0 inf 2 0", "im1 ship 0.9 0 -inf 4 2 0"])
+    def test_non_finite_detection_is_data_error(self, tmp_path, capsys, line):
+        dets = tmp_path / "dets.txt"
+        dets.write_text(f"im1 ship 0.8 0 0 4 2 0\n{line}\n")
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        (ann / "im1.txt").write_text("0 0 4 0 4 2 0 2 ship 0\n")
+        code, out = run(capsys, "nms", "--dets", str(dets), "--classes", "ship")
+        assert (code, out) == (2, "")
+        code, out = run(capsys, "eval", "--dets", str(dets), "--ann-dir", str(ann), "--classes", "ship")
+        assert (code, out) == (2, "")
+
+    def test_non_finite_annotation_is_data_error(self, tmp_path, capsys):
+        dets = tmp_path / "dets.txt"
+        dets.write_text("im1 ship 0.8 0 0 4 2 0\n")
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        (ann / "im1.txt").write_text("0 0 4 0 4 2 nan 2 ship 0\n")
+        code, out = run(capsys, "eval", "--dets", str(dets), "--ann-dir", str(ann), "--classes", "ship")
+        assert (code, out) == (2, "")
 
     def test_missing_file_is_data_error(self, capsys):
         code, _ = run(capsys, "nms", "--dets", "/nonexistent.txt")

@@ -201,6 +201,33 @@ class TestBatchOps:
             assert np.allclose(batch[i], encode(th, GAUSS6).values)
         assert np.allclose(decode_batch(batch, GAUSS6), [decode(b, GAUSS6) for b in batch])
 
+    def test_gather_matches_window_formula(self):
+        # criterion 3 grid; the window evaluated on every (bin - gt_bin)
+        # offset is the formula the gathered rows must reproduce bit for bit
+        grid = itertools.product(
+            ("pulse", "rectangular", "triangle", "gaussian"), (0.5, 2.0, 4.0, 6.0, 8.0), (0.5, 1.0, 2.0), ("range90", "range180")
+        )
+        for kind, r, omega, rng in grid:
+            cfg = CslCodecConfig(kind, r, omega, rng)
+            thetas = np.arange(cfg.range_min, cfg.range_min + cfg.range_span, omega / 3)
+            t = cfg.bin_count
+            gt = np.minimum(np.floor((thetas - cfg.range_min) / omega).astype(int), t - 1)
+            expected = window_value(cfg, np.arange(t)[None, :] - gt[:, None])
+            assert np.array_equal(encode_batch(thetas, cfg), expected)
+            assert np.array_equal(encode(thetas[7], cfg).values, expected[7])
+
+    def test_decode_batch_shape_error(self):
+        with pytest.raises(ValueError):
+            decode_batch(np.ones((3, 7)), GAUSS6)
+        with pytest.raises(ValueError):
+            decode_batch(np.ones(180), GAUSS6)
+
+    def test_decode_batch_non_finite(self):
+        scores = np.zeros((2, 180))
+        scores[1, 4] = np.nan
+        with pytest.raises(ValueError):
+            decode_batch(scores, GAUSS6)
+
 
 def test_window_curve_center_peak():
     curve = window_curve(GAUSS6)

@@ -12,6 +12,7 @@ from cslkit.evaluation import (
     rotated_nms,
 )
 from cslkit.rotgeom import canonicalize180, rotated_iou, to_quad
+from oracles import clipped_iou
 
 CLASSES = {"ship": 0, "plane": 1}
 
@@ -52,6 +53,84 @@ class TestNms:
         for i, a in enumerate(kept):
             for b in kept[i + 1:]:
                 assert rotated_iou(a.box, b.box) <= 0.3
+
+
+def _random_scene(rng, n_gts=30, n_dets=60, images=("im1", "im2", "im3")):
+    """Ground truths in a few images and classes, and detections that are
+    jittered copies of them (some far off) with distinct scores."""
+    gts = []
+    for _ in range(n_gts):
+        gts.append(gt(*rng.uniform(0, 30, 2), *rng.uniform(2, 8, 2), rng.uniform(-90, 90),
+                      image=str(rng.choice(images)), cls=int(rng.integers(2)), difficult=bool(rng.random() < 0.1)))
+    scores = rng.permutation(n_dets) / n_dets + 0.5 / n_dets
+    dets = []
+    for k in range(n_dets):
+        g = gts[rng.integers(n_gts)]
+        jitter = rng.normal(0, 1.0, 5) * (1, 1, 0.5, 0.5, 8) + rng.choice((0, 20), p=(0.8, 0.2))
+        b = g.box
+        dets.append(det(float(scores[k]), b.cx + jitter[0], b.cy + jitter[1], b.h + abs(jitter[2]), b.w + abs(jitter[3]),
+                        b.theta + jitter[4], image=g.image_id, cls=g.class_id))
+    return dets, gts
+
+
+def _reference_nms(dets, iou_thresh):
+    """The per-pair greedy loop on the clipper oracle."""
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    kept = []
+    for i in order:
+        if all(clipped_iou(dets[i].box, dets[k].box) <= iou_thresh for k in kept):
+            kept.append(i)
+    return [dets[i] for i in sorted(kept)]
+
+
+def _reference_pr(dets, gts, iou_thresh):
+    """Recall and precision of per-pair greedy matching on the clipper
+    oracle: the first gt with the strictly largest IoU above 0."""
+    n_pos = sum(1 for g in gts if not g.difficult)
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    matched, tp, fp = set(), [], []
+    for di in order:
+        best_iou, best = 0.0, None
+        for gi, g in enumerate(gts):
+            if g.image_id == dets[di].image_id:
+                iou = clipped_iou(dets[di].box, g.box)
+                if iou > best_iou:
+                    best_iou, best = iou, gi
+        hit = best is not None and best_iou >= iou_thresh
+        if hit and gts[best].difficult:
+            tp.append(0)
+            fp.append(0)
+            continue
+        tp.append(int(hit and best not in matched))
+        fp.append(1 - tp[-1])
+        if hit:
+            matched.add(best)
+    tp_c, fp_c = np.cumsum(tp), np.cumsum(fp)
+    return (tp_c / n_pos).tolist(), (tp_c / np.maximum(tp_c + fp_c, 1)).tolist()
+
+
+class TestAgainstPerPairReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nms(self, seed):
+        rng = np.random.default_rng(seed)
+        dets, _ = _random_scene(rng)
+        for thresh in (0.1, 0.3, 0.5):
+            for image in ("im1", "im2", "im3"):
+                group = [d for d in dets if d.image_id == image]
+                assert rotated_nms(group, thresh) == _reference_nms(group, thresh)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pr_curves_and_ap(self, seed):
+        rng = np.random.default_rng(seed)
+        dets, gts = _random_scene(rng)
+        for thresh in (0.3, 0.5, 0.7):
+            report = evaluate(dets, gts, ["ship", "plane"], iou_thresh=thresh)
+            for cid, name in enumerate(["ship", "plane"]):
+                cd = [d for d in dets if d.class_id == cid]
+                cg = [g for g in gts if g.class_id == cid]
+                recall, precision = _reference_pr(cd, cg, thresh)
+                assert report.pr_curves[name] == (recall, precision)
+                assert compute_ap(cd, cg, thresh, "voc12") == report.ap12[name]
 
 
 class TestComputeAp:

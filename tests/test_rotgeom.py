@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cslkit.rotgeom import (
+    PAIR_CHUNK,
     InvalidGeometryError,
     OrientedBox90,
     OrientedBox180,
     QuadBox,
     aligned_iou,
+    box_rows,
     canonicalize90,
     canonicalize180,
     convex_intersection,
@@ -18,9 +20,18 @@ from cslkit.rotgeom import (
     polygon_area,
     quad_to_box180,
     rotated_iou,
+    rotated_iou_matrix,
     to_quad,
 )
-from oracles import brute_force_min_rect_area, mc_iou, vertex_set_equal
+from oracles import (
+    brute_force_min_rect_area,
+    clip_convex,
+    clipped_iou,
+    concentric_rect_iou,
+    mc_iou,
+    shoelace_area,
+    vertex_set_equal,
+)
 
 
 class TestCanonicalize90:
@@ -264,3 +275,153 @@ class TestQuadToBox180:
         assert (r.cx, r.cy, r.h, r.w) == pytest.approx((box.cx, box.cy, box.h, box.w), abs=1e-6)
         if abs(box.h - box.w) > 1e-6:
             assert r.theta == pytest.approx(box.theta, abs=1e-6)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(5))
+    def test_rejected(self, bad, field):
+        args = [1.0, 2.0, 4.0, 2.0, 30.0]
+        args[field] = bad
+        for make in (canonicalize90, canonicalize180):
+            with pytest.raises(InvalidGeometryError):
+                make(*args)
+        fields = [1.0, 2.0, 4.0, 2.0, 30.0 - 90.0]
+        fields[field] = bad
+        for cls in (OrientedBox90, OrientedBox180):
+            with pytest.raises(InvalidGeometryError):
+                cls(*fields)
+
+    def test_matrix_rejects_bad_rows(self):
+        good = np.array([[0.0, 0.0, 4.0, 2.0, 10.0]])
+        for bad in ([[0.0, math.nan, 4.0, 2.0, 10.0]], [[0.0, 0.0, math.inf, 2.0, 10.0]], [[0.0, 0.0, 4.0, 0.0, 10.0]],
+                    [[0.0, 0.0, 4.0, 2.0]]):
+            with pytest.raises(InvalidGeometryError):
+                rotated_iou_matrix(good, bad)
+            with pytest.raises(InvalidGeometryError):
+                rotated_iou_matrix(np.asarray(bad), good)
+
+
+def _box(cx, cy, a, b, theta):
+    return canonicalize180(cx, cy, a, b, theta)
+
+
+def _shifted(box, along, across):
+    """The same box moved by `along` on its long side and `across` on
+    its short side."""
+    t = math.radians(box.theta)
+    return _box(box.cx + along * math.cos(t) - across * math.sin(t), box.cy + along * math.sin(t) + across * math.cos(t),
+                box.h, box.w, box.theta)
+
+
+class TestIouMatrixKernel:
+    def test_matches_clipper_oracle(self):
+        # 47 x 47 = 2209 pairs, more than one kernel chunk
+        rng = np.random.default_rng(11)
+        a = [_random_box(rng) for _ in range(47)]
+        b = [_random_box(rng) for _ in range(47)]
+        assert len(a) * len(b) > PAIR_CHUNK
+        got = rotated_iou_matrix(box_rows(a), box_rows(b))
+        want = np.array([[clipped_iou(x, y) for y in b] for x in a])
+        assert np.abs(got - want).max() <= 1e-12
+        assert 0.5 < np.count_nonzero(want) / want.size < 1.0  # overlapping and pruned pairs both occur
+        for x, y in zip(a[:50], b[:50]):
+            assert rotated_iou(x, y) == rotated_iou_matrix(box_rows([x]), box_rows([y]))[0, 0]
+
+    def test_box90_rows(self):
+        b90 = canonicalize90(1, 2, 5, 2, 20)
+        b180 = canonicalize180(1, 2, 5, 2, 20)
+        assert box_rows([b90]).tolist() == [[1, 2, 2, 5, -70]]
+        assert box_rows([b180]).tolist() == [[1, 2, 5, 2, 20]]
+        assert rotated_iou(b90, b180) == pytest.approx(1.0, abs=1e-12)
+        assert rotated_iou(b90, _shifted(b180, 1.0, 0.0)) == pytest.approx(clipped_iou(b90, _shifted(b180, 1.0, 0.0)), abs=1e-12)
+
+    def test_empty(self):
+        assert rotated_iou_matrix(np.zeros((0, 5)), box_rows([_box(0, 0, 2, 1, 0)])).shape == (0, 1)
+
+    @pytest.mark.parametrize("theta", [0.0, 30.0, -45.0, 89.0])
+    def test_explicit_cases(self, theta):
+        base = _box(3.0, -2.0, 6.0, 2.0, theta)
+        cases = {
+            "identical": (base, 1.0),
+            "nested": (_box(3.0, -2.0, 3.0, 1.0, theta), 3.0 / 12.0),
+            "nested off-center": (_shifted(_box(3.0, -2.0, 2.0, 1.0, theta), 1.5, 0.25), 2.0 / 12.0),
+            "touching edge": (_shifted(base, 0.0, 2.0), 0.0),
+            "touching end": (_shifted(base, 6.0, 0.0), 0.0),
+            "touching corner": (_shifted(base, 6.0, 2.0), 0.0),
+            "collinear edge": (_shifted(base, 1.8, 0.0), 4.2 / 7.8),
+            "collinear edge, other side": (_shifted(base, -1.0, 1.0), 5.0 / 19.0),
+            "disjoint": (_shifted(base, 0.0, 2.5), 0.0),
+        }
+        for name, (other, want) in cases.items():
+            assert rotated_iou(base, other) == pytest.approx(want, abs=1e-12), name
+            assert rotated_iou(other, base) == pytest.approx(want, abs=1e-12), name
+            assert rotated_iou(base, other) == pytest.approx(clipped_iou(base, other), abs=1e-12), name
+
+    @pytest.mark.parametrize("delta", [0.1, 0.25, 0.5, 1.0, 5.0])
+    def test_thin_box_closed_form(self, delta):
+        base = _box(0, 0, 9, 1, 0)
+        assert rotated_iou(base, _box(0, 0, 9, 1, delta)) == pytest.approx(concentric_rect_iou(9, 1, delta), abs=1e-12)
+
+    def test_shifted_thin_box_at_small_scale(self):
+        # exact: across 6.3 / 11.7, along 8.7 / 9.3, at every scale
+        for scale in (1e-6, 1.0, 1e6):
+            base = _box(0, 0, 9 * scale, scale, 20)
+            assert rotated_iou(base, _shifted(base, 0.0, 0.3 * scale)) == pytest.approx(6.3 / 11.7, abs=1e-12)
+            assert rotated_iou(base, _shifted(base, 0.3 * scale, 0.0)) == pytest.approx(8.7 / 9.3, abs=1e-12)
+
+    @given(
+        cx=st.floats(-2, 2), cy=st.floats(-2, 2), a=st.floats(0.5, 6), b=st.floats(0.5, 6), ta=st.floats(-180, 180),
+        dx=st.floats(-2, 2), dy=st.floats(-2, 2), c=st.floats(0.5, 6), d=st.floats(0.5, 6), tb=st.floats(-180, 180),
+        tx=st.floats(-1e7, 1e7), ty=st.floats(-1e7, 1e7), log_scale=st.floats(-6, 6), phi=st.floats(-180, 180),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_translation_scale_rotation_invariance(self, cx, cy, a, b, ta, dx, dy, c, d, tb, tx, ty, log_scale, phi):
+        box_a, box_b = _box(cx, cy, a, b, ta), _box(dx, dy, c, d, tb)
+        iou = rotated_iou(box_a, box_b)
+        # the clipper keeps points up to its absolute CLIP_EPS outside
+        assert iou == pytest.approx(clipped_iou(box_a, box_b), abs=1e-7)
+        # moving by up to 1e7 changes the boxes by the rounding of their
+        # centers, about 1e7 * 2**-53 = 1e-9
+        moved = rotated_iou(_box(cx + tx, cy + ty, a, b, ta), _box(dx + tx, dy + ty, c, d, tb))
+        assert moved == pytest.approx(iou, abs=1e-6)
+        s = 10.0**log_scale
+        scaled = rotated_iou(_box(cx * s, cy * s, a * s, b * s, ta), _box(dx * s, dy * s, c * s, d * s, tb))
+        assert scaled == pytest.approx(iou, abs=1e-9)
+        rc, rs = math.cos(math.radians(phi)), math.sin(math.radians(phi))
+        turned = rotated_iou(_box(cx * rc - cy * rs, cx * rs + cy * rc, a, b, ta + phi),
+                             _box(dx * rc - dy * rs, dx * rs + dy * rc, c, d, tb + phi))
+        assert turned == pytest.approx(iou, abs=1e-9)
+
+    @given(
+        a=st.floats(0.5, 6), b=st.floats(0.5, 6), ta=st.floats(-180, 180),
+        dx=st.floats(-2, 2), dy=st.floats(-2, 2), tb=st.floats(-180, 180), log_scale=st.floats(-6, 6),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_monte_carlo_at_scale(self, a, b, ta, dx, dy, tb, log_scale):
+        s = 10.0**log_scale
+        box_a = _box(0.0, 0.0, a * s, b * s, ta)
+        box_b = _box(dx * s, dy * s, b * s, a * s, tb)
+        assert rotated_iou(box_a, box_b) == pytest.approx(mc_iou(box_a, box_b, samples=200_000, seed=1), abs=0.01)
+
+
+def _random_convex(rng, n_points):
+    """Counter-clockwise polygon with vertices on a random ellipse."""
+    t = np.sort(rng.uniform(0, 2 * math.pi, n_points))
+    radii = rng.uniform(0.5, 2.5, size=2)
+    return rng.uniform(-1, 1, size=2) + radii * np.column_stack([np.cos(t), np.sin(t)])
+
+
+class TestConvexIntersectionOracle:
+    def test_matches_clipper_oracle(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            p = _random_convex(rng, int(rng.integers(3, 9)))
+            q = _random_convex(rng, int(rng.integers(3, 9)))
+            got = convex_intersection(p, q)
+            want = clip_convex(p, q)
+            assert polygon_area(got) == pytest.approx(shoelace_area(want), abs=1e-12)
+            if shoelace_area(want) > 1e-9:
+                assert _signed(got) > 0  # counter-clockwise
+                assert len(got) == len(want)
+                assert vertex_set_equal(got, want, tol=1e-9)

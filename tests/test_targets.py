@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from cslkit import targets
 from cslkit.csl_codec import CslCodecConfig
 from cslkit.targets import AnchorGridSpec, AssignmentConfig, assign_targets, generate_anchors
 from cslkit.rotgeom import canonicalize180, rotated_iou
+from oracles import clipped_iou
 
 CSL_CFG = CslCodecConfig("gaussian", 6.0)
 
@@ -89,6 +91,31 @@ class TestAssignment:
         gt = canonicalize180(0, 0, 8, 1, 45)
         res = assign_targets(anchors, [(gt, 0)], AssignmentConfig(anchor_mode="rotated"), CSL_CFG)
         assert res.max_iou[0] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_rotated_matches_per_pair_reference(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        anchors = generate_anchors(AnchorGridSpec(image_size=32, strides=(8, 16), base_scale=1.5), mode="rotated")
+
+        def oracle_matrix(a, g, mode):
+            return np.array([[clipped_iou(x, y) for y in g] for x in a])
+
+        # anchors of equal area tie exactly inside a larger gt, and rounding
+        # then picks the forced anchor; keep gts whose best anchor is clear
+        gts = []
+        while len(gts) < 4:
+            box = canonicalize180(*rng.uniform(2, 30, 2), *rng.uniform(4, 20, 2), rng.uniform(-90, 90))
+            column = np.sort(targets._iou_matrix(anchors, [box], "rotated")[:, 0])
+            if column[-1] - column[-2] > 1e-9:
+                gts.append((box, len(gts)))
+        cfg = AssignmentConfig(anchor_mode="rotated")
+        got = assign_targets(anchors, gts, cfg, CSL_CFG)
+        monkeypatch.setattr(targets, "_iou_matrix", oracle_matrix)
+        want = assign_targets(anchors, gts, cfg, CSL_CFG)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.matched_gt, want.matched_gt)
+        assert np.abs(got.max_iou - want.max_iou).max() <= 1e-12
+        assert np.count_nonzero(got.labels == 1) > len(gts)
 
     def test_permutation_invariance(self):
         spec = AnchorGridSpec(image_size=32, strides=(16,))
