@@ -43,34 +43,36 @@ class LossWeights:
     lambda3: float = 1.0
 
 
-def _box_fields(box):
-    if isinstance(box, OrientedBox90):
-        return box.cx, box.cy, box.w, box.h, box.theta
-    if isinstance(box, OrientedBox180):
-        # long side h plays the "height" role of the offset formulas
-        return box.cx, box.cy, box.w, box.h, box.theta
-    raise TypeError(f"unsupported box type {type(box)!r}")
+def field_rows(boxes):
+    """(N, 5) rows (cx, cy, w, h, theta) of OrientedBox90 / OrientedBox180
+    records, the fields of the regression offsets; in an OrientedBox180
+    the long side h plays the "height" role."""
+    rows = []
+    for box in boxes:
+        if not isinstance(box, (OrientedBox90, OrientedBox180)):
+            raise TypeError(f"unsupported box type {type(box)!r}")
+        rows.append((box.cx, box.cy, box.w, box.h, box.theta))
+    return np.asarray(rows, dtype=float).reshape(-1, 5)
 
 
 def encode_regression(gt, anchor, include_theta=True):
     """Offsets from anchor to ground truth: center deltas normalized by
     anchor sides, log side ratios, and the angle difference in radians."""
-    x, y, w, h, th = _box_fields(gt)
-    xa, ya, wa, ha, tha = _box_fields(anchor)
-    t_theta = (th - tha) * DEG2RAD if include_theta else None
-    return RegressionTarget(
-        tx=(x - xa) / wa,
-        ty=(y - ya) / ha,
-        tw=math.log(w / wa),
-        th=math.log(h / ha),
-        t_theta=t_theta,
-    )
+    tx, ty, tw, th, t_theta = encode_regression_rows(field_rows([gt]), field_rows([anchor]))[0].tolist()
+    return RegressionTarget(tx, ty, tw, th, t_theta if include_theta else None)
+
+
+def encode_regression_rows(gt, anchor):
+    """(K, 5) offsets (tx, ty, tw, th, t_theta) from K anchors to K
+    ground truths, both given as field_rows."""
+    d = gt - anchor
+    return np.column_stack([d[:, 0] / anchor[:, 2], d[:, 1] / anchor[:, 3], np.log(gt[:, 2:4] / anchor[:, 2:4]), d[:, 4] * DEG2RAD])
 
 
 def decode_regression(pred, anchor):
     """Exact inverse of encode_regression; returns the same box type as
     the anchor (re-canonicalized, identity for canonical round trips)."""
-    xa, ya, wa, ha, tha = _box_fields(anchor)
+    xa, ya, wa, ha, tha = field_rows([anchor])[0].tolist()
     if pred.tw > 60 or pred.th > 60:
         raise ValueError("log side ratio too large, exp would overflow")
     w = wa * math.exp(pred.tw)
@@ -83,14 +85,18 @@ def decode_regression(pred, anchor):
     return canonicalize180(x, y, h, w, th)
 
 
-def smooth_l1(pred, target):
-    """Sum of elementwise smooth L1 (transition at |d| = 1)."""
+def _smooth_l1_terms(pred, target):
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     d = np.abs(pred - target)
-    return float(np.sum(np.where(d < 1.0, 0.5 * d * d, d - 0.5)))
+    return np.where(d < 1.0, 0.5 * d * d, d - 0.5)
+
+
+def smooth_l1(pred, target):
+    """Sum of elementwise smooth L1 (transition at |d| = 1)."""
+    return float(np.sum(_smooth_l1_terms(pred, target)))
 
 
 def smooth_l1_grad(pred, target):
@@ -109,24 +115,30 @@ def _sigmoid_ce(logits, targets):
     return np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
 
 
-def csl_classification_loss(logits, label, mode="sigmoid_ce", alpha=0.25, gamma=2.0):
-    """Per-bin sigmoid cross-entropy against a soft circular label,
-    summed over bins. Focal mode weights each bin's cross-entropy by
-    alpha * |target - sigmoid(logit)|**gamma, so a bin whose prediction
-    matches its soft target contributes nothing."""
+def _csl_row_losses(logits, targets, mode, alpha=0.25, gamma=2.0):
+    """Per-row sums (N,) of the per-bin loss of (N, ...) logits against
+    soft targets of the same shape; see csl_classification_loss."""
     logits = np.asarray(logits, dtype=float)
-    targets = label.values if hasattr(label, "values") else np.asarray(label, dtype=float)
+    targets = np.asarray(targets, dtype=float)
     if logits.shape != targets.shape:
         raise ValueError(f"shape mismatch: {logits.shape} vs {targets.shape}")
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite logits")
     ce = _sigmoid_ce(logits, targets)
-    if mode == "sigmoid_ce":
-        return float(np.sum(ce))
     if mode == "focal":
-        p = _sigmoid(logits)
-        return float(np.sum(alpha * np.abs(targets - p) ** gamma * ce))
-    raise ValueError(f"unknown mode {mode!r}")
+        ce = alpha * np.abs(targets - _sigmoid(logits)) ** gamma * ce
+    elif mode != "sigmoid_ce":
+        raise ValueError(f"unknown mode {mode!r}")
+    return ce.reshape(len(ce), -1).sum(axis=1)
+
+
+def csl_classification_loss(logits, label, mode="sigmoid_ce", alpha=0.25, gamma=2.0):
+    """Per-bin sigmoid cross-entropy against a soft circular label,
+    summed over bins. Focal mode weights each bin's cross-entropy by
+    alpha * |target - sigmoid(logit)|**gamma, so a bin whose prediction
+    matches its soft target contributes nothing."""
+    targets = label.values if hasattr(label, "values") else label
+    return float(_csl_row_losses([logits], [targets], mode, alpha, gamma)[0])
 
 
 def csl_classification_loss_grad(logits, label, mode="sigmoid_ce", alpha=0.25, gamma=2.0):
@@ -171,31 +183,26 @@ def multi_task_loss(batch, weights=LossWeights(), branch="csl", csl_mode="sigmoi
     """Weighted sum of regression, circular-label and classification
     terms, each averaged over the batch size N. The angle is carried by
     the regression vector (regression branch, 5 components) or by the
-    circular-label term (csl branch, 4 components)."""
+    circular-label term (csl branch, 4 components). Fields need N rows."""
     n = batch.count
-    want = 5 if branch == "regression" else 4
     if branch not in ("regression", "csl"):
         raise ValueError(f"unknown branch {branch!r}")
-    reg_pred = np.asarray(batch.reg_pred, dtype=float)
-    reg_target = np.asarray(batch.reg_target, dtype=float)
-    if reg_pred.shape[1] != want:
-        raise ValueError(f"{branch} branch expects {want} regression components, got {reg_pred.shape[1]}")
-    reg = sum(
-        batch.obj[i] * smooth_l1(reg_pred[i], reg_target[i]) for i in range(n)
-    )
-    csl = 0.0
+    names = ["reg_pred", "reg_target", "cls_logits", "cls_target"]
     if branch == "csl":
         if batch.csl_logits is None or batch.csl_target is None:
             raise ValueError("csl branch requires csl logits and targets")
-        csl = sum(
-            batch.obj[i] * csl_classification_loss(batch.csl_logits[i], batch.csl_target[i], mode=csl_mode)
-            for i in range(n)
-        )
-    cls = sum(
-        csl_classification_loss(batch.cls_logits[i], batch.cls_target[i], mode=cls_mode) for i in range(n)
-    )
-    w = weights
-    return (w.lambda1 * reg + w.lambda2 * csl + w.lambda3 * cls) / n
+        names += ["csl_logits", "csl_target"]
+    arrays = {name: np.asarray(getattr(batch, name), dtype=float) for name in names}
+    for name, value in arrays.items():
+        if value.shape[:1] != (n,):
+            raise ValueError(f"{name} has shape {value.shape}, expected {n} rows")
+    want = 5 if branch == "regression" else 4
+    if arrays["reg_pred"].shape[1:] != (want,):
+        raise ValueError(f"{branch} branch expects {want} regression components, got shape {arrays['reg_pred'].shape}")
+    reg = batch.obj @ _smooth_l1_terms(arrays["reg_pred"], arrays["reg_target"]).sum(axis=1)
+    csl = batch.obj @ _csl_row_losses(arrays["csl_logits"], arrays["csl_target"], csl_mode) if branch == "csl" else 0.0
+    cls = _csl_row_losses(arrays["cls_logits"], arrays["cls_target"], cls_mode).sum()
+    return float((weights.lambda1 * reg + weights.lambda2 * csl + weights.lambda3 * cls) / n)
 
 
 @dataclass(frozen=True)
@@ -224,18 +231,17 @@ class DiscontinuityReport:
         return json.dumps(self.to_dict())
 
 
-def _quad_coords(box):
-    return to_quad(box).as_array().ravel()
-
-
 def _best_cyclic_match_loss(a, b):
     """Smooth L1 over 8 coordinates under the best cyclic corner
     correspondence (the matching an order-free regressor would use)."""
-    best = math.inf
-    for k in range(4):
-        rolled = np.roll(b.reshape(4, 2), k, axis=0).ravel()
-        best = min(best, smooth_l1(a, rolled))
-    return best
+    return min(smooth_l1(a, np.roll(b.reshape(4, 2), k, axis=0).ravel()) for k in range(4))
+
+
+# angle-convention scenarios: box type, canonicalizer, upper range edge
+_EDGE_PROBES = {
+    "deg180": (OrientedBox180, canonicalize180, 90.0),
+    "deg90": (OrientedBox90, canonicalize90, 0.0),
+}
 
 
 def boundary_probe(scenario, gt_angle_offset, csl_cfg=None):
@@ -257,39 +263,28 @@ def boundary_probe(scenario, gt_angle_offset, csl_cfg=None):
     if not (0 < eps < csl_cfg.omega):
         raise ValueError(f"offset {eps} is not a boundary case (need 0 < eps < omega = {csl_cfg.omega})")
 
-    if scenario == "deg180":
-        anchor = OrientedBox180(0.0, 0.0, 4.0, 1.0, 90.0 - eps / 2.0)
-        ideal_theta = 90.0 + eps / 2.0  # beyond the range
-        gt = canonicalize180(0.0, 0.0, 4.0, 1.0, ideal_theta)
+    if scenario in _EDGE_PROBES:
+        box_type, canonicalize, edge = _EDGE_PROBES[scenario]
+        anchor = box_type(0.0, 0.0, 4.0, 1.0, edge - eps / 2.0)
+        ideal_theta = edge + eps / 2.0  # beyond the range
+        gt = canonicalize(0.0, 0.0, 4.0, 1.0, ideal_theta)  # deg90: sides exchange
         ideal = RegressionTarget(0.0, 0.0, 0.0, 0.0, (ideal_theta - anchor.theta) * DEG2RAD)
         actual = encode_regression(gt, anchor)
         zero = np.zeros(5)
         loss_ideal = smooth_l1(zero, ideal.as_array())
         loss_actual = smooth_l1(zero, actual.as_array())
-        a_theta, g_theta = anchor.theta, gt.theta
-    elif scenario == "deg90":
-        anchor = OrientedBox90(0.0, 0.0, 4.0, 1.0, -eps / 2.0)
-        ideal_theta = eps / 2.0  # beyond the range
-        gt = canonicalize90(0.0, 0.0, 4.0, 1.0, ideal_theta)  # sides exchange
-        ideal = RegressionTarget(0.0, 0.0, 0.0, 0.0, (ideal_theta - anchor.theta) * DEG2RAD)
-        actual = encode_regression(gt, anchor)
-        zero = np.zeros(5)
-        loss_ideal = smooth_l1(zero, ideal.as_array())
-        loss_actual = smooth_l1(zero, actual.as_array())
-        a_theta, g_theta = anchor.theta, gt.theta
     elif scenario == "quad":
         anchor = canonicalize180(0.0, 0.0, 4.0, 1.0, -eps / 2.0)
         gt = canonicalize180(0.0, 0.0, 4.0, 1.0, eps / 2.0)
-        a8 = _quad_coords(anchor)
-        g8 = _quad_coords(gt)
+        a8 = to_quad(anchor).as_array().ravel()
+        g8 = to_quad(gt).as_array().ravel()
         loss_actual = smooth_l1(a8, g8)  # corner-ordering-forced correspondence
         loss_ideal = _best_cyclic_match_loss(a8, g8)
-        a_theta, g_theta = anchor.theta, gt.theta
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
 
-    la = encode(a_theta, csl_cfg).values
-    lg = encode(g_theta, csl_cfg).values
+    la = encode(anchor.theta, csl_cfg).values
+    lg = encode(gt.theta, csl_cfg).values
     loss_csl = float(np.abs(la - lg).sum())
     return DiscontinuityReport(scenario, eps, loss_ideal, loss_actual, loss_csl)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EPS = 1e-9
+EPS = 1e-9  # tolerance of the quad checks, relative to the quad's extent
 # boundary tolerance of the IoU kernel, relative to the size of each pair
 REL_EPS = 1e-10
 # box pairs per kernel pass; bounds the kernel's temporaries
@@ -124,44 +124,36 @@ def canonicalize180(cx, cy, a, b, theta_free):
     return OrientedBox180(float(cx), float(cy), float(a), float(b), float(theta))
 
 
-def _corners(cx, cy, along, across, theta_deg):
-    """Corners of a rectangle with side `along` at angle theta_deg and
-    side `across` perpendicular to it, before canonical ordering."""
-    t = math.radians(theta_deg)
-    ux, uy = math.cos(t), math.sin(t)
-    vx, vy = -uy, ux
-    ha, hb = along / 2.0, across / 2.0
-    return np.array(
-        [
-            (cx + ha * ux + hb * vx, cy + ha * uy + hb * vy),
-            (cx - ha * ux + hb * vx, cy - ha * uy + hb * vy),
-            (cx - ha * ux - hb * vx, cy - ha * uy - hb * vy),
-            (cx + ha * ux - hb * vx, cy + ha * uy - hb * vy),
-        ]
-    )
+# signs of the (along, across) half-sides at each corner, counter-clockwise
+_CORNER_SIGNS = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
+_PAIRS = np.triu_indices(4, 1)  # the six vertex pairs of a quad
+
+
+def _corners(rows):
+    """Corners (N, 4, 2) of (N, 5) box rows, counter-clockwise from the
+    (+along, +across) corner, before canonical ordering."""
+    t = np.radians(rows[:, 4])
+    c, s = np.cos(t), np.sin(t)
+    along = rows[:, 2:3] / 2.0 * np.stack([c, s], axis=1)
+    across = rows[:, 3:4] / 2.0 * np.stack([-s, c], axis=1)
+    return rows[:, None, :2] + _CORNER_SIGNS[:, :1] * along[:, None] + _CORNER_SIGNS[:, 1:] * across[:, None]
 
 
 def to_quad(box):
     """Expand an oriented box into its four canonically ordered corners."""
-    if isinstance(box, OrientedBox90):
-        pts = _corners(box.cx, box.cy, box.w, box.h, box.theta)
-    elif isinstance(box, OrientedBox180):
-        pts = _corners(box.cx, box.cy, box.h, box.w, box.theta)
-    else:
-        raise TypeError(f"unsupported box type {type(box)!r}")
-    return order_corners(QuadBox(tuple(map(tuple, pts))))
+    return order_corners(QuadBox(tuple(map(tuple, _corners(box_rows([box]))[0]))))
 
 
 def order_corners(quad):
     """Canonically order four vertices: counter-clockwise winding,
-    starting at the vertex with minimal y (ties broken by minimal x)."""
+    starting at the vertex with minimal y (ties broken by minimal x).
+    Vertices within EPS times the quad's extent are duplicates."""
     pts = np.asarray(quad.vertices if isinstance(quad, QuadBox) else quad, dtype=float)
     if pts.shape != (4, 2):
         raise InvalidGeometryError(f"expected 4 vertices, got shape {pts.shape}")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if np.all(np.abs(pts[i] - pts[j]) <= EPS):
-                raise InvalidGeometryError("duplicate vertices")
+    gap = np.abs(pts[_PAIRS[0]] - pts[_PAIRS[1]]).max(axis=1)  # its maximum is the extent
+    if gap.min() <= EPS * gap.max():
+        raise InvalidGeometryError("duplicate vertices")
     centroid = pts.mean(axis=0)
     ang = np.arctan2(pts[:, 1] - centroid[1], pts[:, 0] - centroid[0])
     pts = pts[np.argsort(ang)]  # counter-clockwise around centroid
@@ -278,7 +270,7 @@ def quad_to_box180(quad):
     true rectangles."""
     pts = np.asarray(quad.vertices if isinstance(quad, QuadBox) else quad, dtype=float)
     hull = _convex_hull(pts)
-    if len(hull) < 3 or polygon_area(hull) <= EPS:
+    if len(hull) < 3 or polygon_area(hull) <= EPS * np.ptp(hull, axis=0).max() ** 2:
         raise InvalidGeometryError("degenerate quadrilateral (zero area)")
     candidates = []
     n = len(hull)
@@ -296,7 +288,7 @@ def quad_to_box180(quad):
         box = canonicalize180(cx, cy, e1, e2, math.degrees(phi))
         candidates.append((e1 * e2, box))
     best_area = min(a for a, _ in candidates)
-    ties = [b for a, b in candidates if a <= best_area * (1.0 + 1e-12) + 1e-12]
+    ties = [b for a, b in candidates if a <= best_area * (1.0 + 1e-12)]
     return min(ties, key=lambda b: b.theta)
 
 
@@ -321,9 +313,6 @@ def _check_rows(rows):
     if not (np.isfinite(rows).all() and (rows[:, 2:4] > 0).all()):
         raise InvalidGeometryError("box rows need finite values and positive sides")
     return rows
-
-
-_CORNER_SIGNS = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
 
 
 def _rect_corners(center, rows):
@@ -371,10 +360,16 @@ def rotated_iou(a, b):
     return float(rotated_iou_matrix(box_rows([a]), box_rows([b]))[0, 0])
 
 
+def aligned_bboxes(rows):
+    """Axis-aligned enclosing boxes (N, 4) (xmin, ymin, xmax, ymax) of
+    (N, 5) box rows."""
+    pts = _corners(_check_rows(rows))
+    return np.concatenate([pts.min(axis=1), pts.max(axis=1)], axis=1)
+
+
 def aligned_bbox(box):
     """Axis-aligned enclosing box (xmin, ymin, xmax, ymax)."""
-    pts = to_quad(box).as_array()
-    return (pts[:, 0].min(), pts[:, 1].min(), pts[:, 0].max(), pts[:, 1].max())
+    return tuple(aligned_bboxes(box_rows([box]))[0])
 
 
 def aligned_iou(a, b):
@@ -384,3 +379,14 @@ def aligned_iou(a, b):
     inter = ix * iy
     union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
     return inter / union if union > 0 else 0.0
+
+
+def aligned_iou_matrix(a, b):
+    """aligned_iou of every pair of (N, 4) and (M, 4) axis-aligned boxes,
+    with the same arithmetic; returns the (N, M) matrix."""
+    a, b = np.asarray(a, dtype=float)[:, None], np.asarray(b, dtype=float)[None]
+    side = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
+    inter = np.where(side > 0.0, side, 0.0).prod(axis=-1)
+    union = (a[..., 2:] - a[..., :2]).prod(axis=-1) + (b[..., 2:] - b[..., :2]).prod(axis=-1) - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0, inter / union, 0.0)

@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csl_codec import encode
-from .losses import encode_regression
-from .rotgeom import aligned_bbox, aligned_iou, box_rows, canonicalize180, rotated_iou_matrix
+from .csl_codec import CslLabel, angle_to_bin, encode_batch
+from .losses import RegressionTarget, encode_regression_rows, field_rows
+from .rotgeom import aligned_bboxes, aligned_iou_matrix, box_rows, canonicalize180, rotated_iou_matrix
 
 DEFAULT_RATIOS = (1.0, 1 / 2, 2.0, 1 / 4, 4.0, 1 / 6, 6.0)
 DEFAULT_ANGLES = (-90.0, -75.0, -60.0, -45.0, -30.0, -15.0)
@@ -92,14 +92,7 @@ def _iou_matrix(anchors, gts, mode):
         return rotated_iou_matrix(box_rows(anchors), box_rows(gts))
     # horizontal anchors are matched against the gt's axis-aligned
     # enclosing rectangle
-    n, m = len(anchors), len(gts)
-    out = np.zeros((n, m))
-    a_bb = [aligned_bbox(a) for a in anchors]
-    g_bb = [aligned_bbox(g) for g in gts]
-    for i in range(n):
-        for j in range(m):
-            out[i, j] = aligned_iou(a_bb[i], g_bb[j])
-    return out
+    return aligned_iou_matrix(aligned_bboxes(box_rows(anchors)), aligned_bboxes(box_rows(gts)))
 
 
 def assign_targets(anchors, gts, cfg, csl_cfg):
@@ -129,9 +122,14 @@ def assign_targets(anchors, gts, cfg, csl_cfg):
                 max_iou[best] = iou[best, j]
         matched = np.where(labels == 1, matched, -1)
     result = AssignmentResult(labels=labels, matched_gt=matched, max_iou=max_iou)
-    for i in np.flatnonzero(labels == 1):
-        g = gt_boxes[matched[i]]
-        result.reg_targets[int(i)] = encode_regression(g, anchors[i])
-        result.csl_labels[int(i)] = encode(g.theta, csl_cfg)
-        result.class_ids[int(i)] = gt_classes[matched[i]]
+    fg = np.flatnonzero(labels == 1)
+    fg_gts = matched[fg]
+    gt_fields = field_rows(gt_boxes)
+    gt_bins = {j: angle_to_bin(gt_fields[j, 4], csl_cfg) for j in np.unique(fg_gts).tolist()}
+    offsets = encode_regression_rows(gt_fields[fg_gts], field_rows([anchors[i] for i in fg]))
+    csl_values = encode_batch(gt_fields[fg_gts, 4], csl_cfg)
+    for i, j, offset, values in zip(fg.tolist(), fg_gts.tolist(), offsets.tolist(), csl_values):
+        result.reg_targets[i] = RegressionTarget(*offset)
+        result.csl_labels[i] = CslLabel(values=values, gt_bin=gt_bins[j])
+        result.class_ids[i] = gt_classes[j]
     return result

@@ -1,9 +1,9 @@
 """Independent oracles used to freeze expected values: Monte-Carlo
 rasterization IoU, closed-form IoU of concentric congruent rectangles,
 a scalar Sutherland-Hodgman clipper and the rotated IoU built on it,
-vertex-set comparison, brute-force minimum rectangle and central finite
-differences. Deliberately avoid the library's own clipping / calipers
-code paths."""
+vertex-set comparison, brute-force minimum rectangle, central finite
+differences and a per-anchor loop over the multi-task loss. Deliberately
+avoid the library's own clipping / calipers / loss code paths."""
 
 import math
 
@@ -149,9 +149,20 @@ def clipped_iou(a, b):
 
 
 def vertex_set_equal(q1, q2, tol=1e-9):
-    a = sorted(map(tuple, np.round(np.asarray(q1, dtype=float), 12)))
-    b = sorted(map(tuple, np.round(np.asarray(q2, dtype=float), 12)))
-    return all(abs(x1 - x2) <= tol and abs(y1 - y2) <= tol for (x1, y1), (x2, y2) in zip(a, b))
+    """Whether two vertex lists hold the same points in any order: equal
+    counts, each vertex of q1 matched one to one with a vertex of q2
+    within tol per coordinate. (Sorting rounded vertices instead breaks
+    when two nearly equal coordinates round to different sides.)"""
+    a = np.asarray(q1, dtype=float).reshape(-1, 2)
+    left = list(np.asarray(q2, dtype=float).reshape(-1, 2))
+    if len(a) != len(left):
+        return False
+    for v in a:
+        k = next((k for k, w in enumerate(left) if np.abs(v - w).max() <= tol), None)
+        if k is None:
+            return False
+        left.pop(k)
+    return True
 
 
 def brute_force_min_rect_area(pts, step_deg=0.01):
@@ -178,3 +189,24 @@ def central_diff(f, x, h=1e-6):
         xm[i] -= h
         g[i] = (f(xp) - f(xm)) / (2 * h)
     return g
+
+
+def loop_multi_task_loss(batch, weights, branch, csl_mode, cls_mode, alpha=0.25, gamma=2.0):
+    """The multi-task loss of a LossBatch one anchor at a time, with its
+    own per-bin formulas (logistic sigmoid, not the library's tanh form)."""
+
+    def label_loss(z, t, mode):
+        z = np.asarray(z, dtype=float)
+        ce = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
+        if mode == "focal":
+            ce = alpha * np.abs(t - 1.0 / (1.0 + np.exp(-z))) ** gamma * ce
+        return ce.sum()
+
+    reg = csl = cls = 0.0
+    for i in range(batch.count):
+        d = np.abs(np.asarray(batch.reg_pred[i], dtype=float) - batch.reg_target[i])
+        reg += batch.obj[i] * np.where(d < 1.0, 0.5 * d * d, d - 0.5).sum()
+        if branch == "csl":
+            csl += batch.obj[i] * label_loss(batch.csl_logits[i], batch.csl_target[i], csl_mode)
+        cls += label_loss(batch.cls_logits[i], batch.cls_target[i], cls_mode)
+    return (weights.lambda1 * reg + weights.lambda2 * csl + weights.lambda3 * cls) / batch.count

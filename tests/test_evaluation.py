@@ -239,6 +239,40 @@ class TestIngestDota:
             ingest_dota(line, "P0", CLASSES, strict=True)
 
 
+RECT_SCALES = [1e-6, 1e-3, 1.0, 1e3, 1e6]
+
+
+def _scaled_rects(scale):
+    return [canonicalize180(10 * scale, 20 * scale, 6 * scale, 2 * scale, theta) for theta in (-60.0, 0.0, 35.0)]
+
+
+def _quad_text(box):
+    return " ".join(repr(float(v)) for v in to_quad(box).as_array().ravel())
+
+
+def _assert_same_box(got, want, scale):
+    assert (got.cx, got.cy, got.h, got.w) == pytest.approx((want.cx, want.cy, want.h, want.w), rel=1e-9, abs=1e-9 * scale)
+    assert got.theta == pytest.approx(want.theta, abs=1e-9)
+
+
+class TestQuadScale:
+    @pytest.mark.parametrize("scale", RECT_SCALES)
+    def test_ingest_dota(self, scale):
+        boxes = _scaled_rects(scale)
+        recs = ingest_dota("".join(f"{_quad_text(b)} plane 0\n" for b in boxes), "P1", CLASSES)
+        assert len(recs) == len(boxes)
+        for rec, box in zip(recs, boxes):
+            _assert_same_box(rec.box, box, scale)
+
+    @pytest.mark.parametrize("scale", RECT_SCALES)
+    def test_quad_form_detections(self, scale):
+        boxes = _scaled_rects(scale)
+        dets = parse_detections("".join(f"im1 ship 0.5 {_quad_text(b)}\n" for b in boxes), CLASSES, quad_form=True)
+        assert len(dets) == len(boxes)
+        for d, box in zip(dets, boxes):
+            _assert_same_box(d.box, box, scale)
+
+
 class TestParseDetections:
     def test_box_form(self):
         dets = parse_detections("im1 ship 0.9 1.0 2.0 8.0 3.0 35.0\n", CLASSES)

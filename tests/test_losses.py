@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cslkit.csl_codec import CslCodecConfig, encode
+from cslkit.csl_codec import CslCodecConfig, encode, encode_batch
 from cslkit.losses import (
     LossBatch,
     LossWeights,
@@ -19,7 +19,7 @@ from cslkit.losses import (
     smooth_l1_grad,
 )
 from cslkit.rotgeom import canonicalize90, canonicalize180
-from oracles import central_diff
+from oracles import central_diff, loop_multi_task_loss
 
 GAUSS6 = CslCodecConfig("gaussian", 6.0)
 
@@ -237,6 +237,65 @@ class TestMultiTaskLoss:
                 cls_logits=np.zeros((0, 1)),
                 cls_target=np.zeros((0, 1)),
             )
+
+
+def _random_batch(rng, n, branch, classes=3):
+    want = 5 if branch == "regression" else 4
+    fields = dict(
+        obj=(rng.random(n) < 0.4).astype(float),
+        reg_pred=rng.normal(scale=1.5, size=(n, want)),
+        reg_target=rng.normal(size=(n, want)),
+        cls_logits=rng.normal(scale=3.0, size=(n, classes)),
+        cls_target=(rng.random((n, classes)) < 0.3).astype(float),
+    )
+    if branch == "csl":
+        fields.update(
+            csl_logits=rng.normal(scale=3.0, size=(n, 180)),
+            csl_target=encode_batch(rng.uniform(-90, 90, n), GAUSS6),
+        )
+    return LossBatch(**fields)
+
+
+class TestMultiTaskLossBatched:
+    @pytest.mark.parametrize("n", [1, 7, 600])
+    @pytest.mark.parametrize("branch", ["regression", "csl"])
+    @pytest.mark.parametrize("csl_mode", ["sigmoid_ce", "focal"])
+    @pytest.mark.parametrize("cls_mode", ["sigmoid_ce", "focal"])
+    def test_matches_per_anchor_loop(self, n, branch, csl_mode, cls_mode):
+        rng = np.random.default_rng([n, len(branch), len(csl_mode), len(cls_mode)])
+        weights = LossWeights(0.7, 0.3, 1.3)
+        for _ in range(3):
+            batch = _random_batch(rng, n, branch)
+            got = multi_task_loss(batch, weights, branch=branch, csl_mode=csl_mode, cls_mode=cls_mode)
+            want = loop_multi_task_loss(batch, weights, branch, csl_mode, cls_mode)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("field", ["obj", "reg_pred", "reg_target", "cls_logits", "cls_target", "csl_logits", "csl_target"])
+    @pytest.mark.parametrize("rows", [6, 8])
+    def test_row_count_mismatch_rejected(self, field, rows):
+        batch = _random_batch(np.random.default_rng(1), 7, "csl")
+        value = getattr(batch, field)
+        setattr(batch, field, np.resize(value, (rows, *value.shape[1:])))
+        with pytest.raises(ValueError):
+            multi_task_loss(batch, branch="csl")
+
+    @pytest.mark.parametrize("field", ["cls_logits", "csl_logits"])
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_logit_row_rejected(self, field, row, bad):
+        batch = _random_batch(np.random.default_rng(2), 7, "csl")
+        batch.obj[row] = 0.0  # a background row is checked too
+        getattr(batch, field)[row, 1] = bad
+        with pytest.raises(ValueError):
+            multi_task_loss(batch, branch="csl")
+
+    def test_unknown_mode_or_branch_rejected(self):
+        batch = _random_batch(np.random.default_rng(3), 7, "csl")
+        for kwargs in (dict(csl_mode="hinge"), dict(cls_mode="hinge"), dict(branch="angle")):
+            with pytest.raises(ValueError):
+                multi_task_loss(batch, **{"branch": "csl", **kwargs})
+        with pytest.raises(ValueError):
+            multi_task_loss(_random_batch(np.random.default_rng(4), 7, "regression"), branch="regression", cls_mode="hinge")
 
 
 class TestBoundaryProbe:

@@ -277,6 +277,40 @@ class TestQuadToBox180:
             assert r.theta == pytest.approx(box.theta, abs=1e-6)
 
 
+SCALES = [1e-6, 1e-3, 1.0, 1e3, 1e6]
+
+
+class TestQuadScale:
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("theta", [-90.0, -37.5, 0.0, 12.25, 60.0])
+    def test_to_quad_round_trip(self, scale, theta):
+        box = canonicalize180(3 * scale, -2 * scale, 5 * scale, 2 * scale, theta)
+        r = quad_to_box180(to_quad(box))
+        assert (r.cx, r.cy, r.h, r.w) == pytest.approx((box.cx, box.cy, box.h, box.w), rel=1e-9, abs=1e-9 * scale)
+        assert r.theta == pytest.approx(box.theta, abs=1e-9)
+
+    def test_small_square_quad(self):
+        s = 1e-5
+        r = quad_to_box180(QuadBox(((0.0, 0.0), (s, 0.0), (s, s), (0.0, s))))
+        assert (r.cx, r.cy, r.h, r.w) == pytest.approx((s / 2, s / 2, s, s), rel=1e-9)
+
+    def test_nanoscale_box(self):
+        box = canonicalize180(0, 0, 1e-9, 5e-10, 0)
+        assert vertex_set_equal(to_quad(box).as_array() * 1e9, [(0.5, 0.25), (-0.5, 0.25), (-0.5, -0.25), (0.5, -0.25)])
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_repeated_vertices_rejected(self, scale):
+        for pts in ([(0, 0), (0, 0), (1, 1), (0, 1)], [(0, 0), (1e-12, 0), (1, 1), (0, 1)]):
+            with pytest.raises(InvalidGeometryError, match="duplicate"):
+                order_corners(np.array(pts, dtype=float) * scale + 7 * scale)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_zero_area_rejected(self, scale):
+        for pts in ([(0, 0), (1, 0), (2, 0), (3, 0)], [(0, 0), (1, 0), (3, 0), (2, 1e-12)]):
+            with pytest.raises(InvalidGeometryError, match="zero area"):
+                quad_to_box180(np.array(pts, dtype=float) * scale + 7 * scale)
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", range(5))

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from cslkit import targets
-from cslkit.csl_codec import CslCodecConfig
+from cslkit.csl_codec import CslCodecConfig, encode
+from cslkit.losses import encode_regression
 from cslkit.targets import AnchorGridSpec, AssignmentConfig, assign_targets, generate_anchors
-from cslkit.rotgeom import canonicalize180, rotated_iou
+from cslkit.rotgeom import aligned_bbox, aligned_iou, canonicalize90, canonicalize180, to_quad
 from oracles import clipped_iou
 
 CSL_CFG = CslCodecConfig("gaussian", 6.0)
@@ -135,3 +136,44 @@ class TestAssignment:
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ValueError):
             AssignmentConfig(fg_iou=0.3, bg_iou=0.4)
+
+
+def _corner_bbox(box):
+    pts = to_quad(box).as_array()
+    return (pts[:, 0].min(), pts[:, 1].min(), pts[:, 0].max(), pts[:, 1].max())
+
+
+class TestArrayPaths:
+    def test_horizontal_iou_matrix_equals_per_pair(self):
+        rng = np.random.default_rng(21)
+        boxes = []
+        for scale in 10.0 ** np.arange(-3, 5):
+            for k in range(16):
+                theta = (rng.uniform(-180, 180), 0.0, -90.0, 45.0)[k % 4]
+                make = canonicalize90 if k % 3 == 0 else canonicalize180
+                boxes.append(make(*(rng.uniform(-3, 3, 2) * scale), *(rng.uniform(0.5, 6, 2) * scale), theta))
+        anchors, gts = boxes[::2], boxes[1::2]
+        got = targets._iou_matrix(anchors, gts, "horizontal")
+        want = np.array([[aligned_iou(_corner_bbox(a), _corner_bbox(g)) for g in gts] for a in anchors])
+        assert np.array_equal(got, want)
+        assert np.count_nonzero(want) > 200
+        assert all(aligned_bbox(b) == _corner_bbox(b) for b in boxes)
+
+    @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
+    def test_records_match_scalar_encoders(self, mode):
+        rng = np.random.default_rng(22)
+        anchors = generate_anchors(AnchorGridSpec(image_size=64, strides=(8, 16)), mode=mode)
+        gts = [(canonicalize180(*rng.uniform(4, 60, 2), *rng.uniform(4, 40, 2), rng.uniform(-90, 90)), k) for k in range(3)]
+        gts.append((canonicalize90(*rng.uniform(4, 60, 2), *rng.uniform(4, 40, 2), rng.uniform(-90, 90)), 3))
+        res = assign_targets(anchors, gts, AssignmentConfig(anchor_mode=mode), CSL_CFG)
+        fg = np.flatnonzero(res.labels == 1)
+        assert len(fg) >= len(gts)
+        assert list(res.reg_targets) == list(res.csl_labels) == list(res.class_ids) == fg.tolist()
+        for i in fg:
+            gt, class_id = gts[res.matched_gt[i]]
+            label = encode(gt.theta, CSL_CFG)
+            assert res.csl_labels[i].gt_bin == label.gt_bin
+            assert np.array_equal(res.csl_labels[i].values, label.values)
+            want = encode_regression(gt, anchors[i]).as_array()
+            assert np.abs(res.reg_targets[i].as_array() - want).max() <= 1e-12
+            assert res.class_ids[i] == class_id
