@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .rotgeom import OrientedBox180, box_rows, canonicalize180, order_corners, quad_to_box180, rotated_iou_matrix
+from .rotgeom import (InvalidGeometryError, OrientedBox180, box_rows, canonicalize180, min_area_rects, quad_to_box180,
+                      rotated_iou_matrix)
 
 log = logging.getLogger(__name__)
 
@@ -104,55 +106,60 @@ def _voc07_ap(recall, precision):
 def _voc12_ap(recall, precision):
     r = np.concatenate(([0.0], recall, [1.0]))
     p = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(p) - 2, -1, -1):
-        p[i] = max(p[i], p[i + 1])
+    p = np.maximum.accumulate(p[::-1])[::-1]  # monotonized: the best precision at any higher recall
     idx = np.where(r[1:] != r[:-1])[0]
     return float(np.sum((r[idx + 1] - r[idx]) * p[idx + 1]))
 
 
 def compute_ap(dets, gts, iou_thresh=0.5, metric="voc12"):
     """Single-class average precision with greedy score-descending
-    matching. Difficult ground truths neither count toward recall nor
-    turn their matches into false positives."""
+    matching: evaluate with every record in one class. Difficult ground
+    truths neither count toward recall nor turn their matches into false
+    positives."""
     if metric not in ("voc07", "voc12"):
         raise ValueError(f"unknown metric {metric!r}")
-    ap, _, _ = _pr_and_ap(dets, gts, iou_thresh)
-    return ap[metric]
+    report = evaluate([replace(d, class_id=0) for d in dets], [replace(g, class_id=0) for g in gts], ["all"], iou_thresh)
+    return report.subset_map(["all"], metric)
 
 
-def _pr_and_ap(dets, gts, iou_thresh=0.5):
-    n_pos = sum(1 for g in gts if not g.difficult)
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+def _hits(dets, gts, iou_thresh):
+    """Each detection's match, the first gt of its image and class with
+    the strictly largest IoU, as a gt index if that IoU is above 0 and at
+    least iou_thresh, else -1. One IoU matrix per image, with the pairs
+    of different classes zeroed."""
     gts_of, dets_of = {}, {}
     for gi, g in enumerate(gts):
         gts_of.setdefault(g.image_id, []).append(gi)
     for di, d in enumerate(dets):
         dets_of.setdefault(d.image_id, []).append(di)
-    # each detection's match: the first gt with the strictly largest IoU,
-    # if that IoU is above 0
-    best_gi = np.full(len(dets), -1)
-    best_iou = np.zeros(len(dets))
+    hits = np.full(len(dets), -1)
     for image_id, dis in dets_of.items():
         gis = gts_of.get(image_id)
         if not gis:
             continue
         iou = rotated_iou_matrix(box_rows([dets[di].box for di in dis]), box_rows([gts[gi].box for gi in gis]))
+        iou[np.array([dets[di].class_id for di in dis])[:, None] != [gts[gi].class_id for gi in gis]] = 0.0
         col = np.argmax(iou, axis=1)
-        best_iou[dis] = iou[np.arange(len(dis)), col]
-        best_gi[dis] = np.where(best_iou[dis] > 0.0, np.asarray(gis)[col], -1)
+        best = iou[np.arange(len(dis)), col]
+        hits[dis] = np.where((best > 0.0) & (best >= iou_thresh), np.asarray(gis)[col], -1)
+    return hits
+
+
+def _pr_and_ap(scores, hits, gts, n_pos):
+    """AP, recall and precision of one class's detections, given their
+    scores and hits (indices into gts, or -1) and the class's number of
+    non-difficult gts."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     matched = set()
     tp = np.zeros(len(order))
     fp = np.zeros(len(order))
     for rank, di in enumerate(order):
-        gi = int(best_gi[di])
-        if gi >= 0 and best_iou[di] >= iou_thresh:
-            if gts[gi].difficult:
-                continue  # neither TP nor FP
-            if gi not in matched:
-                matched.add(gi)
-                tp[rank] = 1
-            else:
-                fp[rank] = 1
+        gi = int(hits[di])
+        if gi >= 0 and gts[gi].difficult:
+            continue  # neither TP nor FP
+        if gi >= 0 and gi not in matched:
+            matched.add(gi)
+            tp[rank] = 1
         else:
             fp[rank] = 1
     tp_c = np.cumsum(tp)
@@ -165,12 +172,19 @@ def _pr_and_ap(dets, gts, iou_thresh=0.5):
 
 
 def evaluate(dets, gts, class_names, iou_thresh=0.5):
-    """Per-class AP under both conventions plus the mean over classes."""
+    """Per-class AP under both conventions plus the mean over classes.
+    Raises ValueError for a detection class id outside class_names."""
+    for d in dets:
+        if not 0 <= d.class_id < len(class_names):
+            raise ValueError(f"class id {d.class_id} of a detection in image {d.image_id!r} is outside the "
+                             f"{len(class_names)} classes")
+    hits = _hits(dets, gts, iou_thresh)
+    det_class = np.array([d.class_id for d in dets], dtype=int)
+    n_pos = Counter(g.class_id for g in gts if not g.difficult)
     ap07, ap12, curves = {}, {}, {}
     for cid, name in enumerate(class_names):
-        cd = [d for d in dets if d.class_id == cid]
-        cg = [g for g in gts if g.class_id == cid]
-        ap, recall, precision = _pr_and_ap(cd, cg, iou_thresh)
+        di = np.flatnonzero(det_class == cid)
+        ap, recall, precision = _pr_and_ap([dets[i].score for i in di], hits[di], gts, n_pos[cid])
         ap07[name] = ap["voc07"]
         ap12[name] = ap["voc12"]
         curves[name] = (recall.tolist(), precision.tolist())
@@ -187,50 +201,65 @@ def _is_number(tok):
         return False
 
 
+def _dota_quad(tokens, line_no, class_table, strict):
+    """The 8 coordinates of one DOTA body line's tokens, after checking
+    the line's layout, its difficult flag and, in strict mode, its
+    category."""
+    if len(tokens) != 10:
+        raise AnnotationParseError(f"expected 8 coordinates, category and difficult flag, got {len(tokens)} tokens", line_no)
+    try:
+        quad = [float(t) for t in tokens[:8]]
+    except ValueError as exc:
+        raise AnnotationParseError(str(exc), line_no) from None
+    if tokens[9] not in ("0", "1"):
+        raise AnnotationParseError(f"difficult flag must be 0 or 1, got {tokens[9]!r}", line_no)
+    if strict and tokens[8] not in class_table:
+        raise AnnotationParseError(f"unknown category {tokens[8]!r}", line_no)
+    return quad
+
+
 def ingest_dota(text, image_id, class_table, strict=False):
     """Parse one DOTA annotation file into ground-truth records.
 
-    Leading metadata lines (first token non-numeric) are skipped. Each
-    quad is canonically ordered and converted to its minimum enclosing
-    rotated rectangle. Unknown categories raise in strict mode and are
-    skipped with a warning otherwise.
+    Leading metadata lines (first token non-numeric) are skipped. The
+    quads of all body lines are converted together to their minimum
+    enclosing rotated rectangles, whatever their vertex order. Unknown
+    categories raise in strict mode and are skipped with a warning
+    otherwise. Of several bad lines, the first in the file is reported,
+    whether its fault is in the parsing or in the geometry.
     """
-    records = []
+    coords, line_nos, class_ids, difficult = [], [], [], []
+    parse_error = None
     body_started = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         if not body_started and not _is_number(tokens[0]):
             continue  # header / metadata line
         body_started = True
-        if len(tokens) != 10:
-            raise AnnotationParseError(
-                f"expected 8 coordinates, category and difficult flag, got {len(tokens)} tokens", line_no
-            )
         try:
-            coords = [float(t) for t in tokens[:8]]
-        except ValueError as exc:
-            raise AnnotationParseError(str(exc), line_no) from None
-        category = tokens[8]
-        if tokens[9] not in ("0", "1"):
-            raise AnnotationParseError(f"difficult flag must be 0 or 1, got {tokens[9]!r}", line_no)
-        if category not in class_table:
-            if strict:
-                raise AnnotationParseError(f"unknown category {category!r}", line_no)
-            log.warning("line %d: skipping unknown category %r", line_no, category)
+            quad = _dota_quad(tokens, line_no, class_table, strict)
+        except AnnotationParseError as exc:
+            parse_error = exc  # raised after the geometry of the lines before it
+            break
+        if tokens[8] not in class_table:
+            log.warning("line %d: skipping unknown category %r", line_no, tokens[8])
             continue
-        quad = order_corners(np.asarray(coords).reshape(4, 2))
-        records.append(
-            GroundTruthRecord(
-                image_id=image_id,
-                class_id=class_table[category],
-                box=quad_to_box180(quad),
-                difficult=tokens[9] == "1",
-            )
-        )
-    return records
+        coords.append(quad)
+        line_nos.append(line_no)
+        class_ids.append(class_table[tokens[8]])
+        difficult.append(tokens[9] == "1")
+    try:
+        rows = min_area_rects(np.reshape(coords, (-1, 4, 2)))
+    except InvalidGeometryError as exc:
+        raise AnnotationParseError(str(exc), line_nos[exc.index]) from exc
+    if parse_error is not None:
+        raise parse_error
+    return [
+        GroundTruthRecord(image_id=image_id, class_id=cid, box=OrientedBox180(*row), difficult=hard)
+        for row, cid, hard in zip(rows.tolist(), class_ids, difficult)
+    ]
 
 
 def parse_detections(text, class_table, quad_form=False):
@@ -258,7 +287,7 @@ def parse_detections(text, class_table, quad_form=False):
             raise AnnotationParseError(str(exc), line_no) from None
         try:
             if quad_form:
-                box = quad_to_box180(order_corners(np.asarray(nums).reshape(4, 2)))
+                box = quad_to_box180(np.reshape(nums, (4, 2)))
             else:
                 cx, cy, h, w, theta = nums
                 box = canonicalize180(cx, cy, h, w, theta)

@@ -85,11 +85,16 @@ def decode_regression(pred, anchor):
     return canonicalize180(x, y, h, w, th)
 
 
-def _smooth_l1_terms(pred, target):
+def _same_shape(pred, target):
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
+    return pred, target
+
+
+def _smooth_l1_terms(pred, target):
+    pred, target = _same_shape(pred, target)
     d = np.abs(pred - target)
     return np.where(d < 1.0, 0.5 * d * d, d - 0.5)
 
@@ -101,8 +106,8 @@ def smooth_l1(pred, target):
 
 def smooth_l1_grad(pred, target):
     """Gradient of smooth_l1 with respect to pred."""
-    d = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
-    return np.clip(d, -1.0, 1.0)
+    pred, target = _same_shape(pred, target)
+    return np.clip(pred - target, -1.0, 1.0)
 
 
 def _sigmoid(z):
@@ -115,15 +120,17 @@ def _sigmoid_ce(logits, targets):
     return np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
 
 
+def _checked_logits(logits, targets):
+    logits, targets = _same_shape(logits, targets)
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("non-finite logits")
+    return logits, targets
+
+
 def _csl_row_losses(logits, targets, mode, alpha=0.25, gamma=2.0):
     """Per-row sums (N,) of the per-bin loss of (N, ...) logits against
     soft targets of the same shape; see csl_classification_loss."""
-    logits = np.asarray(logits, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if logits.shape != targets.shape:
-        raise ValueError(f"shape mismatch: {logits.shape} vs {targets.shape}")
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("non-finite logits")
+    logits, targets = _checked_logits(logits, targets)
     ce = _sigmoid_ce(logits, targets)
     if mode == "focal":
         ce = alpha * np.abs(targets - _sigmoid(logits)) ** gamma * ce
@@ -143,8 +150,7 @@ def csl_classification_loss(logits, label, mode="sigmoid_ce", alpha=0.25, gamma=
 
 def csl_classification_loss_grad(logits, label, mode="sigmoid_ce", alpha=0.25, gamma=2.0):
     """Analytic gradient with respect to the logits."""
-    logits = np.asarray(logits, dtype=float)
-    targets = label.values if hasattr(label, "values") else np.asarray(label, dtype=float)
+    logits, targets = _checked_logits(logits, label.values if hasattr(label, "values") else label)
     p = _sigmoid(logits)
     if mode == "sigmoid_ce":
         return p - targets

@@ -31,7 +31,12 @@ PAIR_CHUNK = 2048
 
 
 class InvalidGeometryError(ValueError):
-    """Raised for degenerate or malformed geometric input."""
+    """Raised for degenerate or malformed geometric input; ``index`` is
+    the position of the offending item when the input is a batch."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 def _require_finite(**fields):
@@ -144,6 +149,21 @@ def to_quad(box):
     return order_corners(QuadBox(tuple(map(tuple, _corners(box_rows([box]))[0]))))
 
 
+def _gap_and_extent(pts):
+    """Smallest and largest Chebyshev distance (K,) between two vertices
+    of each of K quads (K, 4, 2); the largest is the quad's extent."""
+    gap = np.abs(pts[:, _PAIRS[0]] - pts[:, _PAIRS[1]]).max(axis=2)
+    return gap.min(axis=1), gap.max(axis=1)
+
+
+def _ccw(pts):
+    """K quads (K, 4, 2) with their vertices sorted counter-clockwise by
+    angle about their centroid."""
+    rel = pts - pts.mean(axis=1, keepdims=True)
+    order = np.argsort(np.arctan2(rel[..., 1], rel[..., 0]), axis=1, kind="stable")
+    return np.take_along_axis(pts, order[..., None], axis=1)
+
+
 def order_corners(quad):
     """Canonically order four vertices: counter-clockwise winding,
     starting at the vertex with minimal y (ties broken by minimal x).
@@ -151,24 +171,13 @@ def order_corners(quad):
     pts = np.asarray(quad.vertices if isinstance(quad, QuadBox) else quad, dtype=float)
     if pts.shape != (4, 2):
         raise InvalidGeometryError(f"expected 4 vertices, got shape {pts.shape}")
-    gap = np.abs(pts[_PAIRS[0]] - pts[_PAIRS[1]]).max(axis=1)  # its maximum is the extent
-    if gap.min() <= EPS * gap.max():
+    gap, extent = _gap_and_extent(pts[None])
+    if gap[0] <= EPS * extent[0]:
         raise InvalidGeometryError("duplicate vertices")
-    centroid = pts.mean(axis=0)
-    ang = np.arctan2(pts[:, 1] - centroid[1], pts[:, 0] - centroid[0])
-    pts = pts[np.argsort(ang)]  # counter-clockwise around centroid
+    pts = _ccw(pts[None])[0]
     start = min(range(4), key=lambda i: (pts[i, 1], pts[i, 0]))
     pts = np.roll(pts, -start, axis=0)
     return QuadBox(tuple(map(tuple, pts)))
-
-
-def polygon_area(pts):
-    """Unsigned shoelace area; accepts any (N, 2) vertex sequence."""
-    pts = np.asarray(pts, dtype=float)
-    if len(pts) < 3:
-        return 0.0
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
 def _next(poly):
@@ -241,55 +250,76 @@ def convex_intersection(p, q):
     return np.asarray(out).reshape(-1, 2) + centroid[0] + origin
 
 
-def _convex_hull(pts):
-    """Monotone-chain convex hull, counter-clockwise."""
-    pts = sorted(map(tuple, pts))
-    if len(pts) <= 2:
-        return np.asarray(pts, dtype=float)
+def min_area_rects(quads):
+    """Minimum-area enclosing rectangles of K quads (K, 4, 2) in any vertex
+    order, as (K, 5) rows (cx, cy, h, w, theta) in canonicalize180's
+    convention; the exact inverse of to_quad for true rectangles.
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.asarray(lower[:-1] + upper[:-1], dtype=float)
+    Rotating calipers: each hull edge gives the enclosing rectangle with a
+    side along it. Among areas within 1e-12 relative of the smallest, the
+    smallest theta wins, then the first edge counter-clockwise from the
+    lowest-x (then lowest-y) hull vertex. Non-finite coordinates, vertices
+    within EPS times the quad's extent, and hull areas within EPS times
+    its square raise InvalidGeometryError, whose index is the first bad
+    quad."""
+    pts = np.asarray(quads, dtype=float)
+    if pts.ndim != 3 or pts.shape[1:] != (4, 2):
+        raise InvalidGeometryError(f"expected (K, 4, 2) quads, got shape {pts.shape}")
+    finite = np.isfinite(pts).all(axis=(1, 2))
+    pts = np.where(finite[:, None, None], pts, 0.0)
+    gap, extent = _gap_and_extent(pts)
+    duplicate = gap <= EPS * extent
+    # hull: the convex vertices, counter-clockwise, ahead of the reflex or
+    # collinear one
+    pts = _ccw(pts)
+    prev, nxt = np.roll(pts, 1, axis=1), np.roll(pts, -1, axis=1)
+    convex = _cross(pts - prev, nxt - prev) > 0.0
+    pts = np.take_along_axis(pts, np.argsort(~convex, axis=1, kind="stable")[..., None], axis=1)
+    n = convex.sum(axis=1, keepdims=True)
+    x = np.where(np.arange(4) < n, pts[..., 0], np.inf)
+    start = np.argmin(np.where(x == x.min(axis=1, keepdims=True), pts[..., 1], np.inf), axis=1)
+    # hull vertices from the start; a 3-vertex hull repeats its start last
+    at = (start[:, None] + np.arange(4)) % np.maximum(n, 1)
+    hull = np.take_along_axis(pts, at[..., None], axis=1)
+    edge = np.take_along_axis(pts, ((at + 1) % np.maximum(n, 1))[..., None], axis=1) - hull
+    rel = hull - hull[:, :1]
+    area = 0.5 * np.abs(_cross(rel, _next(rel)).sum(axis=1))
+    zero_area = (n[:, 0] < 3) | (area <= EPS * extent**2)
+    bad = ~finite | duplicate | zero_area
+    if bad.any():
+        k = int(np.argmax(bad))
+        reason = ("non-finite vertex coordinates" if not finite[k] else "duplicate vertices" if duplicate[k]
+                  else "degenerate quadrilateral (zero area)")
+        raise InvalidGeometryError(reason, index=k)
+    # one candidate per hull edge: the hull's extent along and across it
+    phi = np.arctan2(edge[..., 1], edge[..., 0])
+    c, s = np.cos(phi)[..., None], np.sin(phi)[..., None]
+    hx, hy = hull[:, None, :, 0], hull[:, None, :, 1]
+    xs = hx * c + hy * s
+    ys = -hx * s + hy * c
+    e1 = xs.max(axis=2) - xs.min(axis=2)
+    e2 = ys.max(axis=2) - ys.min(axis=2)
+    mx, my = (xs.max(axis=2) + xs.min(axis=2)) / 2.0, (ys.max(axis=2) + ys.min(axis=2)) / 2.0
+    c, s = c[..., 0], s[..., 0]
+    cx = mx * c - my * s
+    cy = mx * s + my * c
+    # canonicalize180 as array operations
+    swap = e2 > e1
+    h, w = np.where(swap, e2, e1), np.where(swap, e1, e2)
+    theta = (np.degrees(phi) + np.where(swap, 90.0, 0.0) + 90.0) % 180.0
+    theta = np.where(theta >= 180.0, 0.0, theta) - 90.0
+    theta = np.where((h == w) & (theta >= 0.0), theta - 90.0, theta)
+    size = e1 * e2
+    tie = size <= size.min(axis=1, keepdims=True) * (1.0 + 1e-12)
+    best = np.argmin(np.where(tie, theta, np.inf), axis=1)[:, None]
+    return np.concatenate([np.take_along_axis(v, best, axis=1) for v in (cx, cy, h, w, theta)], axis=1)
 
 
 def quad_to_box180(quad):
     """Minimum-area enclosing rectangle of a quadrilateral, as an
-    OrientedBox180. Rotating calipers over convex-hull edges; area ties
-    broken by the smaller canonical theta. Exact inverse of to_quad for
-    true rectangles."""
+    OrientedBox180; a batch of one of min_area_rects."""
     pts = np.asarray(quad.vertices if isinstance(quad, QuadBox) else quad, dtype=float)
-    hull = _convex_hull(pts)
-    if len(hull) < 3 or polygon_area(hull) <= EPS * np.ptp(hull, axis=0).max() ** 2:
-        raise InvalidGeometryError("degenerate quadrilateral (zero area)")
-    candidates = []
-    n = len(hull)
-    for i in range(n):
-        ex, ey = hull[(i + 1) % n] - hull[i]
-        phi = math.atan2(ey, ex)
-        c, s = math.cos(phi), math.sin(phi)
-        xs = hull[:, 0] * c + hull[:, 1] * s
-        ys = -hull[:, 0] * s + hull[:, 1] * c
-        e1 = xs.max() - xs.min()
-        e2 = ys.max() - ys.min()
-        mx, my = (xs.max() + xs.min()) / 2.0, (ys.max() + ys.min()) / 2.0
-        cx = mx * c - my * s
-        cy = mx * s + my * c
-        box = canonicalize180(cx, cy, e1, e2, math.degrees(phi))
-        candidates.append((e1 * e2, box))
-    best_area = min(a for a, _ in candidates)
-    ties = [b for a, b in candidates if a <= best_area * (1.0 + 1e-12)]
-    return min(ties, key=lambda b: b.theta)
+    return OrientedBox180(*min_area_rects(pts[None]).tolist()[0])
 
 
 def box_rows(boxes):

@@ -2,14 +2,15 @@
 rasterization IoU, closed-form IoU of concentric congruent rectangles,
 a scalar Sutherland-Hodgman clipper and the rotated IoU built on it,
 vertex-set comparison, brute-force minimum rectangle, central finite
-differences and a per-anchor loop over the multi-task loss. Deliberately
-avoid the library's own clipping / calipers / loss code paths."""
+differences, a per-quad rotating-calipers loop and a per-anchor loop
+over the multi-task loss. Deliberately avoid the library's own clipping
+/ calipers / loss code paths."""
 
 import math
 
 import numpy as np
 
-from cslkit.rotgeom import to_quad
+from cslkit.rotgeom import EPS, InvalidGeometryError, canonicalize180, to_quad
 
 MC_CHUNK = 1 << 16
 CLIP_EPS = 1e-9  # absolute, so the clipper is exact only near unit scale
@@ -177,6 +178,57 @@ def brute_force_min_rect_area(pts, step_deg=0.01):
         v = -pts[:, 0] * s + pts[:, 1] * c
         best = min(best, (u.max() - u.min()) * (v.max() - v.min()))
     return best
+
+
+def convex_hull(pts):
+    """Monotone-chain convex hull, counter-clockwise from the lowest-x
+    (then lowest-y) point; collinear points are dropped."""
+    pts = sorted(map(tuple, pts))
+    if len(pts) <= 2:
+        return np.asarray(pts, dtype=float)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return np.asarray(lower[:-1] + upper[:-1], dtype=float)
+
+
+def calipers_box180(pts):
+    """Minimum-area enclosing rectangle of a point set as an
+    OrientedBox180, one hull edge at a time: each edge's candidate goes
+    through canonicalize180, and among areas within 1e-12 relative of the
+    smallest the smallest theta wins, then the earliest edge. Raises
+    InvalidGeometryError when the hull's area is within EPS times its
+    squared extent of zero."""
+    hull = convex_hull(np.asarray(pts, dtype=float))
+    if len(hull) < 3 or shoelace_area(hull) <= EPS * np.ptp(hull, axis=0).max() ** 2:
+        raise InvalidGeometryError("degenerate quadrilateral (zero area)")
+    candidates = []
+    n = len(hull)
+    for i in range(n):
+        ex, ey = hull[(i + 1) % n] - hull[i]
+        phi = math.atan2(ey, ex)
+        c, s = math.cos(phi), math.sin(phi)
+        xs = hull[:, 0] * c + hull[:, 1] * s
+        ys = -hull[:, 0] * s + hull[:, 1] * c
+        e1 = xs.max() - xs.min()
+        e2 = ys.max() - ys.min()
+        mx, my = (xs.max() + xs.min()) / 2.0, (ys.max() + ys.min()) / 2.0
+        box = canonicalize180(mx * c - my * s, mx * s + my * c, e1, e2, math.degrees(phi))
+        candidates.append((e1 * e2, box))
+    best_area = min(a for a, _ in candidates)
+    ties = [b for a, b in candidates if a <= best_area * (1.0 + 1e-12)]
+    return min(ties, key=lambda b: b.theta)
 
 
 def central_diff(f, x, h=1e-6):

@@ -154,9 +154,130 @@ class TestNmsAndEval(object):
         code, out = run(capsys, "eval", "--dets", str(dets), "--ann-dir", str(ann), "--classes", "ship")
         assert (code, out) == (2, "")
 
+    def test_degenerate_annotation_names_its_line(self, tmp_path, capsys):
+        dets = tmp_path / "dets.txt"
+        dets.write_text("im1 ship 0.8 0 0 4 2 0\n")
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        (ann / "im1.txt").write_text("imagesource:x\n0 0 4 0 4 2 0 2 ship 0\n0 0 4 0 4 0 0 2 ship 0\n")
+        code = main(["eval", "--dets", str(dets), "--ann-dir", str(ann), "--classes", "ship"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: line 3: duplicate vertices\n"
+
     def test_missing_file_is_data_error(self, capsys):
         code, _ = run(capsys, "nms", "--dets", "/nonexistent.txt")
         assert code == 2
+
+
+# DOTA fixture of the golden test: header lines, vertex orders starting at
+# different corners and running either way, a non-convex quad (line 5 of
+# im1), difficult flags, an unknown category (line 7 of im1, skipped in
+# lenient mode), and a ship and a plane ground truth that overlap in im1
+GOLDEN_ANN = {
+    "im1.txt": (
+        "imagesource:GoogleEarth\n"
+        "gsd:0.146343590398\n"
+        "30.49 31.83 4.51 16.83 9.51 8.17 35.49 23.17 ship 0\n"
+        "22.66 36.31 41.05 20.88 33.34 11.69 14.95 27.12 plane 0\n"
+        "60 60 100 60 80 65 80 90 ship 0\n"
+        "133.55 31.38 138.72 50.69 146.45 48.62 141.28 29.31 plane 1\n"
+        "33.51 110.73 49.27 113.51 46.49 129.27 30.73 126.49 car 0\n"
+        "114.95 107.16 114.04 133.15 105.05 132.84 105.96 106.85 ship 0\n"
+    ),
+    "im2.txt": (
+        "imagesource:GoogleEarth\n"
+        "33.94 36.18 46.06 29.18 66.06 63.82 53.94 70.82 plane 0\n"
+        "67.24 59.30 46.59 29.81 36.76 36.70 57.41 66.19 plane 0\n"
+        "159.33 142.32 161.92 151.98 140.67 157.68 138.08 148.02 ship 1\n"
+    ),
+}
+GOLDEN_DETS = """im1 ship 0.95 20.5 20.2 30 10 31
+im1 plane 0.9 21 21 30 10 30
+im1 plane 0.85 28.3 24.1 24 12 -41
+im1 ship 0.8 27 24 24 12 -40
+im1 ship 0.75 80 68 40 30 0
+im1 plane 0.7 140 40 20 8 76
+im1 ship 0.6 110 121 26 9 -87
+im1 ship 0.55 110 118 26 9 -80
+im1 plane 0.5 300 300 10 5 0
+im2 plane 0.92 51 49 38 13 57
+im2 plane 0.65 50 50 40 14 60
+im2 ship 0.88 150 150 22 10 -15
+im2 ship 0.4 50 50 40 14 60
+im3 ship 0.3 10 10 5 5 0
+"""
+GOLDEN_CSV = """class,ap07,ap12
+ship,0.8409090909090909,0.8333333333333333
+plane,0.5454545454545455,0.5555555555555556
+mAP,0.6931818181818182,0.6944444444444444
+"""
+GOLDEN_PAYLOAD = {
+    "schema_version": 1,
+    "ap07": {"ship": 0.8409090909090909, "plane": 0.5454545454545455},
+    "ap12": {"ship": 0.8333333333333333, "plane": 0.5555555555555556},
+    "map07": 0.6931818181818182,
+    "map12": 0.6944444444444444,
+    "pr_curves": {
+        "ship": {
+            "recall": [0.3333333333333333, 0.3333333333333333, 0.3333333333333333, 0.6666666666666666, 1.0, 1.0, 1.0, 1.0],
+            "precision": [1.0, 1.0, 0.5, 0.6666666666666666, 0.75, 0.6, 0.5, 0.42857142857142855],
+        },
+        "plane": {
+            "recall": [0.3333333333333333, 0.3333333333333333, 0.6666666666666666, 0.6666666666666666, 0.6666666666666666,
+                       0.6666666666666666],
+            "precision": [1.0, 0.5, 0.6666666666666666, 0.6666666666666666, 0.5, 0.4],
+        },
+    },
+    "subset_map07": 0.5454545454545455,
+    "subset_map12": 0.5555555555555556,
+}
+
+
+class TestEvalGolden:
+    def _argv(self, tmp_path):
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        for name, text in GOLDEN_ANN.items():
+            (ann / name).write_text(text)
+        (tmp_path / "dets.txt").write_text(GOLDEN_DETS)
+        return ("eval", "--dets", str(tmp_path / "dets.txt"), "--ann-dir", str(ann), "--classes", "ship", "plane",
+                "--subset", "plane")
+
+    def test_csv(self, tmp_path, capsys):
+        assert run(capsys, "--format", "csv", *self._argv(tmp_path)) == (0, GOLDEN_CSV)
+
+    def test_json(self, tmp_path, capsys):
+        assert run(capsys, *self._argv(tmp_path)) == (0, json.dumps(GOLDEN_PAYLOAD, indent=2) + "\n")
+
+
+class TestClassIds:
+    def _files(self, tmp_path, class_tok):
+        dets = tmp_path / "dets.txt"
+        dets.write_text(f"im1 ship 0.9 2 1 4 2 0\nim1 {class_tok} 0.8 0 0 4 2 0\n")
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        (ann / "im1.txt").write_text("0 0 4 0 4 2 0 2 ship 0\n")
+        return str(dets), str(ann)
+
+    @pytest.mark.parametrize("class_tok", ["-1", "2", "9"])
+    def test_eval_rejects_out_of_range_id(self, tmp_path, capsys, class_tok):
+        dets, ann = self._files(tmp_path, class_tok)
+        code = main(["eval", "--dets", dets, "--ann-dir", ann, "--classes", "ship", "plane"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"class id {class_tok} " in captured.err and "'im1'" in captured.err
+
+    def test_eval_accepts_in_range_id(self, tmp_path, capsys):
+        dets, ann = self._files(tmp_path, "1")
+        payload = run_json(capsys, "eval", "--dets", dets, "--ann-dir", ann, "--classes", "ship", "plane")
+        assert payload["ap12"] == {"ship": 1.0, "plane": 0.0}
+
+    @pytest.mark.parametrize("class_tok", ["-1", "9"])
+    def test_nms_keeps_integer_ids(self, tmp_path, capsys, class_tok):
+        dets, _ = self._files(tmp_path, class_tok)
+        payload = run_json(capsys, "nms", "--dets", dets, "--classes", "ship")
+        assert [d["class_id"] for d in payload["kept"]] == sorted([int(class_tok), 0])
 
 
 class TestUsageErrors:

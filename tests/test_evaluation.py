@@ -11,7 +11,7 @@ from cslkit.evaluation import (
     parse_detections,
     rotated_nms,
 )
-from cslkit.rotgeom import canonicalize180, rotated_iou, to_quad
+from cslkit.rotgeom import InvalidGeometryError, canonicalize180, rotated_iou, to_quad
 from oracles import clipped_iou
 
 CLASSES = {"ship": 0, "plane": 1}
@@ -122,15 +122,97 @@ class TestAgainstPerPairReference:
     @pytest.mark.parametrize("seed", range(4))
     def test_pr_curves_and_ap(self, seed):
         rng = np.random.default_rng(seed)
-        dets, gts = _random_scene(rng)
-        for thresh in (0.3, 0.5, 0.7):
-            report = evaluate(dets, gts, ["ship", "plane"], iou_thresh=thresh)
-            for cid, name in enumerate(["ship", "plane"]):
-                cd = [d for d in dets if d.class_id == cid]
-                cg = [g for g in gts if g.class_id == cid]
-                recall, precision = _reference_pr(cd, cg, thresh)
-                assert report.pr_curves[name] == (recall, precision)
-                assert compute_ap(cd, cg, thresh, "voc12") == report.ap12[name]
+        _assert_matches_reference(*_random_scene(rng), ["ship", "plane"])
+
+
+def _assert_matches_reference(dets, gts, names):
+    """evaluate's precision-recall curves equal _reference_pr's class by class, and
+    compute_ap on one class equals evaluate's AP."""
+    for thresh in (0.3, 0.5, 0.7):
+        report = evaluate(dets, gts, names, iou_thresh=thresh)
+        for cid, name in enumerate(names):
+            cd = [d for d in dets if d.class_id == cid]
+            cg = [g for g in gts if g.class_id == cid]
+            assert report.pr_curves[name] == _reference_pr(cd, cg, thresh)
+            assert compute_ap(cd, cg, thresh, "voc12") == report.ap12[name]
+            assert compute_ap(cd, cg, thresh, "voc07") == report.ap07[name]
+
+
+def _crowded_scene(rng, classes=3, n_gts=24, n_dets=80):
+    """Ground truths of several classes piled into two small images, so
+    boxes of different classes overlap; every third gt is repeated
+    exactly (an IoU tie), once in its own class with the other difficult
+    flag and once in another class.
+    Detections are jittered copies of gts, a third of them labelled with
+    another class than the gt they copy."""
+    gts = []
+    for k in range(n_gts):
+        g = gt(*rng.uniform(0, 12, 2), *rng.uniform(3, 9, 2), rng.uniform(-90, 90), image=f"im{k % 2}",
+               cls=int(rng.integers(classes)), difficult=bool(rng.random() < 0.2))
+        gts.append(g)
+        if k % 3 == 0:
+            gts.append(GroundTruthRecord(g.image_id, g.class_id, g.box, not g.difficult))
+            gts.append(GroundTruthRecord(g.image_id, (g.class_id + 1) % classes, g.box, False))
+    scores = rng.permutation(n_dets) / n_dets + 0.5 / n_dets
+    dets = []
+    for k in range(n_dets):
+        g = gts[rng.integers(len(gts))]
+        cls = g.class_id if rng.random() < 0.67 else int(rng.integers(classes))
+        if rng.random() < 0.2:
+            dets.append(DetectionRecord(g.image_id, cls, g.box, float(scores[k])))
+            continue
+        j = rng.normal(0, 1.0, 5) * (1, 1, 0.5, 0.5, 8)
+        b = g.box
+        dets.append(det(float(scores[k]), b.cx + j[0], b.cy + j[1], b.h + abs(j[2]), b.w + abs(j[3]), b.theta + j[4],
+                        image=g.image_id, cls=cls))
+    return dets, gts
+
+
+class TestPerImageMatching:
+    """evaluate's one IoU matrix per image, other classes zeroed, against
+    the per-class, per-pair reference."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_class_reference(self, seed):
+        dets, gts = _crowded_scene(np.random.default_rng(seed))
+        # the scene must exercise the class mask: some detection's best
+        # IoU over all gts of its image belongs to another class
+        foreign = 0
+        for d in dets:
+            ious = [(rotated_iou(d.box, g.box), g.class_id) for g in gts if g.image_id == d.image_id]
+            best = max(i for i, _ in ious)
+            foreign += best > max([i for i, c in ious if c == d.class_id], default=0.0)
+        assert foreign >= 5
+        _assert_matches_reference(dets, gts, ["ship", "plane", "harbor"])
+
+    def test_tie_goes_to_first_gt(self):
+        # identical gts: the difficult one comes first and takes the
+        # match, so the detection is neither TP nor FP
+        gts = [gt(cls=1), gt(cls=0, difficult=True), gt(cls=0)]
+        report = evaluate([det(0.9, cls=0)], gts, ["ship", "plane"])
+        assert report.pr_curves["ship"] == ([0.0], [0.0])
+        report = evaluate([det(0.9, cls=0)], [gts[0], gts[2], gts[1]], ["ship", "plane"])
+        assert report.pr_curves["ship"] == ([1.0], [1.0])
+
+    def test_other_class_never_matched(self):
+        # the plane detection sits on a ship gt and touches the plane gt
+        # only a little: it matches the plane gt, below the threshold
+        gts = [gt(cls=0), gt(cx=3.5, cls=1)]
+        dets = [det(0.9, cls=1)]
+        report = evaluate(dets, gts, ["ship", "plane"])
+        assert report.ap12 == {"ship": 0.0, "plane": 0.0}
+        assert report.pr_curves["plane"] == ([0.0], [0.0])
+
+    def test_compute_ap_ignores_class_ids(self):
+        gts = [gt(cls=1)]
+        dets = [det(0.9, cls=0)]
+        assert compute_ap(dets, gts) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("class_id", [-1, 2, 7])
+    def test_out_of_range_class_id_raises(self, class_id):
+        dets = [det(0.9), det(0.8, image="P7", cls=class_id)]
+        with pytest.raises(ValueError, match=rf"class id {class_id} .*'P7'"):
+            evaluate(dets, [gt()], ["ship", "plane"])
 
 
 class TestComputeAp:
@@ -231,6 +313,55 @@ class TestIngestDota:
             (10, 20, 8, 3, 35), abs=1e-6
         )
         assert r.difficult is True
+
+    @pytest.mark.parametrize(
+        "quad, reason",
+        [
+            ("0 0 0 0 1 1 0 1", "duplicate vertices"),
+            ("0 0 1 0 2 0 3 0", "zero area"),
+            ("0 0 1 0 1 nan 0 1", "non-finite"),
+        ],
+    )
+    def test_geometry_error_names_its_line(self, quad, reason):
+        text = f"imagesource:x\n0 0 4 0 4 2 0 2 ship 0\n{quad} ship 0\n1 1 5 1 5 3 1 3 plane 0\n"
+        with pytest.raises(AnnotationParseError, match=f"^line 3: .*{reason}") as exc:
+            ingest_dota(text, "P0", CLASSES)
+        assert exc.value.line_no == 3
+        assert isinstance(exc.value.__cause__, InvalidGeometryError)
+
+    def test_first_bad_line_wins(self):
+        degenerate = "0 0 0 0 1 1 0 1 ship 0"
+        malformed = "0 0 1 0 1 1 0 ship 0"
+        good = "0 0 4 0 4 2 0 2 ship 0"
+        for lines, line_no, text in (
+            ([good, degenerate, malformed], 2, "duplicate vertices"),
+            ([good, malformed, degenerate], 2, "tokens"),
+            ([degenerate, "0 0 1 0 1 1 0 1 ship 2"], 1, "duplicate vertices"),
+            (["0 0 1 0 1 1 0 1 ship 2", degenerate], 1, "difficult flag"),
+            ([good, degenerate, degenerate.replace("ship", "car")], 2, "duplicate vertices"),
+        ):
+            with pytest.raises(AnnotationParseError, match=f"^line {line_no}: .*{text}"):
+                ingest_dota("\n".join(lines) + "\n", "P0", CLASSES, strict=True)
+
+    def test_unknown_category_geometry_not_checked(self):
+        # a skipped line is not converted, so its geometry cannot fail
+        recs = ingest_dota("0 0 0 0 1 1 0 1 car 0\n0 0 4 0 4 2 0 2 ship 0\n", "P0", CLASSES)
+        assert [r.class_id for r in recs] == [0]
+
+    def test_vertex_order_and_non_convex(self):
+        # every cyclic rotation and reversal of a quad gives one box; a
+        # vertex inside the triangle of the others does not change it
+        pts = np.array([(0.0, 0.0), (40.0, 0.0), (20.0, 30.0), (20.0, 5.0)])
+        lines = []
+        for q in (pts, pts[::-1]):
+            for r in range(4):
+                lines.append(" ".join(map(str, np.roll(q, r, axis=0).ravel())) + " ship 0")
+        recs = ingest_dota("\n".join(lines) + "\n", "P0", CLASSES)
+        assert len({r.box for r in recs}) == 1
+        # the same hull with the fourth vertex on an edge instead
+        tri = ingest_dota("0 0 20 0 40 0 20 30 ship 0\n", "P0", CLASSES)[0].box
+        box = recs[0].box
+        assert (box.cx, box.cy, box.h, box.w, box.theta) == pytest.approx((tri.cx, tri.cy, tri.h, tri.w, tri.theta), abs=1e-12)
 
     def test_unknown_category_lenient_vs_strict(self):
         line = "0 0 1 0 1 1 0 1 car 0\n"

@@ -169,6 +169,24 @@ class TestGradients:
             fd = central_diff(lambda v: csl_classification_loss(v, label, mode=mode), z)
             assert np.abs(g - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
 
+    @pytest.mark.parametrize("mode", ["sigmoid_ce", "focal"])
+    def test_csl_grad_checks_like_the_loss(self, mode):
+        # (180,) logits against a (1,) label used to broadcast to a (180,)
+        # gradient, and NaN logits to give a NaN gradient
+        for logits, label, match in (
+            (np.zeros(180), np.zeros(1), "shape mismatch"),
+            (np.full(180, np.nan), encode(10.0, GAUSS6), "non-finite"),
+            (np.r_[np.zeros(179), np.inf], encode(10.0, GAUSS6), "non-finite"),
+        ):
+            for fn in (csl_classification_loss, csl_classification_loss_grad):
+                with pytest.raises(ValueError, match=match):
+                    fn(logits, label, mode=mode)
+
+    def test_smooth_l1_grad_checks_like_the_loss(self):
+        for fn in (smooth_l1, smooth_l1_grad):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                fn(np.zeros(4), np.zeros(1))
+
 
 def _one_anchor_batch(reg_pred, reg_target, csl_logits, csl_target, cls_logits, cls_target, obj=1.0):
     return LossBatch(

@@ -16,15 +16,17 @@ from cslkit.rotgeom import (
     canonicalize90,
     canonicalize180,
     convex_intersection,
+    min_area_rects,
     order_corners,
-    polygon_area,
     quad_to_box180,
     rotated_iou,
     rotated_iou_matrix,
     to_quad,
 )
 from oracles import (
+    box_contains,
     brute_force_min_rect_area,
+    calipers_box180,
     clip_convex,
     clipped_iou,
     concentric_rect_iou,
@@ -116,7 +118,7 @@ class TestToQuad:
 
     def test_thin_sliver_area(self):
         q = to_quad(canonicalize180(0, 0, 2, 0.001, 0)).as_array()
-        assert polygon_area(q) == pytest.approx(0.002, abs=1e-12)
+        assert shoelace_area(q) == pytest.approx(0.002, abs=1e-12)
 
 
 class TestOrderCorners:
@@ -159,11 +161,11 @@ class TestConvexIntersection:
 
     def test_self_intersection(self):
         out = convex_intersection(self.SQ, self.SQ)
-        assert polygon_area(out) == pytest.approx(1.0, abs=1e-9)
+        assert shoelace_area(out) == pytest.approx(1.0, abs=1e-9)
 
     def test_disjoint(self):
         far = [(10, 10), (11, 10), (11, 11), (10, 11)]
-        assert polygon_area(convex_intersection(self.SQ, far)) == 0.0
+        assert shoelace_area(convex_intersection(self.SQ, far)) == 0.0
 
     def test_square_vs_rotated_square_octagon(self):
         # unit square centered at origin vs itself rotated 45 degrees
@@ -172,13 +174,13 @@ class TestConvexIntersection:
         out = convex_intersection(a, b)
         # frozen from the Monte-Carlo rasterization oracle (1e6 samples,
         # seed 7): 0.8285; closed form is 2*(sqrt(2)-1)
-        assert polygon_area(out) == pytest.approx(2 * (math.sqrt(2) - 1), abs=1e-9)
-        assert polygon_area(out) == pytest.approx(0.8285, abs=0.002)
+        assert shoelace_area(out) == pytest.approx(2 * (math.sqrt(2) - 1), abs=1e-9)
+        assert shoelace_area(out) == pytest.approx(0.8285, abs=0.002)
 
     def test_touching_edges_zero_area(self):
         right = [(1, 0), (2, 0), (2, 1), (1, 1)]
         out = convex_intersection(self.SQ, right)
-        assert polygon_area(out) == pytest.approx(0.0, abs=1e-12)
+        assert shoelace_area(out) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRotatedIou:
@@ -309,6 +311,111 @@ class TestQuadScale:
         for pts in ([(0, 0), (1, 0), (2, 0), (3, 0)], [(0, 0), (1, 0), (3, 0), (2, 1e-12)]):
             with pytest.raises(InvalidGeometryError, match="zero area"):
                 quad_to_box180(np.array(pts, dtype=float) * scale + 7 * scale)
+
+
+def _quad_families(rng, count):
+    """Seeded quads of four kinds, each (count, 4, 2) near unit scale:
+    rectangles, perturbed convex quads, non-convex quads (one vertex
+    inside the triangle of the others) and quads with three collinear
+    vertices."""
+    boxes = [canonicalize180(*rng.uniform(-5, 5, 2), *rng.uniform(0.5, 4, 2), rng.uniform(-90, 90)) for _ in range(count)]
+    rects = np.array([to_quad(b).as_array() for b in boxes])
+    tri = rng.uniform(-4, 4, (count, 3, 2))
+    inside = np.einsum("kv,kvi->ki", rng.dirichlet([1, 1, 1], count) * 0.9 + 0.1 / 3, tri)
+    t = rng.uniform(0.2, 0.8, (count, 1))
+    on_edge = tri[:, 0] * t + tri[:, 1] * (1 - t)
+    return {
+        "rectangle": rects,
+        "perturbed": rects + rng.normal(0, 0.2, rects.shape),
+        "non_convex": np.concatenate([tri, inside[:, None]], axis=1),
+        "collinear": np.stack([tri[:, 0], on_edge, tri[:, 1], tri[:, 2]], axis=1),
+    }
+
+
+def _orders(quad):
+    """The four cyclic rotations of a quad's vertex order and of its
+    reverse."""
+    return [np.roll(q, r, axis=0) for q in (quad, quad[::-1]) for r in range(4)]
+
+
+def _theta_gap(a, b):
+    """Distance of two long-edge angles, which are periodic in 180."""
+    return abs((a - b + 90.0) % 180.0 - 90.0)
+
+
+class TestMinAreaRects:
+    """The batched calipers against the per-quad loop of the oracles."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_matches_per_quad_calipers(self, scale):
+        rng = np.random.default_rng(11)
+        for kind, quads in _quad_families(rng, 40).items():
+            quads = quads * scale + rng.uniform(-10, 10, 2) * scale
+            rows = min_area_rects(np.concatenate([_orders(q) for q in quads])).reshape(len(quads), 8, 5)
+            for quad, got in zip(quads, rows):
+                want = calipers_box180(quad)
+                extent = np.ptp(quad, axis=0).max()
+                for row in got:
+                    assert np.abs(row[:4] - (want.cx, want.cy, want.h, want.w)).max() <= 1e-12 * extent, kind
+                    assert _theta_gap(row[4], want.theta) <= 1e-9, kind
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_area_against_brute_force(self, scale):
+        rng = np.random.default_rng(12)
+        for kind, quads in _quad_families(rng, 2).items():
+            quads = quads * scale
+            for quad, (cx, cy, h, w, theta) in zip(quads, min_area_rects(quads)):
+                # the grid's best angle is within half a step of the optimum,
+                # where the optimal rectangle turned by d has the extent
+                # (h cos d + w sin d) x (w cos d + h sin d)
+                oracle = brute_force_min_rect_area(quad, step_deg=0.05)
+                assert h * w <= oracle * (1 + 1e-9), kind
+                assert oracle - h * w <= (h * h + w * w) * math.radians(0.025) * 1.01, kind
+                box = OrientedBox180(cx / scale, cy / scale, h / scale * (1 + 1e-9), w / scale * (1 + 1e-9), theta)
+                assert box_contains(box, quad / scale).all(), kind
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_rectangle_round_trip(self, scale):
+        rng = np.random.default_rng(13)
+        boxes = [canonicalize180(*rng.uniform(-5, 5, 2) * scale, *rng.uniform(0.5, 4, 2) * scale, rng.uniform(-90, 90))
+                 for _ in range(50)]
+        rows = min_area_rects([to_quad(b).as_array() for b in boxes])
+        for box, (cx, cy, h, w, theta) in zip(boxes, rows):
+            assert (cx, cy, h, w) == pytest.approx((box.cx, box.cy, box.h, box.w), rel=1e-9, abs=1e-9 * scale)
+            assert _theta_gap(theta, box.theta) <= 1e-9
+
+    def test_batch_of_one(self):
+        rng = np.random.default_rng(14)
+        quads = np.concatenate(list(_quad_families(rng, 10).values()))
+        rows = min_area_rects(quads)
+        for quad, row in zip(quads, rows.tolist()):
+            box = quad_to_box180(quad)
+            assert (box.cx, box.cy, box.h, box.w, box.theta) == tuple(row)
+
+    def test_empty(self):
+        assert min_area_rects(np.zeros((0, 4, 2))).shape == (0, 5)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_bad_quads_raise_with_first_index(self, scale):
+        good = to_quad(canonicalize180(0, 0, 5, 2, 30)).as_array()
+        bad = {
+            "duplicate": [[(0, 0), (0, 0), (1, 1), (0, 1)], [(0, 0), (1e-12, 0), (1, 1), (0, 1)]],
+            "zero area": [[(0, 0), (1, 0), (2, 0), (3, 0)], [(0, 0), (1, 0), (3, 0), (2, 1e-12)]],
+            "non-finite": [[(0, 0), (1, 0), (1, np.nan), (0, 1)], [(0, 0), (np.inf, 0), (1, 1), (0, 1)]],
+        }
+        for match, quads in bad.items():
+            for quad in quads:
+                quad = np.array(quad, dtype=float) * scale + 7 * scale
+                for order in _orders(quad):
+                    batch = np.stack([good * scale, good * scale, order, order, good * scale])
+                    with pytest.raises(InvalidGeometryError, match=match) as exc:
+                        min_area_rects(batch)
+                    assert exc.value.index == 2
+
+    def test_shape_checked(self):
+        for shape in ((4, 2), (1, 3, 2), (1, 4, 3)):
+            with pytest.raises(InvalidGeometryError, match="quads"):
+                min_area_rects(np.ones(shape))
 
 
 class TestNonFinite:
@@ -454,7 +561,7 @@ class TestConvexIntersectionOracle:
             q = _random_convex(rng, int(rng.integers(3, 9)))
             got = convex_intersection(p, q)
             want = clip_convex(p, q)
-            assert polygon_area(got) == pytest.approx(shoelace_area(want), abs=1e-12)
+            assert shoelace_area(got) == pytest.approx(shoelace_area(want), abs=1e-12)
             if shoelace_area(want) > 1e-9:
                 assert _signed(got) > 0  # counter-clockwise
                 assert len(got) == len(want)
