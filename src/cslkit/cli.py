@@ -9,6 +9,7 @@ error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -53,6 +54,13 @@ def _parse_box(text):
         raise InvalidGeometryError(f"box literal needs 5 numbers 'cx cy h w theta', got {len(parts)}")
     cx, cy, h, w, theta = parts
     return canonicalize180(cx, cy, h, w, theta)
+
+
+def _parse_gt(text):
+    parts = text.split()
+    if len(parts) != 6:
+        raise InvalidGeometryError(f"gt literal needs 6 tokens 'cx cy h w theta class_id', got {len(parts)}")
+    return _parse_box(" ".join(parts[:5])), int(parts[5])
 
 
 def _emit(args, payload_json, rows, header):
@@ -186,11 +194,7 @@ def _cmd_targets(args):
         image_size=args.image_size, strides=tuple(args.strides), base_scale=args.base_scale
     )
     anchors = targets.generate_anchors(spec, mode=args.mode)
-    gts = []
-    for text in args.gt:
-        parts = text.split()
-        cx, cy, h, w, theta = (float(t) for t in parts[:5])
-        gts.append((canonicalize180(cx, cy, h, w, theta), int(parts[5])))
+    gts = [_parse_gt(text) for text in args.gt]
     cfg = targets.AssignmentConfig(anchor_mode=args.mode)
     csl_cfg = CslCodecConfig("gaussian", 6.0, 1.0, "range180")
     result = targets.assign_targets(anchors, gts, cfg, csl_cfg)
@@ -209,9 +213,8 @@ def _cmd_nms(args):
     groups = {}
     for d in dets:
         groups.setdefault((d.image_id, d.class_id), []).append(d)
-    kept = []
-    for key in sorted(groups):
-        kept.extend(evaluation.rotated_nms(groups[key], args.iou_thresh))
+    kept = [d for group in evaluation.batched_rotated_nms([groups[key] for key in sorted(groups)], args.iou_thresh)
+            for d in group]
     rows = [
         (d.image_id, d.class_id, d.score, d.box.cx, d.box.cy, d.box.h, d.box.w, d.box.theta) for d in kept
     ]
@@ -256,8 +259,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _shared_parser():
+    """The parser every main call reuses, built on the first call:
+    parse_args leaves it unchanged and gives each call its own namespace."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

@@ -5,6 +5,10 @@ Annotation files follow the DOTA text layout: one object per line,
 lines (first token non-numeric) skipped. Detection files carry one line
 per detection: "image_id class score cx cy h w theta" (long-edge box
 convention), or a quad form "image_id class score x1 y1 ... x4 y4".
+
+NMS runs any number of groups in lockstep, one rotated_iou_pairs call
+per round; matching computes the same-image, same-class (detection, gt)
+pairs of all images in one call. IoU thresholds must lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .rotgeom import (InvalidGeometryError, OrientedBox180, box_rows, canonicalize180, min_area_rects, quad_to_box180,
-                      rotated_iou_matrix)
+                      rotated_iou_pairs)
 
 log = logging.getLogger(__name__)
 
@@ -77,22 +81,55 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+def _check_iou_thresh(iou_thresh):
+    """Reject an IoU threshold outside [0, 1]; NaN fails both
+    comparisons, so it is rejected too."""
+    if not 0.0 <= iou_thresh <= 1.0:
+        raise ValueError(f"IoU threshold {iou_thresh} is not a number in [0, 1]")
+
+
+def batched_rotated_nms(groups, iou_thresh=0.1):
+    """rotated_nms of each detection list in groups, all groups in
+    lockstep; returns each group's kept detections in input order.
+
+    Each group is sorted by (score desc, input index). Each round keeps
+    every group's next live detection and suppresses the later live ones
+    of its group whose rotated IoU with it is above iou_thresh, the pairs
+    of all groups in one rotated_iou_pairs call, so there are as many
+    rounds as the most detections any group keeps. Raises ValueError for
+    an iou_thresh outside [0, 1]."""
+    _check_iou_thresh(iou_thresh)
+    flat = [d for group in groups for d in group]
+    sizes = [len(group) for group in groups]
+    gid = np.repeat(np.arange(len(groups)), sizes)
+    order = np.lexsort((-np.array([d.score for d in flat], dtype=float), gid))  # stable: ties keep input order
+    rows = box_rows([flat[i].box for i in order])
+    keep = np.zeros(len(flat), dtype=bool)
+    owner_of = np.zeros(len(groups), dtype=int)  # each group's kept detection of the round
+    # sorted positions of the live detections (row 0) and their groups (row 1)
+    live = np.stack([np.arange(len(flat)), gid[order]])
+    while live.shape[1]:
+        head = np.empty(live.shape[1], dtype=bool)  # each group's first live detection
+        head[0] = True
+        np.not_equal(live[1, 1:], live[1, :-1], out=head[1:])
+        owner = live[0].compress(head)
+        keep[owner] = True
+        owner_of[live[1].compress(head)] = owner
+        live = live.compress(~head, axis=1)
+        if not live.shape[1]:
+            break
+        survive = rotated_iou_pairs(rows.take(live[0], axis=0), rows.take(owner_of[live[1]], axis=0)) <= iou_thresh
+        live = live.compress(survive, axis=1)
+    kept = np.sort(order[keep])
+    bounds = np.searchsorted(kept, np.cumsum([0, *sizes]))
+    return [[flat[i] for i in kept[lo:hi]] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def rotated_nms(dets, iou_thresh=0.1):
     """Greedy descending-score suppression with rotated IoU; stable sort
-    (score desc, then input index) makes the result deterministic. Each
-    kept detection suppresses, in one IoU row, the later ones still live."""
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    rows = box_rows([dets[i].box for i in order])
-    live = np.ones(len(order), dtype=bool)
-    kept = []
-    for r in range(len(order)):
-        if not live[r]:
-            continue
-        kept.append(order[r])
-        rest = r + 1 + np.flatnonzero(live[r + 1:])
-        if len(rest):
-            live[rest] = rotated_iou_matrix(rows[rest], rows[r : r + 1])[:, 0] <= iou_thresh
-    return [dets[i] for i in sorted(kept)]
+    (score desc, then input index) makes the result deterministic. A
+    batch of one of batched_rotated_nms."""
+    return batched_rotated_nms([dets], iou_thresh)[0]
 
 
 def _voc07_ap(recall, precision):
@@ -125,23 +162,26 @@ def compute_ap(dets, gts, iou_thresh=0.5, metric="voc12"):
 def _hits(dets, gts, iou_thresh):
     """Each detection's match, the first gt of its image and class with
     the strictly largest IoU, as a gt index if that IoU is above 0 and at
-    least iou_thresh, else -1. One IoU matrix per image, with the pairs
-    of different classes zeroed."""
-    gts_of, dets_of = {}, {}
-    for gi, g in enumerate(gts):
-        gts_of.setdefault(g.image_id, []).append(gi)
-    for di, d in enumerate(dets):
-        dets_of.setdefault(d.image_id, []).append(di)
+    least iou_thresh, else -1. The (detection, gt) pairs of the same image
+    and class, over all images, go through one rotated_iou_pairs call."""
+    keys = {}
+    gt_key = np.array([keys.setdefault((g.image_id, g.class_id), len(keys)) for g in gts], dtype=int)
+    det_key = np.array([keys.get((d.image_id, d.class_id), -1) for d in dets], dtype=int)
+    # gts per key, in gts order within a key; key -1 (no gt) has none
+    by_key = np.argsort(gt_key, kind="stable")
+    count = np.append(np.bincount(gt_key, minlength=len(keys)), 0)
+    first = np.cumsum(count) - count
+    n = count[det_key]
+    seg = np.cumsum(n) - n  # where each detection's pairs start
+    di = np.repeat(np.arange(len(dets)), n)
+    gi = by_key[np.arange(len(di)) + np.repeat(first[det_key] - seg, n)]
+    det_rows, gt_rows = box_rows([d.box for d in dets]), box_rows([g.box for g in gts])
+    iou = rotated_iou_pairs(det_rows.take(di, axis=0), gt_rows.take(gi, axis=0))
+    has = np.flatnonzero(n)
+    best = np.maximum.reduceat(iou, seg[has])
+    at = np.minimum.reduceat(np.where(iou == np.repeat(best, n[has]), np.arange(len(iou)), len(iou)), seg[has])
     hits = np.full(len(dets), -1)
-    for image_id, dis in dets_of.items():
-        gis = gts_of.get(image_id)
-        if not gis:
-            continue
-        iou = rotated_iou_matrix(box_rows([dets[di].box for di in dis]), box_rows([gts[gi].box for gi in gis]))
-        iou[np.array([dets[di].class_id for di in dis])[:, None] != [gts[gi].class_id for gi in gis]] = 0.0
-        col = np.argmax(iou, axis=1)
-        best = iou[np.arange(len(dis)), col]
-        hits[dis] = np.where((best > 0.0) & (best >= iou_thresh), np.asarray(gis)[col], -1)
+    hits[has] = np.where((best > 0.0) & (best >= iou_thresh), gi[at], -1)
     return hits
 
 
@@ -173,7 +213,9 @@ def _pr_and_ap(scores, hits, gts, n_pos):
 
 def evaluate(dets, gts, class_names, iou_thresh=0.5):
     """Per-class AP under both conventions plus the mean over classes.
-    Raises ValueError for a detection class id outside class_names."""
+    Raises ValueError for a detection class id outside class_names or an
+    iou_thresh outside [0, 1]."""
+    _check_iou_thresh(iou_thresh)
     for d in dets:
         if not 0 <= d.class_id < len(class_names):
             raise ValueError(f"class id {d.class_id} of a detection in image {d.image_id!r} is outside the "

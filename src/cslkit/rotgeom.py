@@ -13,7 +13,9 @@ All angles are degrees, all coordinates use the mathematical convention
 Batched geometry works on float box rows ``(cx, cy, along, across,
 theta)``: ``along`` is the side at angle theta, so an OrientedBox180
 gives ``(cx, cy, h, w, theta)`` and an OrientedBox90 ``(cx, cy, w, h,
-theta)``.
+theta)``. Rotated IoU has one kernel behind two entries:
+rotated_iou_pairs over K aligned pairs of rows, and rotated_iou_matrix
+over every pair of two sets of rows.
 """
 
 from __future__ import annotations
@@ -220,7 +222,7 @@ def _intersection_vertices(p, q, tol):
     rel = pts - centroid[:, None]
     order = np.argsort(np.where(keep, np.arctan2(rel[..., 1], rel[..., 0]), np.inf), axis=1)
     order += np.arange(0, order.size, order.shape[1])[:, None]
-    return rel.reshape(-1, 2)[order], keep.ravel()[order], centroid
+    return rel.reshape(-1, 2).take(order, axis=0), keep.ravel().take(order), centroid
 
 
 def _intersection_area(p, q, tol):
@@ -340,7 +342,7 @@ def _check_rows(rows):
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 5:
         raise InvalidGeometryError(f"expected (N, 5) box rows, got shape {rows.shape}")
-    if not (np.isfinite(rows).all() and (rows[:, 2:4] > 0).all()):
+    if not (np.isfinite(rows).all() and np.min(rows[:, 2:4], initial=np.inf) > 0):
         raise InvalidGeometryError("box rows need finite values and positive sides")
     return rows
 
@@ -354,34 +356,50 @@ def _rect_corners(center, rows):
     return (_CORNER_SIGNS * (rows[:, None, 2:4] / 2.0)) @ axes + center[:, None]
 
 
-def rotated_iou_matrix(a, b):
-    """Exact IoU of every pair of two sets of oriented boxes, given as
-    (N, 5) and (M, 5) box rows (see the module docstring); returns the
-    (N, M) matrix.
-
-    Each pair is computed in a frame centred on its box from ``a``, with
-    a tolerance relative to the pair's size, so the result does not
-    depend on coordinate scale or translation. Pairs whose circumcircles
-    do not meet are 0 without further work; the others go through the
-    kernel PAIR_CHUNK pairs at a time."""
-    a = _check_rows(a)
-    b = _check_rows(b)
-    n, m = len(a), len(b)
-    out = np.zeros((n, m))
-    radius_a = np.hypot(a[:, 2], a[:, 3]) / 2.0
-    radius_b = np.hypot(b[:, 2], b[:, 3]) / 2.0
-    for start in range(0, n * m, PAIR_CHUNK):
-        i, j = np.divmod(np.arange(start, min(start + PAIR_CHUNK, n * m)), m)
-        offset = b[j, :2] - a[i, :2]
-        reach = radius_a[i] + radius_b[j]
+def _iou_pairs(a, b, i, j):
+    """IoU (K,) of the K pairs a[i], b[j] of checked box rows; see
+    rotated_iou_pairs."""
+    out = np.zeros(len(i))
+    for start in range(0, len(i), PAIR_CHUNK):
+        pa, pb = a.take(i[start : start + PAIR_CHUNK], axis=0), b.take(j[start : start + PAIR_CHUNK], axis=0)
+        offset = pb[:, :2] - pa[:, :2]
+        reach = np.hypot(pa[:, 2], pa[:, 3]) / 2.0 + np.hypot(pb[:, 2], pb[:, 3]) / 2.0
         near = np.flatnonzero(np.hypot(offset[:, 0], offset[:, 1]) <= reach)
         if not len(near):
             continue
-        i, j, offset = i[near], j[near], offset[near]
-        pa, pb = a[i], b[j]
+        pa, pb, offset = pa.take(near, axis=0), pb.take(near, axis=0), offset.take(near, axis=0)
         inter = _intersection_area(_rect_corners(np.zeros_like(offset), pa), _rect_corners(offset, pb), REL_EPS * reach[near])
-        out[i, j] = np.clip(inter / (pa[:, 2] * pa[:, 3] + pb[:, 2] * pb[:, 3] - inter), 0.0, 1.0)
+        out[start + near] = np.clip(inter / (pa[:, 2] * pa[:, 3] + pb[:, 2] * pb[:, 3] - inter), 0.0, 1.0)
     return out
+
+
+def rotated_iou_pairs(a, b):
+    """Exact IoU (K,) of K aligned pairs of oriented boxes, given as two
+    (K, 5) arrays of box rows (see the module docstring): entry k is the
+    IoU of a[k] and b[k].
+
+    Each pair is computed in a frame centred on its box from ``a``, with
+    a tolerance relative to the pair's size, so the result does not
+    depend on coordinate scale or translation, nor on the other pairs of
+    the call. Pairs whose circumcircles do not meet are 0 without further
+    work; the others go through the kernel PAIR_CHUNK pairs at a time."""
+    a = _check_rows(a)
+    b = _check_rows(b)
+    if a.shape != b.shape:
+        raise InvalidGeometryError(f"pair lists differ in shape: {a.shape} and {b.shape}")
+    k = np.arange(len(a))
+    return _iou_pairs(a, b, k, k)
+
+
+def rotated_iou_matrix(a, b):
+    """Exact IoU of every pair of two sets of oriented boxes, given as
+    (N, 5) and (M, 5) box rows; returns the (N, M) matrix, whose entry
+    (i, j) is rotated_iou_pairs of a[i] and b[j]. Only the index pairs
+    are expanded, not the rows."""
+    a = _check_rows(a)
+    b = _check_rows(b)
+    n, m = len(a), len(b)
+    return _iou_pairs(a, b, *np.divmod(np.arange(n * m), m)).reshape(n, m)
 
 
 def rotated_iou(a, b):

@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import pytest
 
-from cslkit.cli import main
+from cslkit import evaluation
+from cslkit.cli import build_parser, main
 from cslkit.rotgeom import canonicalize180, to_quad
 
 
@@ -87,6 +89,46 @@ class TestTargets:
         assert len(payload["foreground"]) >= 1
 
 
+# detections of four (image, class) groups, interleaved in the file
+INTERLEAVED_DETS = (
+    "im2 plane 0.6 5 5 4 2 30\nim1 ship 0.9 0 0 4 2 0\nim1 plane 0.85 0.5 0 4 2 0\n"
+    "im2 plane 0.95 5.2 5 4 2 31\nim1 ship 0.8 0.3 0.1 4 2 2\nim1 ship 0.7 100 0 4 2 0\n"
+    "im1 plane 0.5 40 40 6 3 -45\nim2 ship 0.4 5 5 2 4 -60\nim1 plane 0.45 41 40 6 3 -44\n"
+)
+
+
+class TestTargetsGtLiteral:
+    @pytest.mark.parametrize("literal", ["16 16 20 10 0", "16 16 20 10 0 0 7"])
+    def test_wrong_token_count_is_data_error(self, capsys, literal):
+        code = main(["targets", "--image-size", "32", "--strides", "32", "--gt", literal])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "6 tokens" in captured.err
+
+
+class TestSharedParser:
+    """main reuses one parser; successive calls share no state."""
+
+    def test_append_default_not_carried_over(self, capsys):
+        argv = ("targets", "--image-size", "32", "--strides", "32")
+        assert run_json(capsys, *argv, "--gt", "16 16 20 10 0 0")["foreground"] == [0]
+        payload = run_json(capsys, *argv)
+        assert payload["foreground"] == []
+        assert set(payload["matched_gt"]) == {-1}
+
+    def test_list_default_not_carried_over(self, capsys):
+        run_json(capsys, "boundary-report", "--scenario", "deg180", "--eps", "0.1")
+        payload = run_json(capsys, "boundary-report", "--scenario", "deg180")
+        assert [r["epsilon_deg"] for r in payload["reports"]] == [0.5, 0.25, 0.1, 0.05, 0.01]
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert main(["iou", "--a", "0 0 9 1 0"]) == 1
+        assert main(["iou", "--a", "0 0 9 1 0", "--b", "0 0 9 1 0"]) == 0
+
+    def test_build_parser_is_fresh(self):
+        assert build_parser() is not build_parser()
+
+
 class TestNmsAndEval(object):
     def test_nms_file(self, tmp_path, capsys):
         dets = tmp_path / "dets.txt"
@@ -112,11 +154,7 @@ class TestNmsAndEval(object):
         # groups interleaved in the file; kept detections come out grouped
         # by (image, class id) in sorted order, each group in input order
         dets = tmp_path / "dets.txt"
-        dets.write_text(
-            "im2 plane 0.6 5 5 4 2 30\nim1 ship 0.9 0 0 4 2 0\nim1 plane 0.85 0.5 0 4 2 0\n"
-            "im2 plane 0.95 5.2 5 4 2 31\nim1 ship 0.8 0.3 0.1 4 2 2\nim1 ship 0.7 100 0 4 2 0\n"
-            "im1 plane 0.5 40 40 6 3 -45\nim2 ship 0.4 5 5 2 4 -60\nim1 plane 0.45 41 40 6 3 -44\n"
-        )
+        dets.write_text(INTERLEAVED_DETS)
         argv = ("nms", "--dets", str(dets), "--classes", "ship", "plane", "--iou-thresh", "0.3")
         code, out = run(capsys, "--format", "csv", *argv)
         assert code == 0
@@ -164,6 +202,34 @@ class TestNmsAndEval(object):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: line 3: duplicate vertices\n"
+
+    def test_nms_one_kernel_call_per_round(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = evaluation.rotated_iou_pairs
+        monkeypatch.setattr(evaluation, "rotated_iou_pairs", lambda a, b: calls.append(len(a)) or real(a, b))
+        dets = tmp_path / "dets.txt"
+        dets.write_text(INTERLEAVED_DETS)
+        payload = run_json(capsys, "nms", "--dets", str(dets), "--classes", "ship", "plane", "--iou-thresh", "0.3")
+        # (im1, plane) keeps two and still suppresses one in the second
+        # round, so the rounds, each one kernel call, are the most kept
+        kept = Counter((d["image_id"], d["class_id"]) for d in payload["kept"])
+        assert len(calls) == max(kept.values()) == 2
+        assert calls == [5, 1]
+
+    @pytest.mark.parametrize("thresh", ["nan", "-0.5", "1.5", "inf"])
+    def test_bad_iou_thresh_is_data_error(self, tmp_path, capsys, thresh):
+        dets = tmp_path / "dets.txt"
+        dets.write_text("im1 ship 0.9 0 0 4 2 0\nim1 ship 0.8 100 0 4 2 0\n")
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        (ann / "im1.txt").write_text("0 0 4 0 4 2 0 2 ship 0\n")
+        code = main(["nms", "--dets", str(dets), "--classes", "ship", "--iou-thresh", thresh])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "IoU threshold" in captured.err
+        argv = ("eval", "--dets", str(dets), "--ann-dir", str(ann), "--classes", "ship", "--iou-thresh", thresh)
+        code, out = run(capsys, *argv)
+        assert (code, out) == (2, "")
 
     def test_missing_file_is_data_error(self, capsys):
         code, _ = run(capsys, "nms", "--dets", "/nonexistent.txt")

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from cslkit import evaluation
 from cslkit.evaluation import (
     AnnotationParseError,
     DetectionRecord,
     GroundTruthRecord,
+    batched_rotated_nms,
     compute_ap,
     evaluate,
     ingest_dota,
@@ -138,8 +142,8 @@ def _assert_matches_reference(dets, gts, names):
             assert compute_ap(cd, cg, thresh, "voc07") == report.ap07[name]
 
 
-def _crowded_scene(rng, classes=3, n_gts=24, n_dets=80):
-    """Ground truths of several classes piled into two small images, so
+def _crowded_scene(rng, classes=3, n_gts=24, n_dets=80, images=2):
+    """Ground truths of several classes piled into a few small images, so
     boxes of different classes overlap; every third gt is repeated
     exactly (an IoU tie), once in its own class with the other difficult
     flag and once in another class.
@@ -147,7 +151,7 @@ def _crowded_scene(rng, classes=3, n_gts=24, n_dets=80):
     another class than the gt they copy."""
     gts = []
     for k in range(n_gts):
-        g = gt(*rng.uniform(0, 12, 2), *rng.uniform(3, 9, 2), rng.uniform(-90, 90), image=f"im{k % 2}",
+        g = gt(*rng.uniform(0, 12, 2), *rng.uniform(3, 9, 2), rng.uniform(-90, 90), image=f"im{k % images}",
                cls=int(rng.integers(classes)), difficult=bool(rng.random() < 0.2))
         gts.append(g)
         if k % 3 == 0:
@@ -169,8 +173,8 @@ def _crowded_scene(rng, classes=3, n_gts=24, n_dets=80):
 
 
 class TestPerImageMatching:
-    """evaluate's one IoU matrix per image, other classes zeroed, against
-    the per-class, per-pair reference."""
+    """evaluate's matching over the same-class pairs of each image, where
+    other classes overlap, against the per-class, per-pair reference."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_class_reference(self, seed):
@@ -213,6 +217,110 @@ class TestPerImageMatching:
         dets = [det(0.9), det(0.8, image="P7", cls=class_id)]
         with pytest.raises(ValueError, match=rf"class id {class_id} .*'P7'"):
             evaluate(dets, [gt()], ["ship", "plane"])
+
+
+def _nms_groups(rng):
+    """Groups of detections for lockstep NMS: empty and single groups,
+    jittered clusters that keep few, a row of disjoint boxes that keeps
+    all (the most rounds), and clusters with equal scores, where ties go
+    by input index."""
+    groups = [[], [det(0.5, cx=3.0)]]
+    for k in range(8):
+        cx, cy = rng.uniform(-50, 50, 2)
+        n = int(rng.integers(2, 12))
+        scores = rng.choice((0.3, 0.6), n) if k % 3 == 0 else rng.uniform(0, 1, n)
+        h, w, theta = rng.uniform(4, 8), rng.uniform(1, 3), rng.uniform(-90, 90)
+        groups.append([det(float(scores[i]), cx + rng.normal(0, 0.5), cy + rng.normal(0, 0.5),
+                           h * rng.uniform(0.8, 1.2), w * rng.uniform(0.8, 1.2), theta + rng.normal(0, 10))
+                       for i in range(n)])
+    groups.append([det(float(rng.uniform(0, 1)), cx=10.0 * i, cy=-5.0) for i in range(9)])
+    groups.append([det(0.7, cx=0.1 * i, cy=0.05 * i, theta=2.0 * i) for i in range(5)])
+    order = rng.permutation(len(groups))
+    return [groups[i] for i in order]
+
+
+class TestBatchedNms:
+    """Lockstep NMS over many groups against the per-group greedy loop
+    on the clipper oracle."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_group_reference(self, seed):
+        groups = _nms_groups(np.random.default_rng(seed))
+        for thresh in (0.0, 0.1, 0.5, 1.0):
+            kept = batched_rotated_nms(groups, thresh)
+            assert kept == [_reference_nms(g, thresh) for g in groups]
+            assert kept == [rotated_nms(g, thresh) for g in groups]
+        kept = batched_rotated_nms(groups, 0.1)
+        assert kept[[len(g) for g in groups].index(0)] == []
+        rounds = [len(k) for k in kept]
+        assert max(rounds) == 9 and min(r for r, g in zip(rounds, groups) if len(g) > 1) == 1
+
+    def test_ties_go_by_input_index(self):
+        a, b = det(0.5, cx=0.0), det(0.5, cx=0.5)
+        assert batched_rotated_nms([[a, b], [b, a]], 0.3) == [[a], [b]]
+
+    def test_no_groups(self):
+        assert batched_rotated_nms([]) == []
+
+    def test_one_kernel_call_per_round(self, monkeypatch):
+        calls = []
+        real = evaluation.rotated_iou_pairs
+        monkeypatch.setattr(evaluation, "rotated_iou_pairs", lambda a, b: calls.append(len(a)) or real(a, b))
+        groups = _nms_groups(np.random.default_rng(0))
+        kept = batched_rotated_nms(groups, 0.1)
+        # the row of 9 disjoint boxes keeps every box, so its last round
+        # has no later box left: one call fewer than the rounds
+        assert len(calls) == max(len(k) for k in kept) - 1 == 8
+
+
+class TestIouThreshold:
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5, math.inf, -math.inf])
+    def test_rejected(self, bad):
+        # under NaN every comparison fails, so a disjoint pair would lose
+        # its second box
+        disjoint = [det(0.9), det(0.8, cx=100)]
+        with pytest.raises(ValueError, match="IoU threshold"):
+            rotated_nms(disjoint, bad)
+        with pytest.raises(ValueError, match="IoU threshold"):
+            batched_rotated_nms([disjoint, []], bad)
+        with pytest.raises(ValueError, match="IoU threshold"):
+            evaluate(disjoint, [gt()], ["ship"], iou_thresh=bad)
+        with pytest.raises(ValueError, match="IoU threshold"):
+            compute_ap(disjoint, [gt()], iou_thresh=bad)
+
+    def test_bounds_accepted(self):
+        same = [det(0.9), det(0.8)]
+        assert rotated_nms(same, 1.0) == same
+        assert rotated_nms([det(0.9), det(0.8, cx=3.9)], 0.0) == [det(0.9)]
+        assert compute_ap([det(0.9)], [gt()], iou_thresh=1.0) == 1.0
+        assert compute_ap([det(0.9, cx=3.0)], [gt()], iou_thresh=0.0) == 1.0
+
+
+class TestOneCallMatching:
+    """evaluate computes the same-image, same-class pairs of all images
+    in one kernel call."""
+
+    @pytest.mark.parametrize("images", [1, 3, 7])
+    def test_one_call_for_any_number_of_images(self, monkeypatch, images):
+        dets, gts = _crowded_scene(np.random.default_rng(images), images=images)
+        calls = []
+        real = evaluation.rotated_iou_pairs
+        monkeypatch.setattr(evaluation, "rotated_iou_pairs", lambda a, b: calls.append(len(a)) or real(a, b))
+        evaluate(dets, gts, ["ship", "plane", "harbor"])
+        same = sum(d.image_id == g.image_id and d.class_id == g.class_id for d in dets for g in gts)
+        assert calls == [same]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_multi_image_matches_per_class_reference(self, seed):
+        dets, gts = _crowded_scene(np.random.default_rng(100 + seed), n_gts=30, n_dets=100, images=5)
+        assert len({d.image_id for d in dets}) == 5
+        _assert_matches_reference(dets, gts, ["ship", "plane", "harbor"])
+
+    def test_images_without_gts(self):
+        dets = [det(0.9, image="a"), det(0.8, image="b", cls=1), det(0.7, image="c")]
+        report = evaluate(dets, [gt(image="a"), gt(image="c", cls=1)], ["ship", "plane"])
+        assert report.pr_curves["ship"] == ([1.0, 1.0], [1.0, 0.5])
+        assert report.pr_curves["plane"] == ([0.0], [0.0])
 
 
 class TestComputeAp:

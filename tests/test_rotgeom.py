@@ -21,6 +21,7 @@ from cslkit.rotgeom import (
     quad_to_box180,
     rotated_iou,
     rotated_iou_matrix,
+    rotated_iou_pairs,
     to_quad,
 )
 from oracles import (
@@ -544,6 +545,60 @@ class TestIouMatrixKernel:
         box_a = _box(0.0, 0.0, a * s, b * s, ta)
         box_b = _box(dx * s, dy * s, b * s, a * s, tb)
         assert rotated_iou(box_a, box_b) == pytest.approx(mc_iou(box_a, box_b, samples=200_000, seed=1), abs=0.01)
+
+
+def _all_pairs(a, b):
+    """The rows of every (a, b) pair in row-major order, as two aligned
+    pair lists."""
+    i, j = np.divmod(np.arange(len(a) * len(b)), len(b))
+    return a[i], b[j]
+
+
+class TestIouPairs:
+    """rotated_iou_pairs against the entries of rotated_iou_matrix: the
+    same arithmetic, so equal to the last bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        a = box_rows([_random_box(rng) for _ in range(40)])
+        b = box_rows([_random_box(rng) for _ in range(60)])
+        want = rotated_iou_matrix(a, b).ravel()
+        assert len(want) > PAIR_CHUNK
+        assert np.array_equal(rotated_iou_pairs(*_all_pairs(a, b)), want)
+        # any subset in any order: results do not depend on the batch
+        pick = rng.permutation(len(want))[:500]
+        pa, pb = _all_pairs(a, b)
+        assert np.array_equal(rotated_iou_pairs(pa[pick], pb[pick]), want[pick])
+
+    @pytest.mark.parametrize("theta", [0.0, 30.0, -45.0])
+    def test_explicit_cases(self, theta):
+        base = _box(3.0, -2.0, 6.0, 2.0, theta)
+        others = [base, _box(3.0, -2.0, 3.0, 1.0, theta), _shifted(base, 0.0, 2.0), _shifted(base, 6.0, 2.0),
+                  _shifted(base, 1.8, 0.0), _shifted(base, 40.0, 0.0), _box(1e6, 1e6, 6.0, 2.0, theta)]
+        a = box_rows([base] * len(others))
+        b = box_rows(others)
+        got = rotated_iou_pairs(a, b)
+        assert np.array_equal(got, rotated_iou_matrix(a[:1], b)[0])
+        assert np.array_equal(rotated_iou_pairs(b, a), rotated_iou_matrix(b, a[:1])[:, 0])
+        assert got[0] == pytest.approx(1.0, abs=1e-12)  # identical
+        assert got[1] == pytest.approx(0.25, abs=1e-12)  # nested
+        assert got[2:4] == pytest.approx([0.0, 0.0], abs=1e-12)  # touching edge and corner
+        assert got[5] == got[6] == 0.0  # pruned without the kernel
+
+    def test_empty(self):
+        assert rotated_iou_pairs(np.zeros((0, 5)), np.zeros((0, 5))).shape == (0,)
+
+    def test_rejects_bad_input(self):
+        rows = np.array([[0.0, 0.0, 4.0, 2.0, 10.0]] * 3)
+        with pytest.raises(InvalidGeometryError, match="shape"):
+            rotated_iou_pairs(rows, rows[:2])
+        with pytest.raises(InvalidGeometryError):
+            rotated_iou_pairs(rows[:, :4], rows[:, :4])
+        bad = rows.copy()
+        bad[1, 3] = math.nan
+        with pytest.raises(InvalidGeometryError):
+            rotated_iou_pairs(rows, bad)
 
 
 def _random_convex(rng, n_points):
