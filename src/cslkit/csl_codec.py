@@ -144,7 +144,7 @@ def encode_batch(thetas, cfg):
     thetas = np.asarray(thetas, dtype=float)
     lo = cfg.range_min
     hi = lo + cfg.range_span
-    if np.any(thetas < lo) or np.any(thetas >= hi):
+    if not np.all((thetas >= lo) & (thetas < hi)):  # NaN fails too
         raise ValueError("angles outside canonical range")
     t = cfg.bin_count
     gt = np.minimum(np.floor((thetas - lo) / cfg.omega).astype(int), t - 1)

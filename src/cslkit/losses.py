@@ -127,16 +127,16 @@ def _checked_logits(logits, targets):
     return logits, targets
 
 
-def _csl_row_losses(logits, targets, mode, alpha=0.25, gamma=2.0):
-    """Per-row sums (N,) of the per-bin loss of (N, ...) logits against
-    soft targets of the same shape; see csl_classification_loss."""
-    logits, targets = _checked_logits(logits, targets)
+def _csl_row_losses(logits, targets, mode, alpha=0.25, gamma=2.0, rows=slice(None)):
+    """Per-row sums of the per-bin loss of (N, ...) logits against soft
+    targets of the same shape, over the given rows after checking all."""
+    logits, targets = (x[rows] for x in _checked_logits(logits, targets))
     ce = _sigmoid_ce(logits, targets)
     if mode == "focal":
         ce = alpha * np.abs(targets - _sigmoid(logits)) ** gamma * ce
     elif mode != "sigmoid_ce":
         raise ValueError(f"unknown mode {mode!r}")
-    return ce.reshape(len(ce), -1).sum(axis=1)
+    return ce.sum(axis=tuple(range(1, ce.ndim)))
 
 
 def csl_classification_loss(logits, label, mode="sigmoid_ce", alpha=0.25, gamma=2.0):
@@ -189,7 +189,8 @@ def multi_task_loss(batch, weights=LossWeights(), branch="csl", csl_mode="sigmoi
     """Weighted sum of regression, circular-label and classification
     terms, each averaged over the batch size N. The angle is carried by
     the regression vector (regression branch, 5 components) or by the
-    circular-label term (csl branch, 4 components). Fields need N rows."""
+    circular-label term (csl branch, 4 components), computed only where
+    obj != 0 though every row's logits must be finite. Fields need N rows."""
     n = batch.count
     if branch not in ("regression", "csl"):
         raise ValueError(f"unknown branch {branch!r}")
@@ -206,7 +207,10 @@ def multi_task_loss(batch, weights=LossWeights(), branch="csl", csl_mode="sigmoi
     if arrays["reg_pred"].shape[1:] != (want,):
         raise ValueError(f"{branch} branch expects {want} regression components, got shape {arrays['reg_pred'].shape}")
     reg = batch.obj @ _smooth_l1_terms(arrays["reg_pred"], arrays["reg_target"]).sum(axis=1)
-    csl = batch.obj @ _csl_row_losses(arrays["csl_logits"], arrays["csl_target"], csl_mode) if branch == "csl" else 0.0
+    csl = 0.0
+    if branch == "csl":
+        fg = np.flatnonzero(batch.obj != 0.0)  # NaN included
+        csl = batch.obj[fg] @ _csl_row_losses(arrays["csl_logits"], arrays["csl_target"], csl_mode, rows=fg)
     cls = _csl_row_losses(arrays["cls_logits"], arrays["cls_target"], cls_mode).sum()
     return float((weights.lambda1 * reg + weights.lambda2 * csl + weights.lambda3 * cls) / n)
 

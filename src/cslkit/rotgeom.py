@@ -15,7 +15,8 @@ theta)``: ``along`` is the side at angle theta, so an OrientedBox180
 gives ``(cx, cy, h, w, theta)`` and an OrientedBox90 ``(cx, cy, w, h,
 theta)``. Rotated IoU has one kernel behind two entries:
 rotated_iou_pairs over K aligned pairs of rows, and rotated_iou_matrix
-over every pair of two sets of rows.
+over every pair of two sets of rows. The kernel clips each edge of
+either box to the other box and sums the pieces by Green's theorem.
 """
 
 from __future__ import annotations
@@ -136,19 +137,20 @@ _CORNER_SIGNS = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
 _PAIRS = np.triu_indices(4, 1)  # the six vertex pairs of a quad
 
 
-def _corners(rows):
-    """Corners (N, 4, 2) of (N, 5) box rows, counter-clockwise from the
-    (+along, +across) corner, before canonical ordering."""
+def _corners(rows, center=None):
+    """Corners (2, 4, N), coordinates first, of (N, 5) box rows moved to
+    centers (2, N) if given, counter-clockwise from the (+along, +across) corner."""
+    center = rows[:, :2].T if center is None else center
     t = np.radians(rows[:, 4])
     c, s = np.cos(t), np.sin(t)
-    along = rows[:, 2:3] / 2.0 * np.stack([c, s], axis=1)
-    across = rows[:, 3:4] / 2.0 * np.stack([-s, c], axis=1)
-    return rows[:, None, :2] + _CORNER_SIGNS[:, :1] * along[:, None] + _CORNER_SIGNS[:, 1:] * across[:, None]
+    along = rows[:, 2] / 2.0 * np.stack([c, s])
+    across = rows[:, 3] / 2.0 * np.stack([-s, c])
+    return center[:, None] + _CORNER_SIGNS[:, :1] * along[:, None] + _CORNER_SIGNS[:, 1:] * across[:, None]
 
 
 def to_quad(box):
     """Expand an oriented box into its four canonically ordered corners."""
-    return order_corners(QuadBox(tuple(map(tuple, _corners(box_rows([box]))[0]))))
+    return order_corners(QuadBox(tuple(map(tuple, _corners(box_rows([box]))[..., 0].T))))
 
 
 def _gap_and_extent(pts):
@@ -183,73 +185,80 @@ def order_corners(quad):
 
 
 def _next(poly):
-    """Each vertex's successor along (K, n, 2) polygons."""
+    """Each vertex's successor along polygons with vertices on axis 1."""
     return np.concatenate([poly[:, 1:], poly[:, :1]], axis=1)
 
 
 def _cross(u, v):
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    """z of the cross product of vectors with their coordinates first."""
+    return u[0] * v[1] - u[1] * v[0]
 
 
-def _intersection_vertices(p, q, tol):
-    """Vertices of the intersections of K pairs of convex
-    counter-clockwise polygons p (K, n, 2) and q (K, m, 2).
+def _clip_edges(p, q, tol):
+    """Clip each edge of K pairs of convex counter-clockwise polygons, p
+    (2, n, K) and q (2, m, K) with the coordinates first, to the other
+    polygon (Liang-Barsky / Cyrus-Beck). Returns the pieces' starts and
+    ends (2, n + m, K), p's first, empty ones at the origin, and which are
+    non-empty (n + m, K). They bound the intersection counter-clockwise:
+    its area is half the sum of cross(start, end) (Green's theorem).
 
-    The candidates are every vertex of either polygon and every crossing
-    of an edge of p with an edge of q; a candidate is kept when it lies
-    inside every edge of both polygons within the distance tol (K,).
-    Kept points are all on the boundary of the intersection, so sorting
-    them by angle around their centroid orders them counter-clockwise.
-    Returns the candidates relative to that centroid, sorted, with the
-    dropped ones last (K, C, 2); the sorted keep mask (K, C); and the
-    centroids (K, 2)."""
-    k = len(p)
-    ep = _next(p) - p
-    eq = _next(q) - q
-    starts = np.concatenate([p, q], axis=1)
-    edges = np.concatenate([ep, eq], axis=1)
-    inward = edges[..., ::-1] * (-1.0, 1.0) / np.hypot(edges[..., 0], edges[..., 1])[..., None]
-    # edge i of p meets edge j of q at p_i + t * ep_i; parallel edges give
-    # an infinite or undefined t, and such points fail the inside test
+    Edge i of p, p_i + t d_i, meets edge j of q, q_j + u g_j, at t = tn /
+    den, u = un / den. A piece ends at its own stored vertex or at that
+    crossing, computed once as p_i + t d_i for both edges so the boundary
+    closes exactly. Edges are collinear if both ends of p's lie within tol
+    (K,) of q's line: p's is kept and q's dropped if they run the same way."""
+    p_next, q_next = _next(p), _next(q)
+    d, g = p_next - p, q_next - q
+    di, gj = d[:, :, None], g[:, None]  # (2, n, 1, K), (2, 1, m, K)
+    w = q[:, None] - p[:, :, None]
+    den, tn, un = _cross(di, gj), _cross(w, gj), _cross(w, di)
+    collinear = np.maximum(np.abs(tn), np.abs(tn - den)) <= tol * np.hypot(g[0], g[1])
+    # collinear pairs become parallel ones (den = 0): p's edge inside only
+    # if they run the same way, q's edge outside; + 0.0 turns -0.0 into
+    # 0.0, so parallel edges' t and u are +-inf by their side
+    den = np.where(collinear, 0.0, den) + 0.0
+    tn = np.where(collinear, (di * gj).sum(axis=0), tn)
+    un = np.where(collinear, 1.0, un)
+    entering = den < 0.0  # p's edge enters q, and q's edge leaves p, across the pair
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = _cross(q[:, None] - p[:, :, None], eq[:, None]) / _cross(ep[:, :, None], eq[:, None])
-        crossings = p[:, :, None] + t[..., None] * ep[:, :, None]
-        pts = np.concatenate([starts, crossings.reshape(k, -1, 2)], axis=1)
-        dist = pts @ inward.transpose(0, 2, 1) - np.einsum("kei,kei->ke", inward, starts)[:, None]
-        keep = np.all(dist >= -tol[:, None, None], axis=2)
-    pts = np.where(keep[..., None], pts, 0.0)
-    centroid = pts.sum(axis=1) / np.maximum(keep.sum(axis=1), 1)[:, None]
-    rel = pts - centroid[:, None]
-    order = np.argsort(np.where(keep, np.arctan2(rel[..., 1], rel[..., 0]), np.inf), axis=1)
-    order += np.arange(0, order.size, order.shape[1])[:, None]
-    return rel.reshape(-1, 2).take(order, axis=0), keep.ravel().take(order), centroid
-
-
-def _intersection_area(p, q, tol):
-    """Areas (K,) of the intersections of K pairs of convex polygons."""
-    rel, keep, _ = _intersection_vertices(p, q, tol)
-    # dropped points repeat the first vertex and add zero-length edges
-    rel = np.where(keep[..., None], rel, rel[:, :1])
-    return np.maximum(0.5 * _cross(rel, _next(rel)).sum(axis=1), 0.0)
+        t, u = tn / den, un / den
+        # p's edge i lies inside q's edge j where tn - t * den >= 0
+        lo, hi = np.where(entering, t, 0.0).max(axis=1), np.where(entering, 1.0, t).min(axis=1)
+        p_start = np.where(lo > 0.0, p + lo * d, p)
+        p_end = np.where(hi < 1.0, p + hi * d, p_next)
+        # q's edge j lies inside p's edge i where u * den - un >= 0; its
+        # piece ends at the crossing p's edge computes
+        enter, leave = np.where(entering, 0.0, u), np.where(entering, u, 1.0)
+        q_lo, q_hi = enter.max(axis=0), leave.min(axis=0)
+        crossing = (p[:, :, None] + t * di).reshape(2, -1)
+        jk = np.arange(u[0].size).reshape(u.shape[1:])  # flat position of each crossing of p's edge 0
+        q_start = np.where(q_lo > 0.0, crossing.take(enter.argmax(axis=0) * jk.size + jk, axis=1), q)
+        q_end = np.where(q_hi < 1.0, crossing.take(leave.argmin(axis=0) * jk.size + jk, axis=1), q_next)
+    keep = np.concatenate([lo < hi, q_lo < q_hi])
+    starts = np.where(keep, np.concatenate([p_start, q_start], axis=1), 0.0)
+    ends = np.where(keep, np.concatenate([p_end, q_end], axis=1), 0.0)
+    return starts, ends, keep
 
 
 def convex_intersection(p, q):
-    """Intersection of two convex counter-clockwise polygons. Boundary
-    contacts are kept but contribute zero area. Returns the
-    counter-clockwise (N, 2) vertex array, possibly empty."""
-    p = np.asarray(p, dtype=float).reshape(1, -1, 2)
-    q = np.asarray(q, dtype=float).reshape(1, -1, 2)
+    """Intersection of two convex counter-clockwise polygons by the IoU
+    kernel's edge clipper: its pieces' starts in counter-clockwise order,
+    vertices closer than REL_EPS times the larger extent merged, as an
+    (N, 2) array; contacts along an edge or at a point give none."""
+    p, q = (np.asarray(poly, dtype=float).reshape(-1, 2) for poly in (p, q))
     # work around p's first vertex, with a tolerance relative to the size
-    origin = p[0, 0]
-    tol = REL_EPS * max(np.ptp(p[0], axis=0).max(), np.ptp(q[0], axis=0).max())
-    rel, keep, centroid = _intersection_vertices(p - origin, q - origin, np.array([tol]))
-    out = []
-    for v in rel[0][keep[0]]:
-        if not out or np.abs(v - out[-1]).max() > tol:
-            out.append(v)
+    origin = p[0]
+    tol = REL_EPS * max(np.ptp(p, axis=0).max(), np.ptp(q, axis=0).max())
+    starts, ends, keep = _clip_edges((p - origin).T[..., None], (q - origin).T[..., None], tol)
+    starts, ends = starts[..., 0].T[keep[:, 0]], ends[..., 0].T[keep[:, 0]]
+    out, at = [], 0
+    for _ in range(len(starts)):  # from each piece to the one starting where it ends
+        if not out or np.abs(starts[at] - out[-1]).max() > tol:
+            out.append(starts[at])
+        at = np.abs(starts - ends[at]).max(axis=1).argmin()
     if len(out) > 1 and np.abs(out[0] - out[-1]).max() <= tol:
         out.pop()
-    return np.asarray(out).reshape(-1, 2) + centroid[0] + origin
+    return np.asarray(out).reshape(-1, 2) + origin
 
 
 def min_area_rects(quads):
@@ -275,7 +284,7 @@ def min_area_rects(quads):
     # collinear one
     pts = _ccw(pts)
     prev, nxt = np.roll(pts, 1, axis=1), np.roll(pts, -1, axis=1)
-    convex = _cross(pts - prev, nxt - prev) > 0.0
+    convex = _cross((pts - prev).T, (nxt - prev).T).T > 0.0
     pts = np.take_along_axis(pts, np.argsort(~convex, axis=1, kind="stable")[..., None], axis=1)
     n = convex.sum(axis=1, keepdims=True)
     x = np.where(np.arange(4) < n, pts[..., 0], np.inf)
@@ -285,7 +294,7 @@ def min_area_rects(quads):
     hull = np.take_along_axis(pts, at[..., None], axis=1)
     edge = np.take_along_axis(pts, ((at + 1) % np.maximum(n, 1))[..., None], axis=1) - hull
     rel = hull - hull[:, :1]
-    area = 0.5 * np.abs(_cross(rel, _next(rel)).sum(axis=1))
+    area = 0.5 * np.abs(_cross(rel.T, _next(rel).T).sum(axis=0))
     zero_area = (n[:, 0] < 3) | (area <= EPS * extent**2)
     bad = ~finite | duplicate | zero_area
     if bad.any():
@@ -347,18 +356,9 @@ def _check_rows(rows):
     return rows
 
 
-def _rect_corners(center, rows):
-    """Counter-clockwise corners (K, 4, 2) of K rectangles given their
-    centers (K, 2) and box rows (K, 5)."""
-    t = np.radians(rows[:, 4])
-    c, s = np.cos(t), np.sin(t)
-    axes = np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)  # unit vectors along, across
-    return (_CORNER_SIGNS * (rows[:, None, 2:4] / 2.0)) @ axes + center[:, None]
-
-
 def _iou_pairs(a, b, i, j):
-    """IoU (K,) of the K pairs a[i], b[j] of checked box rows; see
-    rotated_iou_pairs."""
+    """IoU (K,) of the K pairs a[i], b[j] of checked box rows, clipped
+    in a frame centred on the a box; see rotated_iou_pairs."""
     out = np.zeros(len(i))
     for start in range(0, len(i), PAIR_CHUNK):
         pa, pb = a.take(i[start : start + PAIR_CHUNK], axis=0), b.take(j[start : start + PAIR_CHUNK], axis=0)
@@ -367,8 +367,9 @@ def _iou_pairs(a, b, i, j):
         near = np.flatnonzero(np.hypot(offset[:, 0], offset[:, 1]) <= reach)
         if not len(near):
             continue
-        pa, pb, offset = pa.take(near, axis=0), pb.take(near, axis=0), offset.take(near, axis=0)
-        inter = _intersection_area(_rect_corners(np.zeros_like(offset), pa), _rect_corners(offset, pb), REL_EPS * reach[near])
+        pa, pb, offset = pa.take(near, axis=0), pb.take(near, axis=0), offset.take(near, axis=0).T
+        starts, ends, _ = _clip_edges(_corners(pa, np.zeros_like(offset)), _corners(pb, offset), REL_EPS * reach[near])
+        inter = np.maximum(0.5 * _cross(starts, ends).sum(axis=0), 0.0)
         out[start + near] = np.clip(inter / (pa[:, 2] * pa[:, 3] + pb[:, 2] * pb[:, 3] - inter), 0.0, 1.0)
     return out
 
@@ -383,8 +384,7 @@ def rotated_iou_pairs(a, b):
     depend on coordinate scale or translation, nor on the other pairs of
     the call. Pairs whose circumcircles do not meet are 0 without further
     work; the others go through the kernel PAIR_CHUNK pairs at a time."""
-    a = _check_rows(a)
-    b = _check_rows(b)
+    a, b = _check_rows(a), _check_rows(b)
     if a.shape != b.shape:
         raise InvalidGeometryError(f"pair lists differ in shape: {a.shape} and {b.shape}")
     k = np.arange(len(a))
@@ -396,8 +396,7 @@ def rotated_iou_matrix(a, b):
     (N, 5) and (M, 5) box rows; returns the (N, M) matrix, whose entry
     (i, j) is rotated_iou_pairs of a[i] and b[j]. Only the index pairs
     are expanded, not the rows."""
-    a = _check_rows(a)
-    b = _check_rows(b)
+    a, b = _check_rows(a), _check_rows(b)
     n, m = len(a), len(b)
     return _iou_pairs(a, b, *np.divmod(np.arange(n * m), m)).reshape(n, m)
 
@@ -412,7 +411,7 @@ def aligned_bboxes(rows):
     """Axis-aligned enclosing boxes (N, 4) (xmin, ymin, xmax, ymax) of
     (N, 5) box rows."""
     pts = _corners(_check_rows(rows))
-    return np.concatenate([pts.min(axis=1), pts.max(axis=1)], axis=1)
+    return np.concatenate([pts.min(axis=1), pts.max(axis=1)]).T
 
 
 def aligned_bbox(box):
@@ -421,17 +420,14 @@ def aligned_bbox(box):
 
 
 def aligned_iou(a, b):
-    """Closed-form IoU of two axis-aligned (xmin, ymin, xmax, ymax) boxes."""
-    ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
-    iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
-    inter = ix * iy
-    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
-    return inter / union if union > 0 else 0.0
+    """Closed-form IoU of two axis-aligned (xmin, ymin, xmax, ymax) boxes;
+    a batch of one of aligned_iou_matrix."""
+    return float(aligned_iou_matrix([a], [b])[0, 0])
 
 
 def aligned_iou_matrix(a, b):
-    """aligned_iou of every pair of (N, 4) and (M, 4) axis-aligned boxes,
-    with the same arithmetic; returns the (N, M) matrix."""
+    """Closed-form IoU of every pair of (N, 4) and (M, 4) axis-aligned
+    (xmin, ymin, xmax, ymax) boxes; returns the (N, M) matrix."""
     a, b = np.asarray(a, dtype=float)[:, None], np.asarray(b, dtype=float)[None]
     side = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
     inter = np.where(side > 0.0, side, 0.0).prod(axis=-1)

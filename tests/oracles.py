@@ -1,16 +1,17 @@
 """Independent oracles used to freeze expected values: Monte-Carlo
 rasterization IoU, closed-form IoU of concentric congruent rectangles,
 a scalar Sutherland-Hodgman clipper and the rotated IoU built on it,
-vertex-set comparison, brute-force minimum rectangle, central finite
-differences, a per-quad rotating-calipers loop and a per-anchor loop
-over the multi-task loss. Deliberately avoid the library's own clipping
-/ calipers / loss code paths."""
+the batched sorted-candidate IoU (the library's kernel before the edge
+clipper), vertex-set comparison, brute-force minimum rectangle, central
+finite differences, a per-quad rotating-calipers loop and a per-anchor
+loop over the multi-task loss. Deliberately avoid the library's own
+clipping / calipers / loss code paths."""
 
 import math
 
 import numpy as np
 
-from cslkit.rotgeom import EPS, InvalidGeometryError, canonicalize180, to_quad
+from cslkit.rotgeom import EPS, REL_EPS, InvalidGeometryError, canonicalize180, to_quad
 
 MC_CHUNK = 1 << 16
 CLIP_EPS = 1e-9  # absolute, so the clipper is exact only near unit scale
@@ -147,6 +148,83 @@ def clipped_iou(a, b):
     inter = shoelace_area(clip_convex(to_quad(a).as_array(), to_quad(b).as_array()))
     union = a.h * a.w + b.h * b.w - inter
     return min(max(inter / union, 0.0), 1.0) if union > 0 else 0.0
+
+
+def _next_vertex(poly):
+    return np.concatenate([poly[:, 1:], poly[:, :1]], axis=1)
+
+
+def _cross_last(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def sorted_candidate_vertices(p, q, tol):
+    """Vertices of the intersections of K pairs of convex
+    counter-clockwise polygons p (K, n, 2) and q (K, m, 2).
+
+    The candidates are every vertex of either polygon and every crossing
+    of an edge of p with an edge of q; a candidate is kept when it lies
+    inside every edge of both polygons within the distance tol (K,).
+    Kept points are all on the boundary of the intersection, so sorting
+    them by angle around their centroid orders them counter-clockwise.
+    Returns the candidates relative to that centroid, sorted, with the
+    dropped ones last (K, C, 2); the sorted keep mask (K, C); and the
+    centroids (K, 2)."""
+    k = len(p)
+    ep = _next_vertex(p) - p
+    eq = _next_vertex(q) - q
+    starts = np.concatenate([p, q], axis=1)
+    edges = np.concatenate([ep, eq], axis=1)
+    inward = edges[..., ::-1] * (-1.0, 1.0) / np.hypot(edges[..., 0], edges[..., 1])[..., None]
+    # edge i of p meets edge j of q at p_i + t * ep_i; parallel edges give
+    # an infinite or undefined t, and such points fail the inside test
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = _cross_last(q[:, None] - p[:, :, None], eq[:, None]) / _cross_last(ep[:, :, None], eq[:, None])
+        crossings = p[:, :, None] + t[..., None] * ep[:, :, None]
+        pts = np.concatenate([starts, crossings.reshape(k, -1, 2)], axis=1)
+        dist = pts @ inward.transpose(0, 2, 1) - np.einsum("kei,kei->ke", inward, starts)[:, None]
+        keep = np.all(dist >= -tol[:, None, None], axis=2)
+    pts = np.where(keep[..., None], pts, 0.0)
+    centroid = pts.sum(axis=1) / np.maximum(keep.sum(axis=1), 1)[:, None]
+    rel = pts - centroid[:, None]
+    order = np.argsort(np.where(keep, np.arctan2(rel[..., 1], rel[..., 0]), np.inf), axis=1)
+    order += np.arange(0, order.size, order.shape[1])[:, None]
+    return rel.reshape(-1, 2).take(order, axis=0), keep.ravel().take(order), centroid
+
+
+def sorted_candidate_area(p, q, tol):
+    """Areas (K,) of the intersections of K pairs of convex polygons, by
+    the shoelace formula over sorted_candidate_vertices."""
+    rel, keep, _ = sorted_candidate_vertices(p, q, tol)
+    # dropped points repeat the first vertex and add zero-length edges
+    rel = np.where(keep[..., None], rel, rel[:, :1])
+    return np.maximum(0.5 * _cross_last(rel, _next_vertex(rel)).sum(axis=1), 0.0)
+
+
+def _rect_corners(center, rows):
+    """Counter-clockwise corners (K, 4, 2) of K rectangles given their
+    centers (K, 2) and box rows (K, 5) (cx, cy, along, across, theta)."""
+    t = np.radians(rows[:, 4])
+    c, s = np.cos(t), np.sin(t)
+    axes = np.stack([c, s, -s, c], axis=1).reshape(-1, 2, 2)  # unit vectors along, across
+    signs = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
+    return (signs * (rows[:, None, 2:4] / 2.0)) @ axes + center[:, None]
+
+
+def sorted_candidate_iou_matrix(a, b):
+    """IoU (N, M) of every pair of (N, 5) and (M, 5) box rows by
+    sorted_candidate_area, with the arithmetic of the library's kernel
+    before the edge clipper: a frame centred on the ``a`` box and a
+    tolerance of REL_EPS times the sum of the two circumradii. Every pair
+    goes through the candidates; none is pruned."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    i, j = np.divmod(np.arange(len(a) * len(b)), len(b))
+    pa, pb = a[i], b[j]
+    offset = pb[:, :2] - pa[:, :2]
+    reach = np.hypot(pa[:, 2], pa[:, 3]) / 2.0 + np.hypot(pb[:, 2], pb[:, 3]) / 2.0
+    inter = sorted_candidate_area(_rect_corners(np.zeros_like(offset), pa), _rect_corners(offset, pb), REL_EPS * reach)
+    iou = np.clip(inter / (pa[:, 2] * pa[:, 3] + pb[:, 2] * pb[:, 3] - inter), 0.0, 1.0)
+    return iou.reshape(len(a), len(b))
 
 
 def vertex_set_equal(q1, q2, tol=1e-9):

@@ -216,6 +216,14 @@ class TestBatchOps:
             assert np.array_equal(encode_batch(thetas, cfg), expected)
             assert np.array_equal(encode(thetas[7], cfg).values, expected[7])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_rejected(self, bad):
+        for thetas in ([bad], [0.0, bad, 45.0]):
+            with pytest.raises(ValueError):
+                encode_batch(thetas, GAUSS6)
+        with pytest.raises(ValueError):
+            encode(bad, GAUSS6)
+
     def test_decode_batch_shape_error(self):
         with pytest.raises(ValueError):
             decode_batch(np.ones((3, 7)), GAUSS6)

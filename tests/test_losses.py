@@ -307,6 +307,31 @@ class TestMultiTaskLossBatched:
         with pytest.raises(ValueError):
             multi_task_loss(batch, branch="csl")
 
+    @pytest.mark.parametrize("csl_mode", ["sigmoid_ce", "focal"])
+    def test_csl_term_ignores_background_rows(self, csl_mode):
+        # a few foreground rows among many background ones, as in training
+        rng = np.random.default_rng(4)
+        batch = _random_batch(rng, 300, "csl")
+        batch.obj = (rng.random(300) < 0.05).astype(float)
+        weights = LossWeights(0.7, 0.3, 1.3)
+        got = multi_task_loss(batch, weights, branch="csl", csl_mode=csl_mode)
+        assert got == pytest.approx(loop_multi_task_loss(batch, weights, "csl", csl_mode, "sigmoid_ce"), rel=1e-12, abs=0.0)
+        # the background rows' circular-label inputs do not count
+        bg = batch.obj == 0.0
+        batch.csl_logits[bg] = rng.normal(scale=30.0, size=(int(bg.sum()), 180))
+        batch.csl_target[bg] = 1.0 - batch.csl_target[bg]
+        assert multi_task_loss(batch, weights, branch="csl", csl_mode=csl_mode) == pytest.approx(got, rel=1e-12, abs=0.0)
+
+    def test_all_background_and_nan_obj(self):
+        batch = _random_batch(np.random.default_rng(5), 7, "csl")
+        batch.obj[:] = 0.0
+        weights = LossWeights(0.0, 1.0, 0.0)
+        assert multi_task_loss(batch, weights, branch="csl") == 0.0
+        with pytest.raises(ValueError):
+            multi_task_loss(batch, weights, branch="csl", csl_mode="hinge")
+        batch.obj[3] = math.nan
+        assert math.isnan(multi_task_loss(batch, weights, branch="csl"))
+
     def test_unknown_mode_or_branch_rejected(self):
         batch = _random_batch(np.random.default_rng(3), 7, "csl")
         for kwargs in (dict(csl_mode="hinge"), dict(cls_mode="hinge"), dict(branch="angle")):

@@ -33,6 +33,7 @@ from oracles import (
     concentric_rect_iou,
     mc_iou,
     shoelace_area,
+    sorted_candidate_iou_matrix,
     vertex_set_equal,
 )
 
@@ -599,6 +600,104 @@ class TestIouPairs:
         bad[1, 3] = math.nan
         with pytest.raises(InvalidGeometryError):
             rotated_iou_pairs(rows, bad)
+
+
+def _random_rows(rng, n, spread):
+    """(n, 5) box rows with centres in [-spread, spread]^2, sides in
+    [0.5, 6] and any angle, not canonicalized."""
+    return np.column_stack([rng.uniform(-spread, spread, (n, 2)), rng.uniform(0.5, 6.0, (n, 2)),
+                            rng.uniform(-180.0, 180.0, n)])
+
+
+def _turned(rows, degrees):
+    """The same rectangles with the sides swapped and theta turned by
+    `degrees` (a multiple of 90)."""
+    out = rows.copy()
+    if degrees % 180:
+        out[:, 2:4] = rows[:, 3:1:-1]
+    out[:, 4] += degrees
+    return out
+
+
+class TestEdgeClipKernel:
+    """The Green's-theorem edge clipper against the sorted-candidate
+    kernel it replaced, the scalar clipper and closed forms."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_sets_against_both_oracles(self, seed):
+        # 50 x 50 pairs, more than one kernel chunk, crowded enough that
+        # most pairs overlap and some are pruned
+        rng = np.random.default_rng(100 + seed)
+        a, b = _random_rows(rng, 50, 3.0), _random_rows(rng, 50, 3.0)
+        got = rotated_iou_matrix(a, b)
+        assert got.size > PAIR_CHUNK
+        assert 0.5 < np.count_nonzero(got) / got.size < 1.0
+        assert np.abs(got - sorted_candidate_iou_matrix(a, b)).max() <= 1e-14
+        boxes_a = [canonicalize180(*row) for row in a[:12]]
+        boxes_b = [canonicalize180(*row) for row in b[:12]]
+        want = np.array([[clipped_iou(x, y) for y in boxes_b] for x in boxes_a])
+        assert np.abs(rotated_iou_matrix(box_rows(boxes_a), box_rows(boxes_b)) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("long, short", [(9.0, 1.0), (100.0, 0.1), (1000.0, 1.0), (1000.0, 1e-3)])
+    @pytest.mark.parametrize("fraction", [1e-3, 0.1, 0.5, 0.9, 1.0])
+    def test_sliver_closed_form(self, long, short, fraction):
+        # turned by up to the largest angle the closed form covers; at
+        # theta 0 the corners of the first box are exact
+        delta = math.degrees(2 * math.atan(short / long)) * fraction
+        want = concentric_rect_iou(long, short, delta)
+        for cx, cy in ((0.0, 0.0), (123.0, -45.0)):
+            a = np.array([[cx, cy, long, short, 0.0]])
+            b = np.array([[cx, cy, long, short, delta]])
+            assert rotated_iou_matrix(a, b)[0, 0] == pytest.approx(want, abs=1e-12)
+            assert rotated_iou_matrix(b, a)[0, 0] == pytest.approx(want, abs=1e-12)
+
+    def test_one_box_in_both_parameterizations(self):
+        a = np.array([[0.0, 0.0, 4.0, 2.0, 30.0]])
+        assert rotated_iou_matrix(a, np.array([[0.0, 0.0, 2.0, 4.0, -60.0]]))[0, 0] == pytest.approx(1.0, abs=1e-12)
+        rows = _random_rows(np.random.default_rng(7), 40, 3.0)
+        for degrees in (-90.0, 90.0, 180.0, -180.0):
+            assert rotated_iou_pairs(rows, _turned(rows, degrees)) == pytest.approx(np.ones(40), abs=1e-12)
+            assert rotated_iou_pairs(_turned(rows, degrees), rows) == pytest.approx(np.ones(40), abs=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.0, 30.0, -45.0, 89.0])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_shared_edges(self, theta, scale):
+        base = _box(3.0 * scale, -2.0 * scale, 4.0 * scale, 2.0 * scale, theta)
+        t = math.radians(theta)
+
+        def at(along, across, long, short):
+            # a long x short box at base's angle, moved in base's frame
+            return _box(base.cx + (along * math.cos(t) - across * math.sin(t)) * scale,
+                        base.cy + (along * math.sin(t) + across * math.cos(t)) * scale, long * scale, short * scale, theta)
+
+        cases = {
+            # same direction: half of the box, sharing three of its edges
+            "half": (at(1.0, 0.0, 2.0, 2.0), 0.5),
+            "half, other end": (at(-1.0, 0.0, 2.0, 2.0), 0.5),
+            "strip": (at(0.0, 0.5, 4.0, 1.0), 0.5),
+            "longer, one side shared": (at(2.0, 0.0, 8.0, 2.0), 0.5),
+            # opposite directions: touching along a whole edge or part of one
+            "touching side": (at(0.0, 2.0, 4.0, 2.0), 0.0),
+            "touching end": (at(4.0, 0.0, 4.0, 2.0), 0.0),
+            "touching, offset": (at(1.5, -2.0, 4.0, 2.0), 0.0),
+            "touching, smaller": (at(0.5, 1.5, 2.0, 1.0), 0.0),
+        }
+        for name, (other, want) in cases.items():
+            assert rotated_iou(base, other) == pytest.approx(want, abs=1e-12), name
+            assert rotated_iou(other, base) == pytest.approx(want, abs=1e-12), name
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+    def test_scale_invariance(self, scale):
+        rng = np.random.default_rng(8)
+        a, b = _random_rows(rng, 30, 3.0), _random_rows(rng, 30, 3.0)
+        factor = np.array([scale, scale, scale, scale, 1.0])
+        assert np.abs(rotated_iou_matrix(a * factor, b * factor) - rotated_iou_matrix(a, b)).max() <= 1e-12
+
+    def test_touching_contacts_give_no_vertices(self):
+        square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        for other in ([(1, 0), (2, 0), (2, 1), (1, 1)], [(1, 1), (2, 1), (2, 2), (1, 2)],
+                      [(1, 0.5), (2, 0.5), (2, 1.5), (1, 1.5)]):
+            assert convex_intersection(square, other).shape == (0, 2)
 
 
 def _random_convex(rng, n_points):
