@@ -70,8 +70,7 @@ def _emit(args, payload_json, rows, header):
         out = open(args.output, "w")
     try:
         if args.format == "json":
-            json.dump(payload_json, out, indent=2)
-            out.write("\n")
+            out.write(json.dumps(payload_json, indent=2) + "\n")
         else:
             out.write(",".join(header) + "\n")
             for row in rows:
@@ -231,6 +230,9 @@ def _cmd_nms(args):
 
 def _cmd_eval(args):
     table = _class_table(args.classes)
+    unknown = [c for c in args.subset if c not in table]
+    if unknown:
+        raise ValueError(f"--subset class {unknown[0]!r} is not one of --classes")
     dets = evaluation.parse_detections(Path(args.dets).read_text(), table)
     gts = []
     for path in sorted(Path(args.ann_dir).iterdir()):

@@ -132,10 +132,7 @@ def decode(scores, cfg):
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (cfg.bin_count,):
         raise ValueError(f"expected shape ({cfg.bin_count},), got {scores.shape}")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("non-finite scores")
-    b = int(np.argmax(scores))
-    return cfg.range_min + (b + 0.5) * cfg.omega
+    return float(decode_batch(scores[None], cfg)[0])
 
 
 def encode_batch(thetas, cfg):

@@ -13,8 +13,10 @@ pairs of all images in one call. IoU thresholds must lie in [0, 1].
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -24,6 +26,8 @@ from .rotgeom import (InvalidGeometryError, OrientedBox180, box_rows, canonicali
                       rotated_iou_pairs)
 
 log = logging.getLogger(__name__)
+
+_VOC07_RECALLS = np.linspace(0.0, 1.0, 11) - 1e-12  # slack: a recall that rounds just below a point still reaches it
 
 
 class AnnotationParseError(ValueError):
@@ -132,20 +136,18 @@ def rotated_nms(dets, iou_thresh=0.1):
     return batched_rotated_nms([dets], iou_thresh)[0]
 
 
-def _voc07_ap(recall, precision):
-    ap = 0.0
-    for t in np.linspace(0.0, 1.0, 11):
-        mask = recall >= t - 1e-12
-        ap += precision[mask].max() if mask.any() else 0.0
-    return ap / 11.0
-
-
-def _voc12_ap(recall, precision):
-    r = np.concatenate(([0.0], recall, [1.0]))
+def _ap(recall, precision):
+    """(VOC07, VOC12) AP of a non-empty curve from one monotonized
+    precision: VOC07 averages it at the recalls 0, 0.1, ..., 1 (0 past
+    the last recall), VOC12 integrates it over recall."""
     p = np.concatenate(([0.0], precision, [0.0]))
     p = np.maximum.accumulate(p[::-1])[::-1]  # monotonized: the best precision at any higher recall
-    idx = np.where(r[1:] != r[:-1])[0]
-    return float(np.sum((r[idx + 1] - r[idx]) * p[idx + 1]))
+    r = np.concatenate(([0.0], recall, [1.0]))
+    idx = np.flatnonzero(r[1:] != r[:-1])
+    voc12 = float(np.sum((r[idx + 1] - r[idx]) * p[idx + 1]))
+    # left to right: np.sum (pairwise from 8 terms) or sum() (compensated from Python 3.12) can move the last bit
+    voc07 = functools.reduce(operator.add, p[1 + np.searchsorted(recall, _VOC07_RECALLS)].tolist()) / 11.0
+    return voc07, voc12
 
 
 def compute_ap(dets, gts, iou_thresh=0.5, metric="voc12"):
@@ -185,50 +187,35 @@ def _hits(dets, gts, iou_thresh):
     return hits
 
 
-def _pr_and_ap(scores, hits, gts, n_pos):
-    """AP, recall and precision of one class's detections, given their
-    scores and hits (indices into gts, or -1) and the class's number of
-    non-difficult gts."""
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    matched = set()
-    tp = np.zeros(len(order))
-    fp = np.zeros(len(order))
-    for rank, di in enumerate(order):
-        gi = int(hits[di])
-        if gi >= 0 and gts[gi].difficult:
-            continue  # neither TP nor FP
-        if gi >= 0 and gi not in matched:
-            matched.add(gi)
-            tp[rank] = 1
-        else:
-            fp[rank] = 1
-    tp_c = np.cumsum(tp)
-    fp_c = np.cumsum(fp)
-    recall = tp_c / n_pos if n_pos > 0 else np.zeros(len(order))
-    precision = np.where(tp_c + fp_c > 0, tp_c / np.maximum(tp_c + fp_c, 1e-12), 0.0)
-    if len(order) == 0 or n_pos == 0:
-        return {"voc07": 0.0, "voc12": 0.0}, recall, precision
-    return {"voc07": _voc07_ap(recall, precision), "voc12": _voc12_ap(recall, precision)}, recall, precision
-
-
 def evaluate(dets, gts, class_names, iou_thresh=0.5):
-    """Per-class AP under both conventions plus the mean over classes.
-    Raises ValueError for a detection class id outside class_names or an
-    iou_thresh outside [0, 1]."""
+    """Per-class AP under both conventions plus the mean over classes,
+    from one ranking of all detections by (class, score desc, index): the
+    first to match a gt is a TP, one matching a difficult gt neither TP
+    nor FP, any other an FP. Raises ValueError for a detection class id
+    outside class_names or an iou_thresh outside [0, 1]."""
     _check_iou_thresh(iou_thresh)
-    for d in dets:
-        if not 0 <= d.class_id < len(class_names):
-            raise ValueError(f"class id {d.class_id} of a detection in image {d.image_id!r} is outside the "
-                             f"{len(class_names)} classes")
-    hits = _hits(dets, gts, iou_thresh)
-    det_class = np.array([d.class_id for d in dets], dtype=int)
+    det_class = np.array([d.class_id for d in dets])  # an id beyond int64 becomes an object and fails the check too
+    bad = np.flatnonzero((det_class < 0) | (det_class >= len(class_names)))
+    if bad.size:
+        d = dets[bad[0]]
+        raise ValueError(f"class id {d.class_id} of a detection in image {d.image_id!r} is outside the "
+                         f"{len(class_names)} classes")
+    order = np.lexsort((-np.array([d.score for d in dets], dtype=float), det_class))  # stable: ties keep input order
+    hit = _hits(dets, gts, iou_thresh)[order]
+    counted = ~np.array([g.difficult for g in gts] + [False], dtype=bool)[hit]  # hit -1 reads the sentinel: an FP
+    first = np.zeros(len(hit), dtype=bool)
+    first[np.unique(hit, return_index=True)[1]] = True
+    tp = counted & first & (hit >= 0)
+    fp = counted & ~tp
+    bounds = np.searchsorted(det_class[order], np.arange(len(class_names) + 1))
     n_pos = Counter(g.class_id for g in gts if not g.difficult)
     ap07, ap12, curves = {}, {}, {}
-    for cid, name in enumerate(class_names):
-        di = np.flatnonzero(det_class == cid)
-        ap, recall, precision = _pr_and_ap([dets[i].score for i in di], hits[di], gts, n_pos[cid])
-        ap07[name] = ap["voc07"]
-        ap12[name] = ap["voc12"]
+    for cid, (name, lo, hi) in enumerate(zip(class_names, bounds[:-1], bounds[1:])):
+        n = n_pos[cid]
+        tp_c, fp_c = np.cumsum([tp[lo:hi], fp[lo:hi]], axis=1, dtype=float)
+        recall = tp_c / n if n > 0 else np.zeros(hi - lo)
+        precision = np.where(tp_c + fp_c > 0, tp_c / np.maximum(tp_c + fp_c, 1e-12), 0.0)
+        ap07[name], ap12[name] = _ap(recall, precision) if hi > lo and n > 0 else (0.0, 0.0)
         curves[name] = (recall.tolist(), precision.tolist())
     map07 = float(np.mean(list(ap07.values()))) if ap07 else 0.0
     map12 = float(np.mean(list(ap12.values()))) if ap12 else 0.0
@@ -318,7 +305,7 @@ def parse_detections(text, class_table, quad_form=False):
         image_id, cls_tok, score_tok = tokens[0], tokens[1], tokens[2]
         if cls_tok in class_table:
             cid = class_table[cls_tok]
-        elif cls_tok.lstrip("-").isdigit():
+        elif cls_tok.removeprefix("-").isdecimal():  # exactly the tokens int() takes
             cid = int(cls_tok)
         else:
             raise AnnotationParseError(f"unknown class {cls_tok!r}", line_no)

@@ -3,14 +3,17 @@ rasterization IoU, closed-form IoU of concentric congruent rectangles,
 a scalar Sutherland-Hodgman clipper and the rotated IoU built on it,
 the batched sorted-candidate IoU (the library's kernel before the edge
 clipper), vertex-set comparison, brute-force minimum rectangle, central
-finite differences, a per-quad rotating-calipers loop and a per-anchor
-loop over the multi-task loss. Deliberately avoid the library's own
-clipping / calipers / loss code paths."""
+finite differences, a per-quad rotating-calipers loop, a per-anchor
+loop over the multi-task loss and the per-class sort-and-loop AP of
+evaluate. Deliberately avoid the library's own clipping / calipers /
+loss / AP code paths."""
 
 import math
+from collections import Counter
 
 import numpy as np
 
+from cslkit.evaluation import EvalReport, _hits
 from cslkit.rotgeom import EPS, REL_EPS, InvalidGeometryError, canonicalize180, to_quad
 
 MC_CHUNK = 1 << 16
@@ -340,3 +343,63 @@ def loop_multi_task_loss(batch, weights, branch, csl_mode, cls_mode, alpha=0.25,
             csl += batch.obj[i] * label_loss(batch.csl_logits[i], batch.csl_target[i], csl_mode)
         cls += label_loss(batch.cls_logits[i], batch.cls_target[i], cls_mode)
     return (weights.lambda1 * reg + weights.lambda2 * csl + weights.lambda3 * cls) / batch.count
+
+
+def voc07_ap(recall, precision):
+    ap = 0.0
+    for t in np.linspace(0.0, 1.0, 11):
+        mask = recall >= t - 1e-12
+        ap += precision[mask].max() if mask.any() else 0.0
+    return ap / 11.0
+
+
+def voc12_ap(recall, precision):
+    r = np.concatenate(([0.0], recall, [1.0]))
+    p = np.concatenate(([0.0], precision, [0.0]))
+    p = np.maximum.accumulate(p[::-1])[::-1]  # monotonized: the best precision at any higher recall
+    idx = np.where(r[1:] != r[:-1])[0]
+    return float(np.sum((r[idx + 1] - r[idx]) * p[idx + 1]))
+
+
+def pr_and_ap(scores, hits, gts, n_pos):
+    """AP, recall and precision of one class's detections, given their
+    scores and hits (indices into gts, or -1) and the class's number of
+    non-difficult gts."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    matched = set()
+    tp = np.zeros(len(order))
+    fp = np.zeros(len(order))
+    for rank, di in enumerate(order):
+        gi = int(hits[di])
+        if gi >= 0 and gts[gi].difficult:
+            continue  # neither TP nor FP
+        if gi >= 0 and gi not in matched:
+            matched.add(gi)
+            tp[rank] = 1
+        else:
+            fp[rank] = 1
+    tp_c = np.cumsum(tp)
+    fp_c = np.cumsum(fp)
+    recall = tp_c / n_pos if n_pos > 0 else np.zeros(len(order))
+    precision = np.where(tp_c + fp_c > 0, tp_c / np.maximum(tp_c + fp_c, 1e-12), 0.0)
+    if len(order) == 0 or n_pos == 0:
+        return {"voc07": 0.0, "voc12": 0.0}, recall, precision
+    return {"voc07": voc07_ap(recall, precision), "voc12": voc12_ap(recall, precision)}, recall, precision
+
+
+def loop_evaluate(dets, gts, class_names, iou_thresh=0.5):
+    """evaluate's report with each class's detections sorted and walked
+    one at a time (pr_and_ap); the matching is the library's _hits."""
+    hits = _hits(dets, gts, iou_thresh)
+    det_class = np.array([d.class_id for d in dets], dtype=int)
+    n_pos = Counter(g.class_id for g in gts if not g.difficult)
+    ap07, ap12, curves = {}, {}, {}
+    for cid, name in enumerate(class_names):
+        di = np.flatnonzero(det_class == cid)
+        ap, recall, precision = pr_and_ap([dets[i].score for i in di], hits[di], gts, n_pos[cid])
+        ap07[name] = ap["voc07"]
+        ap12[name] = ap["voc12"]
+        curves[name] = (recall.tolist(), precision.tolist())
+    map07 = float(np.mean(list(ap07.values()))) if ap07 else 0.0
+    map12 = float(np.mean(list(ap12.values()))) if ap12 else 0.0
+    return EvalReport(ap07=ap07, ap12=ap12, map07=map07, map12=map12, pr_curves=curves)

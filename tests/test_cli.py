@@ -235,6 +235,14 @@ class TestNmsAndEval(object):
         code, _ = run(capsys, "nms", "--dets", "/nonexistent.txt")
         assert code == 2
 
+    def test_subset_outside_classes_is_data_error(self, capsys):
+        # checked before any file is read, so the missing files are not reported
+        code = main(["eval", "--dets", "/nonexistent.txt", "--ann-dir", "/nonexistent", "--classes", "ship",
+                     "--subset", "ship", "plane"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: --subset class 'plane' is not one of --classes\n"
+
 
 # DOTA fixture of the golden test: header lines, vertex orders starting at
 # different corners and running either way, a non-convex quad (line 5 of
@@ -326,7 +334,7 @@ class TestClassIds:
         (ann / "im1.txt").write_text("0 0 4 0 4 2 0 2 ship 0\n")
         return str(dets), str(ann)
 
-    @pytest.mark.parametrize("class_tok", ["-1", "2", "9"])
+    @pytest.mark.parametrize("class_tok", ["-1", "2", "9", "99999999999999999999"])
     def test_eval_rejects_out_of_range_id(self, tmp_path, capsys, class_tok):
         dets, ann = self._files(tmp_path, class_tok)
         code = main(["eval", "--dets", dets, "--ann-dir", ann, "--classes", "ship", "plane"])
@@ -339,11 +347,20 @@ class TestClassIds:
         payload = run_json(capsys, "eval", "--dets", dets, "--ann-dir", ann, "--classes", "ship", "plane")
         assert payload["ap12"] == {"ship": 1.0, "plane": 0.0}
 
-    @pytest.mark.parametrize("class_tok", ["-1", "9"])
+    @pytest.mark.parametrize("class_tok", ["-1", "9", "\u0663"])  # the last is an Arabic-Indic 3, which int() reads
     def test_nms_keeps_integer_ids(self, tmp_path, capsys, class_tok):
         dets, _ = self._files(tmp_path, class_tok)
         payload = run_json(capsys, "nms", "--dets", dets, "--classes", "ship")
         assert [d["class_id"] for d in payload["kept"]] == sorted([int(class_tok), 0])
+
+    @pytest.mark.parametrize("class_tok", ["--1", "\u00b2", "-\u00b2", "-"])
+    def test_digit_like_class_token_names_its_line(self, tmp_path, capsys, class_tok):
+        # "--1" and the superscript two pass str.isdigit, but int() rejects them
+        dets, _ = self._files(tmp_path, class_tok)
+        code = main(["nms", "--dets", dets, "--classes", "ship"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: line 2: unknown class {class_tok!r}\n"
 
 
 class TestUsageErrors:

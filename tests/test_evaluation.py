@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from cslkit.evaluation import (
     rotated_nms,
 )
 from cslkit.rotgeom import InvalidGeometryError, canonicalize180, rotated_iou, to_quad
-from oracles import clipped_iou
+from oracles import clipped_iou, loop_evaluate
 
 CLASSES = {"ship": 0, "plane": 1}
 
@@ -212,7 +213,7 @@ class TestPerImageMatching:
         dets = [det(0.9, cls=0)]
         assert compute_ap(dets, gts) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("class_id", [-1, 2, 7])
+    @pytest.mark.parametrize("class_id", [-1, 2, 7, 2**70])
     def test_out_of_range_class_id_raises(self, class_id):
         dets = [det(0.9), det(0.8, image="P7", cls=class_id)]
         with pytest.raises(ValueError, match=rf"class id {class_id} .*'P7'"):
@@ -321,6 +322,67 @@ class TestOneCallMatching:
         report = evaluate(dets, [gt(image="a"), gt(image="c", cls=1)], ["ship", "plane"])
         assert report.pr_curves["ship"] == ([1.0, 1.0], [1.0, 0.5])
         assert report.pr_curves["plane"] == ([0.0], [0.0])
+
+
+def _ranking_scene(rng):
+    """Detections and gts for the AP pass: 1-5 classes plus one without
+    detections, 1-3 images, 20% difficult gts (so some classes have no
+    positives, and some scenes no gts), exact gt copies among the
+    detections (several matches of one gt) and scores from five values
+    (ties)."""
+    classes, images = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    gts = [gt(*rng.uniform(0, 20, 2), *rng.uniform(2, 8, 2), rng.uniform(-90, 90), image=f"im{rng.integers(images)}",
+              cls=int(rng.integers(classes)), difficult=bool(rng.random() < 0.2))
+           for _ in range(rng.integers(0, 16))]
+    dets = []
+    for _ in range(rng.integers(0, 40)):
+        score = int(rng.integers(1, 6)) / 5
+        if not gts or rng.random() < 0.3:
+            dets.append(det(score, *rng.uniform(0, 20, 2), *rng.uniform(2, 8, 2), rng.uniform(-90, 90),
+                            image=f"im{rng.integers(images)}", cls=int(rng.integers(classes))))
+            continue
+        g = gts[rng.integers(len(gts))]
+        if rng.random() < 0.4:
+            dets.append(DetectionRecord(g.image_id, g.class_id, g.box, score))
+            continue
+        j = rng.normal(0, 1.0, 5) * (1, 1, 0.5, 0.5, 8)
+        b = g.box
+        dets.append(det(score, b.cx + j[0], b.cy + j[1], b.h + abs(j[2]), b.w + abs(j[3]), b.theta + j[4],
+                        image=g.image_id, cls=g.class_id))
+    return dets, gts, [f"c{k}" for k in range(classes + 1)]
+
+
+class TestOneRankingPass:
+    """evaluate's one ranking of all detections against the per-class
+    sort-and-loop oracle: the same report, bit for bit."""
+
+    def test_matches_loop_oracle(self):
+        seen = Counter()
+        for seed in range(80):
+            dets, gts, names = _ranking_scene(np.random.default_rng(seed))
+            for thresh in (0.0, 0.5, 1.0):
+                report, want = evaluate(dets, gts, names, thresh), loop_evaluate(dets, gts, names, thresh)
+                assert report.to_dict() == want.to_dict()
+                assert report.to_json() == want.to_json()
+                hits = evaluation._hits(dets, gts, thresh)
+                matched = hits[hits >= 0]
+                seen["repeat match"] += len(matched) > len(set(matched.tolist()))
+                seen["difficult match"] += any(gts[h].difficult for h in matched)
+            seen["tied scores"] += len({(d.class_id, d.score) for d in dets}) < len(dets)
+            seen["no gts"] += not gts
+            seen["no positives"] += any(not any(g.class_id == c and not g.difficult for g in gts)
+                                        for c in {d.class_id for d in dets})
+        assert min(seen[k] for k in ("repeat match", "difficult match", "tied scores", "no gts", "no positives")) > 0
+
+    def test_tied_scores_keep_input_order(self):
+        near, far = det(0.5), det(0.5, cx=50)
+        assert evaluate([far, near], [gt()], ["ship"]).pr_curves["ship"] == ([0.0, 1.0], [0.0, 0.5])
+        assert evaluate([near, far], [gt()], ["ship"]).pr_curves["ship"] == ([1.0, 1.0], [1.0, 0.5])
+
+    def test_first_bad_class_id_is_reported(self):
+        dets = [det(0.9), det(0.8, cls=7, image="a"), det(0.7, cls=-1, image="b")]
+        with pytest.raises(ValueError, match="class id 7 of a detection in image 'a' is outside the 2 classes"):
+            evaluate(dets, [], ["ship", "plane"])
 
 
 class TestComputeAp:
