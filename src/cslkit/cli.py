@@ -18,7 +18,7 @@ import numpy as np
 
 from . import csl_codec, evaluation, losses, targets
 from .csl_codec import CslCodecConfig
-from .rotgeom import InvalidGeometryError, canonicalize180, rotated_iou
+from .rotgeom import InvalidGeometryError, OrientedBox180, canonicalize180, rotated_iou
 
 SCHEMA_VERSION = 1
 
@@ -202,42 +202,42 @@ def _cmd_targets(args):
     _emit(args, payload, rows, ("anchor", "label", "matched_gt", "max_iou"))
 
 
-def _class_table(names):
+def _class_table(names, option="--classes"):
+    twice = [name for i, name in enumerate(names) if name in names[:i]]
+    if twice:
+        raise ValueError(f"{option} lists {twice[0]!r} twice")
     return {name: i for i, name in enumerate(names)}
 
 
 def _cmd_nms(args):
     table = _class_table(args.classes)
-    dets = evaluation.parse_detections(Path(args.dets).read_text(), table)
-    groups = {}
-    for d in dets:
-        groups.setdefault((d.image_id, d.class_id), []).append(d)
-    kept = [d for group in evaluation.batched_rotated_nms([groups[key] for key in sorted(groups)], args.iou_thresh)
-            for d in group]
-    rows = [
-        (d.image_id, d.class_id, d.score, d.box.cx, d.box.cy, d.box.h, d.box.w, d.box.theta) for d in kept
-    ]
+    image_ids, class_ids, scores, rows = evaluation.parse_detections(Path(args.dets).read_text(), table)
+    keys = list(zip(image_ids, class_ids))
+    rank = {key: g for g, key in enumerate(sorted(set(keys)))}  # kept detections come out by (image, class)
+    kept = evaluation.batched_rotated_nms(rows, scores, [rank[key] for key in keys], args.iou_thresh)
+    out = [(image_ids[k], class_ids[k], *v) for k, v in zip(kept.tolist(), np.column_stack([scores, rows])[kept].tolist())]
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "kept": [
-            {"image_id": d.image_id, "class_id": d.class_id, "score": d.score,
-             "box": [d.box.cx, d.box.cy, d.box.h, d.box.w, d.box.theta]}
-            for d in kept
-        ],
+        "kept": [{"image_id": image_id, "class_id": cid, "score": score, "box": box} for image_id, cid, score, *box in out],
     }
-    _emit(args, payload, rows, ("image_id", "class_id", "score", "cx", "cy", "h", "w", "theta"))
+    _emit(args, payload, out, ("image_id", "class_id", "score", "cx", "cy", "h", "w", "theta"))
 
 
 def _cmd_eval(args):
     table = _class_table(args.classes)
-    unknown = [c for c in args.subset if c not in table]
+    unknown = [c for c in _class_table(args.subset, "--subset") if c not in table]
     if unknown:
         raise ValueError(f"--subset class {unknown[0]!r} is not one of --classes")
-    dets = evaluation.parse_detections(Path(args.dets).read_text(), table)
+    image_ids, class_ids, scores, rows = evaluation.parse_detections(Path(args.dets).read_text(), table)
+    dets = [evaluation.DetectionRecord(image_id, cid, OrientedBox180(*row), score)
+            for image_id, cid, score, row in zip(image_ids, class_ids, scores.tolist(), rows.tolist())]
     gts = []
     for path in sorted(Path(args.ann_dir).iterdir()):
-        if path.is_file():
-            gts.extend(evaluation.ingest_dota(path.read_text(), path.stem, table, strict=args.strict))
+        if path.is_file() and not path.name.startswith("."):  # hidden files such as .DS_Store are not annotations
+            try:
+                gts.extend(evaluation.ingest_dota(path.read_text(), path.stem, table, strict=args.strict))
+            except (ValueError, OSError) as exc:
+                raise ValueError(f"{path.name}: {exc}") from exc
     report = evaluation.evaluate(dets, gts, args.classes, iou_thresh=args.iou_thresh)
     payload = report.to_dict()
     if args.subset:

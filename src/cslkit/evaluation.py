@@ -6,9 +6,10 @@ lines (first token non-numeric) skipped. Detection files carry one line
 per detection: "image_id class score cx cy h w theta" (long-edge box
 convention), or a quad form "image_id class score x1 y1 ... x4 y4".
 
-NMS runs any number of groups in lockstep, one rotated_iou_pairs call
-per round; matching computes the same-image, same-class (detection, gt)
-pairs of all images in one call. IoU thresholds must lie in [0, 1].
+Detection files parse into columns (image ids, class ids, scores and
+(N, 5) long-edge rows), on which NMS runs all groups in lockstep, one
+rotated_iou_pairs call per round; matching computes the same-image,
+same-class pairs of all images in one call. IoU thresholds lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .rotgeom import (InvalidGeometryError, OrientedBox180, box_rows, canonicalize180, min_area_rects, quad_to_box180,
-                      rotated_iou_pairs)
+from .rotgeom import InvalidGeometryError, OrientedBox180, box_rows, canonicalize180_rows, min_area_rects, rotated_iou_pairs
 
 log = logging.getLogger(__name__)
 
@@ -67,6 +67,8 @@ class EvalReport:
     pr_curves: dict = field(default_factory=dict)  # class name -> (recall, precision)
 
     def subset_map(self, class_names, metric="voc12"):
+        if metric not in ("voc07", "voc12"):
+            raise ValueError(f"unknown metric {metric!r}")
         aps = self.ap12 if metric == "voc12" else self.ap07
         vals = [aps[c] for c in class_names]
         return float(np.mean(vals)) if vals else 0.0
@@ -92,48 +94,45 @@ def _check_iou_thresh(iou_thresh):
         raise ValueError(f"IoU threshold {iou_thresh} is not a number in [0, 1]")
 
 
-def batched_rotated_nms(groups, iou_thresh=0.1):
-    """rotated_nms of each detection list in groups, all groups in
-    lockstep; returns each group's kept detections in input order.
+def batched_rotated_nms(rows, scores, groups, iou_thresh=0.1):
+    """Greedy rotated NMS of each group of N detections, given as long-edge
+    box rows (N, 5), scores (N,) and integer group ids (N,), all groups in
+    lockstep; returns the kept positions sorted by group, then position.
 
-    Each group is sorted by (score desc, input index). Each round keeps
+    Each group is sorted by (score desc, position). Each round keeps
     every group's next live detection and suppresses the later live ones
     of its group whose rotated IoU with it is above iou_thresh, the pairs
     of all groups in one rotated_iou_pairs call, so there are as many
     rounds as the most detections any group keeps. Raises ValueError for
     an iou_thresh outside [0, 1]."""
     _check_iou_thresh(iou_thresh)
-    flat = [d for group in groups for d in group]
-    sizes = [len(group) for group in groups]
-    gid = np.repeat(np.arange(len(groups)), sizes)
-    order = np.lexsort((-np.array([d.score for d in flat], dtype=float), gid))  # stable: ties keep input order
-    rows = box_rows([flat[i].box for i in order])
-    keep = np.zeros(len(flat), dtype=bool)
-    owner_of = np.zeros(len(groups), dtype=int)  # each group's kept detection of the round
+    groups = np.asarray(groups, dtype=int)
+    order = np.lexsort((-np.asarray(scores, dtype=float), groups))  # stable: ties keep input order
+    rows = np.asarray(rows, dtype=float).take(order, axis=0)
+    keep = np.zeros(len(order), dtype=bool)
     # sorted positions of the live detections (row 0) and their groups (row 1)
-    live = np.stack([np.arange(len(flat)), gid[order]])
+    live = np.stack([np.arange(len(order)), groups[order]])
     while live.shape[1]:
         head = np.empty(live.shape[1], dtype=bool)  # each group's first live detection
         head[0] = True
         np.not_equal(live[1, 1:], live[1, :-1], out=head[1:])
-        owner = live[0].compress(head)
-        keep[owner] = True
-        owner_of[live[1].compress(head)] = owner
-        live = live.compress(~head, axis=1)
+        keep[live[0].compress(head)] = True
+        owner = live[0].take(np.maximum.accumulate(np.where(head, np.arange(len(head)), 0)))  # its group's head
+        live, owner = live.compress(~head, axis=1), owner.compress(~head)
         if not live.shape[1]:
             break
-        survive = rotated_iou_pairs(rows.take(live[0], axis=0), rows.take(owner_of[live[1]], axis=0)) <= iou_thresh
+        survive = rotated_iou_pairs(rows.take(live[0], axis=0), rows.take(owner, axis=0)) <= iou_thresh
         live = live.compress(survive, axis=1)
-    kept = np.sort(order[keep])
-    bounds = np.searchsorted(kept, np.cumsum([0, *sizes]))
-    return [[flat[i] for i in kept[lo:hi]] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    kept = order[keep]
+    return kept[np.lexsort((kept, groups[kept]))]
 
 
 def rotated_nms(dets, iou_thresh=0.1):
     """Greedy descending-score suppression with rotated IoU; stable sort
     (score desc, then input index) makes the result deterministic. A
     batch of one of batched_rotated_nms."""
-    return batched_rotated_nms([dets], iou_thresh)[0]
+    kept = batched_rotated_nms(box_rows([d.box for d in dets]), [d.score for d in dets], np.zeros(len(dets)), iou_thresh)
+    return [dets[k] for k in kept]
 
 
 def _ap(recall, precision):
@@ -155,8 +154,6 @@ def compute_ap(dets, gts, iou_thresh=0.5, metric="voc12"):
     matching: evaluate with every record in one class. Difficult ground
     truths neither count toward recall nor turn their matches into false
     positives."""
-    if metric not in ("voc07", "voc12"):
-        raise ValueError(f"unknown metric {metric!r}")
     report = evaluate([replace(d, class_id=0) for d in dets], [replace(g, class_id=0) for g in gts], ["all"], iou_thresh)
     return report.subset_map(["all"], metric)
 
@@ -292,35 +289,41 @@ def ingest_dota(text, image_id, class_table, strict=False):
 
 
 def parse_detections(text, class_table, quad_form=False):
-    """Parse a detection file; see module docstring for the line formats."""
-    dets = []
+    """Parse a detection file (see the module docstring for the line
+    formats) into columns: image ids and class ids (lists, so any int
+    fits), scores (N,) and long-edge box rows (N, 5), all boxes reduced
+    in one canonicalize180_rows or min_area_rects call. Of several bad
+    lines the first is reported; on one line a bad box before a bad
+    score."""
     want = 11 if quad_form else 8
+    image_ids, class_ids, numbers, line_nos = [], [], [], []
+    parse_error = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if len(tokens) != want:
-            raise AnnotationParseError(f"expected {want} tokens, got {len(tokens)}", line_no)
-        image_id, cls_tok, score_tok = tokens[0], tokens[1], tokens[2]
-        if cls_tok in class_table:
-            cid = class_table[cls_tok]
-        elif cls_tok.removeprefix("-").isdecimal():  # exactly the tokens int() takes
-            cid = int(cls_tok)
-        else:
-            raise AnnotationParseError(f"unknown class {cls_tok!r}", line_no)
         try:
-            score = float(score_tok)
-            nums = [float(t) for t in tokens[3:]]
+            if len(tokens) != want:
+                raise ValueError(f"expected {want} tokens, got {len(tokens)}")
+            if tokens[1] not in class_table and not tokens[1].removeprefix("-").isdecimal():  # exactly what int() takes
+                raise ValueError(f"unknown class {tokens[1]!r}")
+            numbers.append([float(t) for t in tokens[2:]])  # the score, then the box
         except ValueError as exc:
-            raise AnnotationParseError(str(exc), line_no) from None
-        try:
-            if quad_form:
-                box = quad_to_box180(np.reshape(nums, (4, 2)))
-            else:
-                cx, cy, h, w, theta = nums
-                box = canonicalize180(cx, cy, h, w, theta)
-            dets.append(DetectionRecord(image_id=image_id, class_id=cid, box=box, score=score))
-        except ValueError as exc:
-            raise AnnotationParseError(str(exc), line_no) from None
-    return dets
+            parse_error = AnnotationParseError(str(exc), line_no)  # raised after the lines before it
+            break
+        image_ids.append(tokens[0])
+        class_ids.append(class_table[tokens[1]] if tokens[1] in class_table else int(tokens[1]))
+        line_nos.append(line_no)
+    numbers = np.reshape(numbers, (-1, want - 2))
+    scores = numbers[:, 0]
+    bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))  # NaN fails both comparisons
+    n = bad[0] + 1 if bad.size else len(scores)  # the boxes up to the first bad score
+    try:
+        rows = min_area_rects(numbers[:n, 1:].reshape(-1, 4, 2)) if quad_form else canonicalize180_rows(numbers[:n, 1:])
+    except InvalidGeometryError as exc:
+        raise AnnotationParseError(str(exc), line_nos[exc.index]) from None
+    if bad.size:
+        raise AnnotationParseError(f"score {scores[n - 1].item()} outside [0, 1]", line_nos[n - 1])
+    if parse_error is not None:
+        raise parse_error
+    return image_ids, class_ids, scores, rows

@@ -114,22 +114,37 @@ def canonicalize90(cx, cy, w, h, theta_free):
     return OrientedBox90(float(cx), float(cy), float(w), float(h), float(theta))
 
 
+def canonicalize180_rows(rows):
+    """Reduce (N, 5) rows (cx, cy, a, b, theta-of-side-a) into long-edge
+    rows (cx, cy, h, w, theta): long side in h, theta for the long side,
+    in [-90, 90). A square tie (a == b) resolves to theta in [-90, 0).
+    The first bad row raises InvalidGeometryError with its index: a side
+    not above 0 first, else the first non-finite field of its result."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 5:
+        raise InvalidGeometryError(f"expected (N, 5) rows, got shape {rows.shape}")
+    cx, cy, a, b, theta = rows.T
+    swap = b > a
+    with np.errstate(invalid="ignore"):  # a non-finite theta reduces to nan, reported below
+        t = (theta + np.where(swap, 90.0, 0.0) + 90.0) % 180.0  # may round up to exactly 180.0
+    theta = np.where(t >= 180.0, 0.0, t) - 90.0
+    h, w = np.where(swap, b, a), np.where(swap, a, b)
+    out = np.stack([cx, cy, h, w, np.where((h == w) & (theta >= 0.0), theta - 90.0, theta)], axis=1)
+    sides, finite = (a > 0) & (b > 0), np.isfinite(out)
+    bad = ~sides | ~finite.all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        field = int(np.argmin(finite[k]))  # the first non-finite field
+        message = (f"non-finite {('cx', 'cy', 'h', 'w', 'theta')[field]}: {out[k, field].item()}" if sides[k]
+                   else "non-positive sides: a={}, b={}".format(*rows[k, 2:4].tolist()))
+        raise InvalidGeometryError(message, index=k)
+    return out
+
+
 def canonicalize180(cx, cy, a, b, theta_free):
-    """Reduce (cx, cy, a, b, theta-of-side-a) into the long-edge
-    convention: long side in h, theta for the long side, in [-90, 90).
-    A square tie (a == b) resolves to theta in [-90, 0)."""
-    if not (a > 0 and b > 0):
-        raise InvalidGeometryError(f"non-positive sides: a={a}, b={b}")
-    if b > a:
-        a, b = b, a
-        theta_free = theta_free + 90.0
-    t = (theta_free + 90.0) % 180.0  # may round up to exactly 180.0
-    if t >= 180.0:
-        t = 0.0
-    theta = t - 90.0  # [-90, 90)
-    if a == b and theta >= 0.0:
-        theta -= 90.0
-    return OrientedBox180(float(cx), float(cy), float(a), float(b), float(theta))
+    """Reduce (cx, cy, a, b, theta-of-side-a) into an OrientedBox180; a
+    batch of one of canonicalize180_rows."""
+    return OrientedBox180(*canonicalize180_rows([[cx, cy, a, b, theta_free]]).tolist()[0])
 
 
 # signs of the (along, across) half-sides at each corner, counter-clockwise
@@ -263,7 +278,7 @@ def convex_intersection(p, q):
 
 def min_area_rects(quads):
     """Minimum-area enclosing rectangles of K quads (K, 4, 2) in any vertex
-    order, as (K, 5) rows (cx, cy, h, w, theta) in canonicalize180's
+    order, as (K, 5) rows (cx, cy, h, w, theta) in canonicalize180_rows'
     convention; the exact inverse of to_quad for true rectangles.
 
     Rotating calipers: each hull edge gives the enclosing rectangle with a
@@ -312,18 +327,12 @@ def min_area_rects(quads):
     e2 = ys.max(axis=2) - ys.min(axis=2)
     mx, my = (xs.max(axis=2) + xs.min(axis=2)) / 2.0, (ys.max(axis=2) + ys.min(axis=2)) / 2.0
     c, s = c[..., 0], s[..., 0]
-    cx = mx * c - my * s
-    cy = mx * s + my * c
-    # canonicalize180 as array operations
-    swap = e2 > e1
-    h, w = np.where(swap, e2, e1), np.where(swap, e1, e2)
-    theta = (np.degrees(phi) + np.where(swap, 90.0, 0.0) + 90.0) % 180.0
-    theta = np.where(theta >= 180.0, 0.0, theta) - 90.0
-    theta = np.where((h == w) & (theta >= 0.0), theta - 90.0, theta)
+    rects = np.stack([mx * c - my * s, mx * s + my * c, e1, e2, np.degrees(phi)], axis=2)
+    rects = canonicalize180_rows(rects.reshape(-1, 5)).reshape(rects.shape)
     size = e1 * e2
     tie = size <= size.min(axis=1, keepdims=True) * (1.0 + 1e-12)
-    best = np.argmin(np.where(tie, theta, np.inf), axis=1)[:, None]
-    return np.concatenate([np.take_along_axis(v, best, axis=1) for v in (cx, cy, h, w, theta)], axis=1)
+    best = np.argmin(np.where(tie, rects[..., 4], np.inf), axis=1)
+    return rects[np.arange(len(rects)), best]
 
 
 def quad_to_box180(quad):

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .csl_codec import CslLabel, angle_to_bin, encode_batch
 from .losses import RegressionTarget, encode_regression_rows, field_rows
-from .rotgeom import aligned_bboxes, aligned_iou_matrix, box_rows, canonicalize180, rotated_iou_matrix
+from .rotgeom import OrientedBox180, aligned_bboxes, aligned_iou_matrix, box_rows, canonicalize180_rows, rotated_iou_matrix
 
 DEFAULT_RATIOS = (1.0, 1 / 2, 2.0, 1 / 4, 4.0, 1 / 6, 6.0)
 DEFAULT_ANGLES = (-90.0, -75.0, -60.0, -45.0, -30.0, -15.0)
@@ -48,21 +47,15 @@ def generate_anchors(spec, mode="horizontal"):
     """One anchor per (location, aspect ratio) per pyramid level; the
     anchor area at a level is (base_scale * stride)^2 for every ratio.
     Rotated mode additionally sweeps the configured angle set."""
-    anchors = []
     angles = spec.angles if mode == "rotated" else (0.0,)
+    rows = [np.empty((0, 5))]  # no strides, no anchors
     for stride in spec.strides:
         size = spec.base_scale * stride
-        n = spec.image_size // stride
-        for iy in range(n):
-            for ix in range(n):
-                cx = (ix + 0.5) * stride
-                cy = (iy + 0.5) * stride
-                for ratio in spec.aspect_ratios:
-                    a = size * math.sqrt(ratio)
-                    b = size / math.sqrt(ratio)
-                    for ang in angles:
-                        anchors.append(canonicalize180(cx, cy, a, b, ang))
-    return anchors
+        centers = (np.arange(spec.image_size // stride) + 0.5) * stride
+        # anchor order: y, then x, then ratio, then angle
+        cy, cx, root, angle = np.meshgrid(centers, centers, np.sqrt(spec.aspect_ratios), angles, indexing="ij")
+        rows.append(np.stack([cx, cy, size * root, size / root, angle], axis=-1).reshape(-1, 5))
+    return [OrientedBox180(*row) for row in canonicalize180_rows(np.concatenate(rows)).tolist()]
 
 
 @dataclass

@@ -4,9 +4,10 @@ a scalar Sutherland-Hodgman clipper and the rotated IoU built on it,
 the batched sorted-candidate IoU (the library's kernel before the edge
 clipper), vertex-set comparison, brute-force minimum rectangle, central
 finite differences, a per-quad rotating-calipers loop, a per-anchor
-loop over the multi-task loss and the per-class sort-and-loop AP of
-evaluate. Deliberately avoid the library's own clipping / calipers /
-loss / AP code paths."""
+loop over the multi-task loss, the per-class sort-and-loop AP of
+evaluate, and the scalar long-edge reduction with the per-anchor grid
+loop built on it. Deliberately avoid the library's own clipping /
+calipers / loss / AP / canonicalization code paths."""
 
 import math
 from collections import Counter
@@ -14,7 +15,7 @@ from collections import Counter
 import numpy as np
 
 from cslkit.evaluation import EvalReport, _hits
-from cslkit.rotgeom import EPS, REL_EPS, InvalidGeometryError, canonicalize180, to_quad
+from cslkit.rotgeom import EPS, REL_EPS, InvalidGeometryError, OrientedBox180, to_quad
 
 MC_CHUNK = 1 << 16
 CLIP_EPS = 1e-9  # absolute, so the clipper is exact only near unit scale
@@ -287,8 +288,8 @@ def convex_hull(pts):
 def calipers_box180(pts):
     """Minimum-area enclosing rectangle of a point set as an
     OrientedBox180, one hull edge at a time: each edge's candidate goes
-    through canonicalize180, and among areas within 1e-12 relative of the
-    smallest the smallest theta wins, then the earliest edge. Raises
+    through scalar_canonicalize180, and among areas within 1e-12 relative
+    of the smallest the smallest theta wins, then the earliest edge. Raises
     InvalidGeometryError when the hull's area is within EPS times its
     squared extent of zero."""
     hull = convex_hull(np.asarray(pts, dtype=float))
@@ -305,7 +306,7 @@ def calipers_box180(pts):
         e1 = xs.max() - xs.min()
         e2 = ys.max() - ys.min()
         mx, my = (xs.max() + xs.min()) / 2.0, (ys.max() + ys.min()) / 2.0
-        box = canonicalize180(mx * c - my * s, mx * s + my * c, e1, e2, math.degrees(phi))
+        box = scalar_canonicalize180(mx * c - my * s, mx * s + my * c, e1, e2, math.degrees(phi))
         candidates.append((e1 * e2, box))
     best_area = min(a for a, _ in candidates)
     ties = [b for a, b in candidates if a <= best_area * (1.0 + 1e-12)]
@@ -403,3 +404,41 @@ def loop_evaluate(dets, gts, class_names, iou_thresh=0.5):
     map07 = float(np.mean(list(ap07.values()))) if ap07 else 0.0
     map12 = float(np.mean(list(ap12.values()))) if ap12 else 0.0
     return EvalReport(ap07=ap07, ap12=ap12, map07=map07, map12=map12, pr_curves=curves)
+
+
+def scalar_canonicalize180(cx, cy, a, b, theta_free):
+    """One box at a time in Python floats, the library's long-edge
+    reduction before canonicalize180_rows: long side in h, theta for the
+    long side in [-90, 90), a square tie to theta in [-90, 0)."""
+    if not (a > 0 and b > 0):
+        raise InvalidGeometryError(f"non-positive sides: a={a}, b={b}")
+    if b > a:
+        a, b = b, a
+        theta_free = theta_free + 90.0
+    t = (theta_free + 90.0) % 180.0  # may round up to exactly 180.0
+    if t >= 180.0:
+        t = 0.0
+    theta = t - 90.0  # [-90, 90)
+    if a == b and theta >= 0.0:
+        theta -= 90.0
+    return OrientedBox180(float(cx), float(cy), float(a), float(b), float(theta))
+
+
+def loop_generate_anchors(spec, mode="horizontal"):
+    """generate_anchors one anchor at a time: locations row by row, then
+    aspect ratios, then angles, each through scalar_canonicalize180."""
+    anchors = []
+    angles = spec.angles if mode == "rotated" else (0.0,)
+    for stride in spec.strides:
+        size = spec.base_scale * stride
+        n = spec.image_size // stride
+        for iy in range(n):
+            for ix in range(n):
+                cx = (ix + 0.5) * stride
+                cy = (iy + 0.5) * stride
+                for ratio in spec.aspect_ratios:
+                    a = size * math.sqrt(ratio)
+                    b = size / math.sqrt(ratio)
+                    for ang in angles:
+                        anchors.append(scalar_canonicalize180(cx, cy, a, b, ang))
+    return anchors

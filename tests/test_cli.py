@@ -5,7 +5,8 @@ import pytest
 
 from cslkit import evaluation
 from cslkit.cli import build_parser, main
-from cslkit.rotgeom import canonicalize180, to_quad
+from cslkit.evaluation import DetectionRecord
+from cslkit.rotgeom import OrientedBox180, canonicalize180, to_quad
 
 
 def run(capsys, *argv):
@@ -201,7 +202,7 @@ class TestNmsAndEval(object):
         code = main(["eval", "--dets", str(dets), "--ann-dir", str(ann), "--classes", "ship"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err == "error: line 3: duplicate vertices\n"
+        assert captured.err == "error: im1.txt: line 3: duplicate vertices\n"
 
     def test_nms_one_kernel_call_per_round(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -234,6 +235,67 @@ class TestNmsAndEval(object):
     def test_missing_file_is_data_error(self, capsys):
         code, _ = run(capsys, "nms", "--dets", "/nonexistent.txt")
         assert code == 2
+
+    def test_nms_builds_no_records(self, tmp_path, capsys, monkeypatch):
+        built = Counter()
+        for cls in (OrientedBox180, DetectionRecord):
+            real = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, real=real: built.update([type(self)]) or real(self))
+        dets = tmp_path / "dets.txt"
+        dets.write_text(INTERLEAVED_DETS)
+        argv = ("nms", "--dets", str(dets), "--classes", "ship", "plane", "--iou-thresh", "0.3")
+        assert len(run_json(capsys, *argv)["kept"]) == 6
+        assert run(capsys, "--format", "csv", *argv)[0] == 0
+        assert built == Counter()
+        # the counter sees the records eval builds, once per detection
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        run_json(capsys, "eval", "--dets", str(dets), "--ann-dir", str(ann), "--classes", "ship", "plane")
+        assert built == Counter({OrientedBox180: 9, DetectionRecord: 9})
+
+    @pytest.mark.parametrize("argv, option, name", [
+        (("nms", "--dets", "/nonexistent.txt", "--classes", "ship", "plane", "ship"), "--classes", "ship"),
+        (("eval", "--dets", "/nonexistent.txt", "--ann-dir", "/nonexistent", "--classes", "a", "b", "b", "a"), "--classes", "b"),
+        (("eval", "--dets", "/nonexistent.txt", "--ann-dir", "/nonexistent", "--classes", "ship", "plane",
+          "--subset", "plane", "plane"), "--subset", "plane"),
+    ])
+    def test_class_named_twice_is_data_error(self, capsys, argv, option, name):
+        # checked before any file is read, so the missing files are not reported
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {option} lists {name!r} twice\n"
+
+    def test_ann_dir_skips_hidden_files(self, tmp_path, capsys):
+        dets = tmp_path / "dets.txt"
+        dets.write_text("im1 ship 0.9 2 1 4 2 0\n")
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        (ann / "im1.txt").write_text("0 0 4 0 4 2 0 2 ship 0\n")
+        argv = ("eval", "--dets", str(dets), "--ann-dir", str(ann), "--classes", "ship")
+        want = run(capsys, *argv)
+        (ann / ".DS_Store").write_bytes(b"\x00\x87Bud1\xff")
+        (ann / ".extra.txt").write_text("0 0 4 0 4 2 0 2 ship 0\n")  # read, its missed gt would halve the AP
+        (ann / ".notes").mkdir()
+        assert run(capsys, *argv) == want
+        assert json.loads(want[1])["ap12"] == {"ship": 1.0}
+
+    @pytest.mark.parametrize("name, content, error", [
+        ("README", b"1 2 3\n", "README: line 1: expected 8 coordinates, category and difficult flag, got 3 tokens"),
+        ("notes.bin", b"\x00\x87Bud1\xff", "notes.bin: 'utf-8' codec can't decode byte 0x87 in position 1: invalid start byte"),
+        ("im2.txt", b"imagesource:x\n0 0 4 0 4 2 0 2 car 0\n", "im2.txt: line 2: unknown category 'car'"),
+    ])
+    def test_annotation_error_names_its_file(self, tmp_path, capsys, name, content, error):
+        dets = tmp_path / "dets.txt"
+        dets.write_text("im1 ship 0.9 2 1 4 2 0\n")
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        (ann / "im1.txt").write_text("0 0 4 0 4 2 0 2 ship 0\n")
+        (ann / name).write_bytes(content)
+        code = main(["eval", "--dets", str(dets), "--ann-dir", str(ann), "--classes", "ship", "--strict"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {error}\n"
 
     def test_subset_outside_classes_is_data_error(self, capsys):
         # checked before any file is read, so the missing files are not reported
@@ -347,7 +409,8 @@ class TestClassIds:
         payload = run_json(capsys, "eval", "--dets", dets, "--ann-dir", ann, "--classes", "ship", "plane")
         assert payload["ap12"] == {"ship": 1.0, "plane": 0.0}
 
-    @pytest.mark.parametrize("class_tok", ["-1", "9", "\u0663"])  # the last is an Arabic-Indic 3, which int() reads
+    # "\u0663" is an Arabic-Indic 3, which int() reads; the last does not fit in int64
+    @pytest.mark.parametrize("class_tok", ["-1", "9", "\u0663", "99999999999999999999"])
     def test_nms_keeps_integer_ids(self, tmp_path, capsys, class_tok):
         dets, _ = self._files(tmp_path, class_tok)
         payload = run_json(capsys, "nms", "--dets", dets, "--classes", "ship")

@@ -16,7 +16,7 @@ from cslkit.evaluation import (
     parse_detections,
     rotated_nms,
 )
-from cslkit.rotgeom import InvalidGeometryError, canonicalize180, rotated_iou, to_quad
+from cslkit.rotgeom import InvalidGeometryError, OrientedBox180, box_rows, canonicalize180, rotated_iou, to_quad
 from oracles import clipped_iou, loop_evaluate
 
 CLASSES = {"ship": 0, "plane": 1}
@@ -240,6 +240,19 @@ def _nms_groups(rng):
     return [groups[i] for i in order]
 
 
+def _batched(groups, iou_thresh=0.1):
+    """batched_rotated_nms of detection lists interleaved round-robin in
+    one set of columns, under falling and negative group ids; returns
+    each group's kept detections after checking that the kept positions
+    come sorted by group, then position."""
+    entries = sorted((i, g, d) for g, group in enumerate(groups) for i, d in enumerate(group))  # (i, g) never tie
+    ids = np.array([5 - 3 * g for _, g, _ in entries], dtype=int)
+    flat = [d for _, _, d in entries]
+    kept = batched_rotated_nms(box_rows([d.box for d in flat]), [d.score for d in flat], ids, iou_thresh).tolist()
+    assert kept == sorted(kept, key=lambda k: (ids[k], k))
+    return [[flat[k] for k in kept if ids[k] == 5 - 3 * g] for g in range(len(groups))]
+
+
 class TestBatchedNms:
     """Lockstep NMS over many groups against the per-group greedy loop
     on the clipper oracle."""
@@ -248,27 +261,29 @@ class TestBatchedNms:
     def test_matches_per_group_reference(self, seed):
         groups = _nms_groups(np.random.default_rng(seed))
         for thresh in (0.0, 0.1, 0.5, 1.0):
-            kept = batched_rotated_nms(groups, thresh)
+            kept = _batched(groups, thresh)
             assert kept == [_reference_nms(g, thresh) for g in groups]
             assert kept == [rotated_nms(g, thresh) for g in groups]
-        kept = batched_rotated_nms(groups, 0.1)
+        kept = _batched(groups, 0.1)
         assert kept[[len(g) for g in groups].index(0)] == []
         rounds = [len(k) for k in kept]
         assert max(rounds) == 9 and min(r for r, g in zip(rounds, groups) if len(g) > 1) == 1
 
     def test_ties_go_by_input_index(self):
         a, b = det(0.5, cx=0.0), det(0.5, cx=0.5)
-        assert batched_rotated_nms([[a, b], [b, a]], 0.3) == [[a], [b]]
+        assert _batched([[a, b], [b, a]], 0.3) == [[a], [b]]
+        rows = box_rows([a.box, b.box, b.box, a.box])
+        assert batched_rotated_nms(rows, [0.5] * 4, [1, 1, 0, 0], 0.3).tolist() == [2, 0]
 
     def test_no_groups(self):
-        assert batched_rotated_nms([]) == []
+        assert batched_rotated_nms(np.empty((0, 5)), [], []).tolist() == []
 
     def test_one_kernel_call_per_round(self, monkeypatch):
         calls = []
         real = evaluation.rotated_iou_pairs
         monkeypatch.setattr(evaluation, "rotated_iou_pairs", lambda a, b: calls.append(len(a)) or real(a, b))
         groups = _nms_groups(np.random.default_rng(0))
-        kept = batched_rotated_nms(groups, 0.1)
+        kept = _batched(groups, 0.1)
         # the row of 9 disjoint boxes keeps every box, so its last round
         # has no later box left: one call fewer than the rounds
         assert len(calls) == max(len(k) for k in kept) - 1 == 8
@@ -283,7 +298,7 @@ class TestIouThreshold:
         with pytest.raises(ValueError, match="IoU threshold"):
             rotated_nms(disjoint, bad)
         with pytest.raises(ValueError, match="IoU threshold"):
-            batched_rotated_nms([disjoint, []], bad)
+            batched_rotated_nms(box_rows([d.box for d in disjoint]), [0.9, 0.8], [0, 1], bad)
         with pytest.raises(ValueError, match="IoU threshold"):
             evaluate(disjoint, [gt()], ["ship"], iou_thresh=bad)
         with pytest.raises(ValueError, match="IoU threshold"):
@@ -438,6 +453,15 @@ class TestComputeAp:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("metric", ["voc11", "VOC12", None])
+    def test_unknown_metric_raises(self, metric):
+        report = evaluate([det(0.9)], [gt()], ["ship"])
+        assert report.subset_map(["ship"], "voc07") == report.subset_map(["ship"], "voc12") == 1.0
+        with pytest.raises(ValueError, match="unknown metric"):
+            report.subset_map(["ship"], metric)
+        with pytest.raises(ValueError, match="unknown metric"):
+            compute_ap([det(0.9)], [gt()], metric=metric)
+
     def test_subset_map(self):
         gts = [gt(cls=0), gt(cx=50, cls=1)]
         dets = [det(0.9, cls=0), det(0.8, cx=50, cls=1), det(0.7, cx=300, cls=1)]
@@ -568,24 +592,44 @@ class TestQuadScale:
     @pytest.mark.parametrize("scale", RECT_SCALES)
     def test_quad_form_detections(self, scale):
         boxes = _scaled_rects(scale)
-        dets = parse_detections("".join(f"im1 ship 0.5 {_quad_text(b)}\n" for b in boxes), CLASSES, quad_form=True)
-        assert len(dets) == len(boxes)
-        for d, box in zip(dets, boxes):
-            _assert_same_box(d.box, box, scale)
+        *_, rows = parse_detections("".join(f"im1 ship 0.5 {_quad_text(b)}\n" for b in boxes), CLASSES, quad_form=True)
+        assert len(rows) == len(boxes)
+        for row, box in zip(rows.tolist(), boxes):
+            _assert_same_box(OrientedBox180(*row), box, scale)
 
 
 class TestParseDetections:
     def test_box_form(self):
-        dets = parse_detections("im1 ship 0.9 1.0 2.0 8.0 3.0 35.0\n", CLASSES)
-        assert dets[0].class_id == 0
-        assert dets[0].box.theta == pytest.approx(35.0)
+        image_ids, class_ids, scores, rows = parse_detections("im1 ship 0.9 1.0 2.0 8.0 3.0 35.0\n", CLASSES)
+        assert (image_ids, class_ids, scores.tolist()) == (["im1"], [0], [0.9])
+        assert rows[0, 4] == pytest.approx(35.0)
 
     def test_quad_form(self):
         box = canonicalize180(1, 2, 8, 3, 35)
         coords = " ".join(f"{v:.10f}" for v in to_quad(box).as_array().ravel())
-        dets = parse_detections(f"im1 0 0.9 {coords}\n", CLASSES, quad_form=True)
-        assert dets[0].box.h == pytest.approx(8.0, abs=1e-6)
+        *_, rows = parse_detections(f"im1 0 0.9 {coords}\n", CLASSES, quad_form=True)
+        assert rows[0, 2] == pytest.approx(8.0, abs=1e-6)
 
     def test_malformed_line(self):
         with pytest.raises(AnnotationParseError):
             parse_detections("im1 ship 0.9 1.0\n", CLASSES)
+
+    @pytest.mark.parametrize("quad_form, good, bad_box, box_error", [
+        (False, "1 2 8 3 35", "1 2 0 3 35", "non-positive sides: a=0.0, b=3.0"),
+        (True, "0 0 4 0 4 2 0 2", "0 0 0 0 1 1 0 1", "duplicate vertices"),
+    ])
+    def test_first_bad_line_wins(self, quad_form, good, bad_box, box_error):
+        want = 11 if quad_form else 8
+        for lines, error in (
+            ([f"0.5 {good}", f"1.5 {good}", f"0.5 {bad_box}"], "line 2: score 1.5 outside [0, 1]"),
+            ([f"0.5 {bad_box}", f"nan {good}"], f"line 1: {box_error}"),
+            ([f"0.5 {good}", None, f"-0.5 {bad_box}", f"2 {good}"], f"line 3: {box_error}"),  # one line, both faults
+            ([f"inf {good}", "0.5"], "line 1: score inf outside [0, 1]"),
+            ([f"0.5 {good}", "0.5", f"1.5 {bad_box}"], f"line 2: expected {want} tokens, got 3"),
+            ([f"0.5 {bad_box}", "0.5"], f"line 1: {box_error}"),
+            ([f"0.5 {good}", f"x {good}", f"0.5 {bad_box}"], "line 2: could not convert string to float: 'x'"),
+        ):
+            text = "".join("\n" if line is None else f"im1 ship {line}\n" for line in lines)  # None: a blank line
+            with pytest.raises(AnnotationParseError) as exc:
+                parse_detections(text, CLASSES, quad_form=quad_form)
+            assert str(exc.value) == error

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from cslkit.rotgeom import (
     box_rows,
     canonicalize90,
     canonicalize180,
+    canonicalize180_rows,
     convex_intersection,
     min_area_rects,
     order_corners,
@@ -32,6 +35,7 @@ from oracles import (
     clipped_iou,
     concentric_rect_iou,
     mc_iou,
+    scalar_canonicalize180,
     shoelace_area,
     sorted_candidate_iou_matrix,
     vertex_set_equal,
@@ -106,6 +110,64 @@ class TestCanonicalize180:
         assert -90 <= box.theta < 90
         assert box.h >= box.w
         assert vertex_set_equal(to_quad(box).as_array(), _corners_free(0.5, 0.25, a, b, theta), tol=1e-6)
+
+
+def _reduction_rows():
+    """(N, 5) rows (cx, cy, a, b, theta): random angles, +-90, +-270,
+    angles just below the range edges, whose reduction may round up to
+    180, and square ties, each with a long, a short and an equal side a."""
+    rng = np.random.default_rng(11)
+    edges = np.array([-450.0, -270.0, -90.0, 90.0, 270.0, 450.0])
+    below = [np.nextafter(edges, -np.inf), edges - 1e-14, edges - 5e-15, edges - 3e-14]
+    theta = np.concatenate([rng.uniform(-1000, 1000, 600), edges, *below, edges + 90.0, np.nextafter(edges + 90.0, -np.inf),
+                            [0.0, -0.0, 45.0, -45.0, 135.0, 1e-300, -1e-300, 1e300, -1e300]])
+    sides = [(5.0, 2.0), (2.0, 5.0), (3.0, 3.0), (1e-12, 1e12), (0.1, 0.1 + 1e-17)]
+    rows = [(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3), a, b, t) for t in theta for a, b in sides]
+    return np.array(rows)
+
+
+class TestCanonicalize180Rows:
+    """The one long-edge reduction against the scalar reference it
+    replaced, bit for bit, and its errors."""
+
+    def test_bit_equal_to_scalar(self):
+        rows = _reduction_rows()
+        assert any((t + 90.0) % 180.0 == 180.0 for t in rows[:, 4].tolist())  # the round-up case occurs
+        want = np.array([astuple(scalar_canonicalize180(*row)) for row in rows.tolist()])
+        assert canonicalize180_rows(rows).tobytes() == want.tobytes()
+        boxes = [canonicalize180(*row) for row in rows[::7].tolist()]
+        assert np.array([astuple(b) for b in boxes]).tobytes() == want[::7].tobytes()
+        assert {type(v) for b in boxes for v in astuple(b)} == {float}
+
+    def test_shapes(self):
+        assert canonicalize180_rows(np.empty((0, 5))).shape == (0, 5)
+        with pytest.raises(InvalidGeometryError, match=r"expected \(N, 5\) rows"):
+            canonicalize180_rows(np.ones((2, 4)))
+
+    @pytest.mark.parametrize("bad, message", [
+        ((0, 0, 0.0, 2, 0), "non-positive sides: a=0.0, b=2.0"),
+        ((0, 0, 3, -1.5, 0), "non-positive sides: a=3.0, b=-1.5"),
+        ((0, 0, math.nan, 2, 0), "non-positive sides: a=nan, b=2.0"),
+        ((0, 0, 3, math.nan, 0), "non-positive sides: a=3.0, b=nan"),
+        ((math.nan, 0, 0, 2, math.inf), "non-positive sides: a=0.0, b=2.0"),  # the sides come first
+        ((math.inf, 0, 3, 2, 0), "non-finite cx: inf"),
+        ((math.nan, math.inf, 3, 2, 0), "non-finite cx: nan"),
+        ((0, -math.inf, 3, 2, math.nan), "non-finite cy: -inf"),
+        ((0, 0, math.inf, 2, 0), "non-finite h: inf"),
+        ((0, 0, 2, math.inf, 0), "non-finite h: inf"),  # the long side is h, so w is never the first
+        ((0, 0, 3, 2, math.inf), "non-finite theta: nan"),
+        ((0, 0, 3, 2, -math.inf), "non-finite theta: nan"),
+        ((0, 0, 3, 2, math.nan), "non-finite theta: nan"),
+    ])
+    def test_bad_row(self, bad, message):
+        good = (1.0, 2.0, 3.0, 1.0, 10.0)
+        with pytest.raises(InvalidGeometryError) as exc:
+            canonicalize180_rows([good, good, bad, good, (0, 0, -1, 1, 0)])
+        assert (str(exc.value), exc.value.index) == (message, 2)
+        with pytest.raises(InvalidGeometryError, match=f"^{re.escape(message)}$"):
+            scalar_canonicalize180(*map(float, bad))
+        with pytest.raises(InvalidGeometryError, match=f"^{re.escape(message)}$"):
+            canonicalize180(*bad)
 
 
 class TestToQuad:

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,26 @@ from cslkit.csl_codec import CslCodecConfig, encode
 from cslkit.losses import encode_regression
 from cslkit.targets import AnchorGridSpec, AssignmentConfig, assign_targets, generate_anchors
 from cslkit.rotgeom import aligned_bbox, aligned_iou, canonicalize90, canonicalize180, to_quad
-from oracles import clipped_iou
+from oracles import clipped_iou, loop_generate_anchors
 
 CSL_CFG = CslCodecConfig("gaussian", 6.0)
 
 
 class TestAnchorGeneration:
+    @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
+    @pytest.mark.parametrize("spec", [
+        AnchorGridSpec(image_size=32, strides=(32,)),
+        AnchorGridSpec(image_size=32, strides=(8, 16), base_scale=1.5),
+        AnchorGridSpec(image_size=48, strides=(16, 8, 24), base_scale=3, aspect_ratios=(0.3, 1, 7 / 3, 2.0),
+                       angles=(-90.0, -37.5, 0, 45.0, 89.99, 135.0, -270.0)),
+        AnchorGridSpec(image_size=64, strides=()),
+    ])
+    def test_bit_equal_to_per_anchor_loop(self, spec, mode):
+        got, want = generate_anchors(spec, mode), loop_generate_anchors(spec, mode)
+        assert got == want
+        assert np.array([astuple(a) for a in got]).tobytes() == np.array([astuple(a) for a in want]).tobytes()
+        assert all(type(v) is float for a in got for v in astuple(a))
+
     def test_single_location_count(self):
         spec = AnchorGridSpec(image_size=32, strides=(32,))
         anchors = generate_anchors(spec)
