@@ -18,7 +18,7 @@ import numpy as np
 
 from . import csl_codec, evaluation, losses, targets
 from .csl_codec import CslCodecConfig
-from .rotgeom import InvalidGeometryError, OrientedBox180, canonicalize180, rotated_iou
+from .rotgeom import InvalidGeometryError, canonicalize180, rotated_iou
 
 SCHEMA_VERSION = 1
 
@@ -228,17 +228,17 @@ def _cmd_eval(args):
     unknown = [c for c in _class_table(args.subset, "--subset") if c not in table]
     if unknown:
         raise ValueError(f"--subset class {unknown[0]!r} is not one of --classes")
-    image_ids, class_ids, scores, rows = evaluation.parse_detections(Path(args.dets).read_text(), table)
-    dets = [evaluation.DetectionRecord(image_id, cid, OrientedBox180(*row), score)
-            for image_id, cid, score, row in zip(image_ids, class_ids, scores.tolist(), rows.tolist())]
-    gts = []
+    dets = evaluation.parse_detections(Path(args.dets).read_text(), table)
+    gts = ([], [], [], [])  # the columns of all annotation files
     for path in sorted(Path(args.ann_dir).iterdir()):
         if path.is_file() and not path.name.startswith("."):  # hidden files such as .DS_Store are not annotations
             try:
-                gts.extend(evaluation.ingest_dota(path.read_text(), path.stem, table, strict=args.strict))
+                columns = evaluation.dota_columns(path.read_text(), path.stem, table, strict=args.strict)
             except (ValueError, OSError) as exc:
                 raise ValueError(f"{path.name}: {exc}") from exc
-    report = evaluation.evaluate(dets, gts, args.classes, iou_thresh=args.iou_thresh)
+            for column, part in zip(gts, columns):
+                column.extend(part)
+    report = evaluation.evaluate_columns(dets, gts, args.classes, iou_thresh=args.iou_thresh)
     payload = report.to_dict()
     if args.subset:
         payload["subset_map07"] = report.subset_map(args.subset, "voc07")

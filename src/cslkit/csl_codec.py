@@ -31,9 +31,9 @@ class CslCodecConfig:
             raise ValueError(f"unknown window kind {self.window_kind!r}")
         if self.angle_range not in _RANGES:
             raise ValueError(f"unknown angle range {self.angle_range!r}")
-        if self.omega <= 0:
+        if not self.omega > 0:  # NaN fails the comparison too
             raise ValueError("omega must be positive")
-        if self.radius_r < 0:
+        if not self.radius_r >= 0:
             raise ValueError("radius must be non-negative")
         span = _RANGES[self.angle_range][1]
         t = span / self.omega
@@ -163,7 +163,7 @@ def decode_batch(labels, cfg):
 
 def quantization_error_stats(omega):
     """Closed-form discretization error: max omega/2, expected omega/4."""
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError("omega must be positive")
     return QuantizationErrorStats(max_loss=omega / 2.0, expected_loss=omega / 4.0)
 
@@ -174,6 +174,8 @@ def monte_carlo_roundtrip_error(cfg, samples=1_000_000, seed=0, chunk=50_000):
     Returns (mean_abs_error, max_abs_error) in degrees; the mean converges
     to omega/4 and the max is bounded by omega/2.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     total = 0.0
     worst = 0.0

@@ -7,9 +7,11 @@ per detection: "image_id class score cx cy h w theta" (long-edge box
 convention), or a quad form "image_id class score x1 y1 ... x4 y4".
 
 Detection files parse into columns (image ids, class ids, scores and
-(N, 5) long-edge rows), on which NMS runs all groups in lockstep, one
-rotated_iou_pairs call per round; matching computes the same-image,
-same-class pairs of all images in one call. IoU thresholds lie in [0, 1].
+(N, 5) long-edge rows), annotation files into the same with difficult
+flags for scores. NMS runs all groups in lockstep, one rotated_iou_pairs
+call per round; evaluate_columns matches over the same-image, same-class
+pairs of all images in one call. The record APIs wrap the column code.
+IoU thresholds lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def rotated_nms(dets, iou_thresh=0.1):
     """Greedy descending-score suppression with rotated IoU; stable sort
     (score desc, then input index) makes the result deterministic. A
     batch of one of batched_rotated_nms."""
-    kept = batched_rotated_nms(box_rows([d.box for d in dets]), [d.score for d in dets], np.zeros(len(dets)), iou_thresh)
+    kept = batched_rotated_nms(*_columns(dets, "box", "score"), np.zeros(len(dets)), iou_thresh)
     return [dets[k] for k in kept]
 
 
@@ -158,54 +160,67 @@ def compute_ap(dets, gts, iou_thresh=0.5, metric="voc12"):
     return report.subset_map(["all"], metric)
 
 
+def _columns(records, *fields):
+    """The named fields of records as columns: a list per field, and
+    (N, 5) long-edge rows for "box"."""
+    return tuple(box_rows([r.box for r in records]) if f == "box" else [getattr(r, f) for r in records] for f in fields)
+
+
 def _hits(dets, gts, iou_thresh):
     """Each detection's match, the first gt of its image and class with
     the strictly largest IoU, as a gt index if that IoU is above 0 and at
     least iou_thresh, else -1. The (detection, gt) pairs of the same image
     and class, over all images, go through one rotated_iou_pairs call."""
+    (det_ids, det_class, _, det_rows), (gt_ids, gt_class, _, gt_rows) = dets, gts
     keys = {}
-    gt_key = np.array([keys.setdefault((g.image_id, g.class_id), len(keys)) for g in gts], dtype=int)
-    det_key = np.array([keys.get((d.image_id, d.class_id), -1) for d in dets], dtype=int)
+    gt_key = np.array([keys.setdefault(key, len(keys)) for key in zip(gt_ids, gt_class)], dtype=int)
+    det_key = np.array([keys.get(key, -1) for key in zip(det_ids, det_class)], dtype=int)
     # gts per key, in gts order within a key; key -1 (no gt) has none
     by_key = np.argsort(gt_key, kind="stable")
     count = np.append(np.bincount(gt_key, minlength=len(keys)), 0)
     first = np.cumsum(count) - count
     n = count[det_key]
     seg = np.cumsum(n) - n  # where each detection's pairs start
-    di = np.repeat(np.arange(len(dets)), n)
+    di = np.repeat(np.arange(len(det_key)), n)
     gi = by_key[np.arange(len(di)) + np.repeat(first[det_key] - seg, n)]
-    det_rows, gt_rows = box_rows([d.box for d in dets]), box_rows([g.box for g in gts])
-    iou = rotated_iou_pairs(det_rows.take(di, axis=0), gt_rows.take(gi, axis=0))
+    iou = rotated_iou_pairs(np.reshape(det_rows, (-1, 5)).take(di, axis=0), np.reshape(gt_rows, (-1, 5)).take(gi, axis=0))
     has = np.flatnonzero(n)
     best = np.maximum.reduceat(iou, seg[has])
     at = np.minimum.reduceat(np.where(iou == np.repeat(best, n[has]), np.arange(len(iou)), len(iou)), seg[has])
-    hits = np.full(len(dets), -1)
+    hits = np.full(len(det_key), -1)
     hits[has] = np.where((best > 0.0) & (best >= iou_thresh), gi[at], -1)
     return hits
 
 
 def evaluate(dets, gts, class_names, iou_thresh=0.5):
-    """Per-class AP under both conventions plus the mean over classes,
-    from one ranking of all detections by (class, score desc, index): the
-    first to match a gt is a TP, one matching a difficult gt neither TP
-    nor FP, any other an FP. Raises ValueError for a detection class id
-    outside class_names or an iou_thresh outside [0, 1]."""
+    """evaluate_columns of detection and ground-truth records."""
+    return evaluate_columns(_columns(dets, "image_id", "class_id", "score", "box"),
+                            _columns(gts, "image_id", "class_id", "difficult", "box"), class_names, iou_thresh)
+
+
+def evaluate_columns(dets, gts, class_names, iou_thresh=0.5):
+    """Per-class AP under both conventions plus the mean over classes of the
+    columns of parse_detections against those of dota_columns, from one
+    ranking of all detections by (class, score desc, index): the first to
+    match a gt is a TP, one matching a difficult gt neither TP nor FP, any
+    other an FP. Raises ValueError for a detection class id outside
+    class_names or an iou_thresh outside [0, 1]."""
     _check_iou_thresh(iou_thresh)
-    det_class = np.array([d.class_id for d in dets])  # an id beyond int64 becomes an object and fails the check too
+    (image_ids, class_ids, scores, _), (_, gt_class, difficult, _) = dets, gts
+    det_class = np.array(class_ids)  # an id beyond int64 becomes an object and fails the check too
     bad = np.flatnonzero((det_class < 0) | (det_class >= len(class_names)))
     if bad.size:
-        d = dets[bad[0]]
-        raise ValueError(f"class id {d.class_id} of a detection in image {d.image_id!r} is outside the "
+        raise ValueError(f"class id {class_ids[bad[0]]} of a detection in image {image_ids[bad[0]]!r} is outside the "
                          f"{len(class_names)} classes")
-    order = np.lexsort((-np.array([d.score for d in dets], dtype=float), det_class))  # stable: ties keep input order
+    order = np.lexsort((-np.asarray(scores, dtype=float), det_class))  # stable: ties keep input order
     hit = _hits(dets, gts, iou_thresh)[order]
-    counted = ~np.array([g.difficult for g in gts] + [False], dtype=bool)[hit]  # hit -1 reads the sentinel: an FP
+    counted = ~np.append(np.asarray(difficult, dtype=bool), False)[hit]  # hit -1 reads the sentinel: an FP
     first = np.zeros(len(hit), dtype=bool)
     first[np.unique(hit, return_index=True)[1]] = True
     tp = counted & first & (hit >= 0)
     fp = counted & ~tp
     bounds = np.searchsorted(det_class[order], np.arange(len(class_names) + 1))
-    n_pos = Counter(g.class_id for g in gts if not g.difficult)
+    n_pos = Counter(cid for cid, hard in zip(gt_class, difficult) if not hard)
     ap07, ap12, curves = {}, {}, {}
     for cid, (name, lo, hi) in enumerate(zip(class_names, bounds[:-1], bounds[1:])):
         n = n_pos[cid]
@@ -245,7 +260,15 @@ def _dota_quad(tokens, line_no, class_table, strict):
 
 
 def ingest_dota(text, image_id, class_table, strict=False):
-    """Parse one DOTA annotation file into ground-truth records.
+    """The ground-truth records of dota_columns."""
+    _, class_ids, difficult, rows = dota_columns(text, image_id, class_table, strict)
+    return [GroundTruthRecord(image_id, cid, OrientedBox180(*row), hard)
+            for cid, hard, row in zip(class_ids, difficult, rows.tolist())]
+
+
+def dota_columns(text, image_id, class_table, strict=False):
+    """Parse one DOTA annotation file into ground-truth columns: image
+    ids, class ids and difficult flags (lists) and (K, 5) long-edge rows.
 
     Leading metadata lines (first token non-numeric) are skipped. The
     quads of all body lines are converted together to their minimum
@@ -282,10 +305,7 @@ def ingest_dota(text, image_id, class_table, strict=False):
         raise AnnotationParseError(str(exc), line_nos[exc.index]) from exc
     if parse_error is not None:
         raise parse_error
-    return [
-        GroundTruthRecord(image_id=image_id, class_id=cid, box=OrientedBox180(*row), difficult=hard)
-        for row, cid, hard in zip(rows.tolist(), class_ids, difficult)
-    ]
+    return [image_id] * len(class_ids), class_ids, difficult, rows
 
 
 def parse_detections(text, class_table, quad_form=False):

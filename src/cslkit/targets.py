@@ -26,6 +26,8 @@ class AnchorGridSpec:
         if any(r <= 0 for r in self.aspect_ratios):
             raise ValueError("aspect ratios must be positive")
         for s in self.strides:
+            if not s > 0:
+                raise ValueError(f"stride {s} is not positive")
             if self.image_size % s != 0:
                 raise ValueError(f"stride {s} does not divide image size {self.image_size}")
 
@@ -106,9 +108,9 @@ def assign_targets(anchors, gts, cfg, csl_cfg):
         matched = np.argmax(iou, axis=1)  # ties -> first gt index
         max_iou = iou[np.arange(n), matched]
         labels = np.where(max_iou >= cfg.fg_iou, 1, np.where(max_iou < cfg.bg_iou, 0, -1))
-        # force every gt onto its best anchor
+        # force every gt onto its best anchor: the first within 1e-12 of its best IoU, as exact ties may round apart
         for j in range(m):
-            best = int(np.argmax(iou[:, j]))
+            best = int(np.argmax(iou[:, j] >= iou[:, j].max() * (1 - 1e-12)))
             if labels[best] != 1 or iou[best, j] > iou[best, matched[best]]:
                 labels[best] = 1
                 matched[best] = j

@@ -362,17 +362,17 @@ def voc12_ap(recall, precision):
     return float(np.sum((r[idx + 1] - r[idx]) * p[idx + 1]))
 
 
-def pr_and_ap(scores, hits, gts, n_pos):
+def pr_and_ap(scores, hits, difficult, n_pos):
     """AP, recall and precision of one class's detections, given their
-    scores and hits (indices into gts, or -1) and the class's number of
-    non-difficult gts."""
+    scores and hits (indices into the gts' difficult flags, or -1) and the
+    class's number of non-difficult gts."""
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     matched = set()
     tp = np.zeros(len(order))
     fp = np.zeros(len(order))
     for rank, di in enumerate(order):
         gi = int(hits[di])
-        if gi >= 0 and gts[gi].difficult:
+        if gi >= 0 and difficult[gi]:
             continue  # neither TP nor FP
         if gi >= 0 and gi not in matched:
             matched.add(gi)
@@ -389,15 +389,17 @@ def pr_and_ap(scores, hits, gts, n_pos):
 
 
 def loop_evaluate(dets, gts, class_names, iou_thresh=0.5):
-    """evaluate's report with each class's detections sorted and walked
-    one at a time (pr_and_ap); the matching is the library's _hits."""
+    """evaluate_columns's report of the same detection and gt columns,
+    with each class's detections sorted and walked one at a time
+    (pr_and_ap); the matching is the library's _hits."""
     hits = _hits(dets, gts, iou_thresh)
-    det_class = np.array([d.class_id for d in dets], dtype=int)
-    n_pos = Counter(g.class_id for g in gts if not g.difficult)
+    (_, det_class, scores, _), (_, gt_class, difficult, _) = dets, gts
+    det_class = np.array(det_class, dtype=int)
+    n_pos = Counter(c for c, hard in zip(gt_class, difficult) if not hard)
     ap07, ap12, curves = {}, {}, {}
     for cid, name in enumerate(class_names):
         di = np.flatnonzero(det_class == cid)
-        ap, recall, precision = pr_and_ap([dets[i].score for i in di], hits[di], gts, n_pos[cid])
+        ap, recall, precision = pr_and_ap([float(scores[i]) for i in di], hits[di], difficult, n_pos[cid])
         ap07[name] = ap["voc07"]
         ap12[name] = ap["voc12"]
         curves[name] = (recall.tolist(), precision.tolist())

@@ -5,7 +5,7 @@ import pytest
 
 from cslkit import evaluation
 from cslkit.cli import build_parser, main
-from cslkit.evaluation import DetectionRecord
+from cslkit.evaluation import DetectionRecord, GroundTruthRecord
 from cslkit.rotgeom import OrientedBox180, canonicalize180, to_quad
 
 
@@ -238,20 +238,28 @@ class TestNmsAndEval(object):
 
     def test_nms_builds_no_records(self, tmp_path, capsys, monkeypatch):
         built = Counter()
-        for cls in (OrientedBox180, DetectionRecord):
-            real = cls.__post_init__
-            monkeypatch.setattr(cls, "__post_init__", lambda self, real=real: built.update([type(self)]) or real(self))
+        for cls in (OrientedBox180, DetectionRecord, GroundTruthRecord):
+            real = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda self, *args, real=real, **kwargs:
+                                built.update([type(self)]) or real(self, *args, **kwargs))
         dets = tmp_path / "dets.txt"
         dets.write_text(INTERLEAVED_DETS)
         argv = ("nms", "--dets", str(dets), "--classes", "ship", "plane", "--iou-thresh", "0.3")
         assert len(run_json(capsys, *argv)["kept"]) == 6
         assert run(capsys, "--format", "csv", *argv)[0] == 0
         assert built == Counter()
-        # the counter sees the records eval builds, once per detection
+        # eval on two annotation files builds none either, in JSON and CSV
         ann = tmp_path / "ann"
         ann.mkdir()
-        run_json(capsys, "eval", "--dets", str(dets), "--ann-dir", str(ann), "--classes", "ship", "plane")
-        assert built == Counter({OrientedBox180: 9, DetectionRecord: 9})
+        (ann / "im1.txt").write_text("-2 -1 2 -1 2 1 -2 1 ship 0\n38 38 44 38 44 41 38 41 plane 1\n")
+        (ann / "im2.txt").write_text("imagesource:x\n3 4 7 4 7 6 3 6 plane 0\n")
+        argv = ("eval", "--dets", str(dets), "--ann-dir", str(ann), "--classes", "ship", "plane")
+        assert run_json(capsys, *argv)["map12"] > 0
+        assert run(capsys, "--format", "csv", *argv)[0] == 0
+        assert built == Counter()
+        # the counter does see records: the library's ingest_dota builds them
+        evaluation.ingest_dota((ann / "im1.txt").read_text(), "im1", {"ship": 0, "plane": 1})
+        assert built == Counter({OrientedBox180: 2, GroundTruthRecord: 2})
 
     @pytest.mark.parametrize("argv, option, name", [
         (("nms", "--dets", "/nonexistent.txt", "--classes", "ship", "plane", "ship"), "--classes", "ship"),
@@ -424,6 +432,26 @@ class TestClassIds:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: line 2: unknown class {class_tok!r}\n"
+
+
+class TestBadParameters:
+    """Codec and grid parameters are checked at the boundary: exit 2 with
+    the library's message, nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("window", "--r", "nan"), "radius must be non-negative"),
+        (("window", "--kind", "triangle", "--r", "nan"), "radius must be non-negative"),
+        (("encode", "--theta", "3", "--omega", "nan"), "omega must be positive"),
+        (("quant-error", "--omega", "nan", "--samples", "10"), "omega must be positive"),
+        (("quant-error", "--samples", "0"), "samples must be at least 1, got 0"),
+        (("quant-error", "--samples", "-5"), "samples must be at least 1, got -5"),
+        (("targets", "--image-size", "64", "--strides", "0"), "stride 0 is not positive"),
+        (("targets", "--image-size", "64", "--strides", "8", "-16"), "stride -16 is not positive"),
+    ])
+    def test_data_error(self, capsys, argv, message):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 class TestUsageErrors:

@@ -39,6 +39,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             CslCodecConfig("hann", 2.0)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("radius, omega, message", [
+        (math.nan, 1.0, "radius must be non-negative"),
+        (-1.0, 1.0, "radius must be non-negative"),
+        (2.0, math.nan, "omega must be positive"),
+        (2.0, 0.0, "omega must be positive"),
+    ])
+    def test_nan_parameters_rejected(self, kind, radius, omega, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CslCodecConfig(kind, radius, omega)
+
 
 class TestAngleToBin:
     def test_range_min(self):
@@ -185,6 +196,18 @@ class TestQuantizationError:
         assert (s.max_loss, s.expected_loss) == (0.5, 0.25)
         s = quantization_error_stats(2.0)
         assert (s.max_loss, s.expected_loss) == (1.0, 0.5)
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan])
+    def test_closed_form_rejects_bad_omega(self, omega):
+        with pytest.raises(ValueError, match="omega must be positive"):
+            quantization_error_stats(omega)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_monte_carlo_needs_a_sample(self, samples):
+        cfg = CslCodecConfig("pulse", 0.0, 1.0, "range180")
+        with pytest.raises(ValueError, match=f"^samples must be at least 1, got {samples}$"):
+            monte_carlo_roundtrip_error(cfg, samples=samples)
+        assert monte_carlo_roundtrip_error(cfg, samples=1)[0] >= 0.0
 
     def test_monte_carlo(self):
         cfg = CslCodecConfig("pulse", 0.0, 1.0, "range180")

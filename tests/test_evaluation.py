@@ -11,7 +11,9 @@ from cslkit.evaluation import (
     GroundTruthRecord,
     batched_rotated_nms,
     compute_ap,
+    dota_columns,
     evaluate,
+    evaluate_columns,
     ingest_dota,
     parse_detections,
     rotated_nms,
@@ -28,6 +30,17 @@ def det(score, cx=0.0, cy=0.0, h=4.0, w=2.0, theta=0.0, image="im1", cls=0):
 
 def gt(cx=0.0, cy=0.0, h=4.0, w=2.0, theta=0.0, image="im1", cls=0, difficult=False):
     return GroundTruthRecord(image, cls, canonicalize180(cx, cy, h, w, theta), difficult)
+
+
+def det_columns(dets):
+    """The columns of detection records, as parse_detections returns them."""
+    return ([d.image_id for d in dets], [d.class_id for d in dets], np.array([d.score for d in dets], dtype=float),
+            box_rows([d.box for d in dets]))
+
+
+def gt_columns(gts):
+    """The columns of ground-truth records, as dota_columns returns them."""
+    return [g.image_id for g in gts], [g.class_id for g in gts], [g.difficult for g in gts], box_rows([g.box for g in gts])
 
 
 class TestNms:
@@ -369,17 +382,21 @@ def _ranking_scene(rng):
 
 class TestOneRankingPass:
     """evaluate's one ranking of all detections against the per-class
-    sort-and-loop oracle: the same report, bit for bit."""
+    sort-and-loop oracle: the same report, bit for bit, from records and
+    from their columns."""
 
     def test_matches_loop_oracle(self):
         seen = Counter()
         for seed in range(80):
             dets, gts, names = _ranking_scene(np.random.default_rng(seed))
+            det_cols, gt_cols = det_columns(dets), gt_columns(gts)
             for thresh in (0.0, 0.5, 1.0):
-                report, want = evaluate(dets, gts, names, thresh), loop_evaluate(dets, gts, names, thresh)
-                assert report.to_dict() == want.to_dict()
-                assert report.to_json() == want.to_json()
-                hits = evaluation._hits(dets, gts, thresh)
+                report = evaluate(dets, gts, names, thresh)
+                columns = evaluate_columns(det_cols, gt_cols, names, thresh)
+                want = loop_evaluate(det_cols, gt_cols, names, thresh)
+                assert report.to_dict() == columns.to_dict() == want.to_dict()
+                assert report.to_json() == columns.to_json() == want.to_json()
+                hits = evaluation._hits(det_cols, gt_cols, thresh)
                 matched = hits[hits >= 0]
                 seen["repeat match"] += len(matched) > len(set(matched.tolist()))
                 seen["difficult match"] += any(gts[h].difficult for h in matched)
@@ -398,6 +415,13 @@ class TestOneRankingPass:
         dets = [det(0.9), det(0.8, cls=7, image="a"), det(0.7, cls=-1, image="b")]
         with pytest.raises(ValueError, match="class id 7 of a detection in image 'a' is outside the 2 classes"):
             evaluate(dets, [], ["ship", "plane"])
+
+    @pytest.mark.parametrize("class_id", [7, -1, 99999999999999999999])
+    def test_columns_report_the_first_bad_class_id(self, class_id):
+        dets = det_columns([det(0.9), det(0.8, image="a"), det(0.7, cls=2, image="b")])
+        dets[1][1] = class_id  # a list, as parse_detections returns it, so any int fits
+        with pytest.raises(ValueError, match=f"^class id {class_id} of a detection in image 'a' is outside the 2 classes$"):
+            evaluate_columns(dets, gt_columns([]), ["ship", "plane"])
 
 
 class TestComputeAp:
@@ -480,6 +504,36 @@ gsd:0.146343590398
 """
 
 
+def _geometry_error_text(quad):
+    return f"imagesource:x\n0 0 4 0 4 2 0 2 ship 0\n{quad} ship 0\n1 1 5 1 5 3 1 3 plane 0\n"
+
+
+_DEGENERATE = "0 0 0 0 1 1 0 1 ship 0"
+_MALFORMED = "0 0 1 0 1 1 0 ship 0"
+_GOOD = "0 0 4 0 4 2 0 2 ship 0"
+FIRST_BAD_LINE_CASES = [  # lines, the first bad line, its error
+    ([_GOOD, _DEGENERATE, _MALFORMED], 2, "duplicate vertices"),
+    ([_GOOD, _MALFORMED, _DEGENERATE], 2, "tokens"),
+    ([_DEGENERATE, "0 0 1 0 1 1 0 1 ship 2"], 1, "duplicate vertices"),
+    (["0 0 1 0 1 1 0 1 ship 2", _DEGENERATE], 1, "difficult flag"),
+    ([_GOOD, _DEGENERATE, _DEGENERATE.replace("ship", "car")], 2, "duplicate vertices"),
+]
+
+# the texts of the ingestion cases below, good and bad
+INGESTION_TEXTS = [
+    DOTA_SAMPLE,
+    "imagesource:x\ngsd:1.0\n",
+    "0 0 1 0 1 1 0 ship 0\n",
+    "10 20 8 3 35 1 2 3 plane 1\n",
+    *(_geometry_error_text(quad) for quad in ("0 0 0 0 1 1 0 1", "0 0 1 0 2 0 3 0", "0 0 1 0 1 nan 0 1")),
+    *("\n".join(lines) + "\n" for lines, _, _ in FIRST_BAD_LINE_CASES),
+    "0 0 0 0 1 1 0 1 car 0\n0 0 4 0 4 2 0 2 ship 0\n",
+    "0 0 40 0 20 30 20 5 ship 0\n20 5 20 30 40 0 0 0 ship 0\n",
+    "0 0 20 0 40 0 20 30 ship 0\n",
+    "0 0 1 0 1 1 0 1 car 0\n",
+]
+
+
 class TestIngestDota:
     def test_unit_square(self):
         recs = ingest_dota(DOTA_SAMPLE, "P0001", CLASSES)
@@ -517,23 +571,14 @@ class TestIngestDota:
         ],
     )
     def test_geometry_error_names_its_line(self, quad, reason):
-        text = f"imagesource:x\n0 0 4 0 4 2 0 2 ship 0\n{quad} ship 0\n1 1 5 1 5 3 1 3 plane 0\n"
+        text = _geometry_error_text(quad)
         with pytest.raises(AnnotationParseError, match=f"^line 3: .*{reason}") as exc:
             ingest_dota(text, "P0", CLASSES)
         assert exc.value.line_no == 3
         assert isinstance(exc.value.__cause__, InvalidGeometryError)
 
     def test_first_bad_line_wins(self):
-        degenerate = "0 0 0 0 1 1 0 1 ship 0"
-        malformed = "0 0 1 0 1 1 0 ship 0"
-        good = "0 0 4 0 4 2 0 2 ship 0"
-        for lines, line_no, text in (
-            ([good, degenerate, malformed], 2, "duplicate vertices"),
-            ([good, malformed, degenerate], 2, "tokens"),
-            ([degenerate, "0 0 1 0 1 1 0 1 ship 2"], 1, "duplicate vertices"),
-            (["0 0 1 0 1 1 0 1 ship 2", degenerate], 1, "difficult flag"),
-            ([good, degenerate, degenerate.replace("ship", "car")], 2, "duplicate vertices"),
-        ):
+        for lines, line_no, text in FIRST_BAD_LINE_CASES:
             with pytest.raises(AnnotationParseError, match=f"^line {line_no}: .*{text}"):
                 ingest_dota("\n".join(lines) + "\n", "P0", CLASSES, strict=True)
 
@@ -556,6 +601,22 @@ class TestIngestDota:
         tri = ingest_dota("0 0 20 0 40 0 20 30 ship 0\n", "P0", CLASSES)[0].box
         box = recs[0].box
         assert (box.cx, box.cy, box.h, box.w, box.theta) == pytest.approx((tri.cx, tri.cy, tri.h, tri.w, tri.theta), abs=1e-12)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("text", INGESTION_TEXTS)
+    def test_records_of_dota_columns(self, text, strict):
+        # the same records from the columns, or the same first bad line
+        try:
+            image_ids, class_ids, difficult, rows = dota_columns(text, "P3", CLASSES, strict)
+        except AnnotationParseError as exc:
+            with pytest.raises(AnnotationParseError) as got:
+                ingest_dota(text, "P3", CLASSES, strict)
+            assert (str(got.value), got.value.line_no) == (str(exc), exc.line_no)
+            return
+        assert rows.shape == (len(image_ids), 5) and image_ids == ["P3"] * len(rows)
+        want = [GroundTruthRecord(image_id, cid, OrientedBox180(*row), hard)
+                for image_id, cid, hard, row in zip(image_ids, class_ids, difficult, rows.tolist())]
+        assert ingest_dota(text, "P3", CLASSES, strict) == want
 
     def test_unknown_category_lenient_vs_strict(self):
         line = "0 0 1 0 1 1 0 1 car 0\n"

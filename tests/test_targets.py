@@ -58,6 +58,11 @@ class TestAnchorGeneration:
         with pytest.raises(ValueError):
             AnchorGridSpec(image_size=30, strides=(32,))
 
+    @pytest.mark.parametrize("stride", [0, -8, 0.0])
+    def test_non_positive_stride(self, stride):
+        with pytest.raises(ValueError, match=f"^stride {stride} is not positive$"):
+            AnchorGridSpec(image_size=64, strides=(8, stride))
+
 
 class TestAssignment:
     def test_gt_equal_to_anchor(self):
@@ -152,6 +157,36 @@ class TestAssignment:
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ValueError):
             AssignmentConfig(fg_iou=0.3, bg_iou=0.4)
+
+
+def _moved(box, shift=(0.0, 0.0), scale=1.0):
+    return canonicalize180((box.cx + shift[0]) * scale, (box.cy + shift[1]) * scale, box.h * scale, box.w * scale, box.theta)
+
+
+class TestForcedAnchorTies:
+    """A small gt inside several equal-area anchors has equal IoUs with
+    them in exact arithmetic. Its forced anchor is the first within 1e-12
+    relative of its best IoU, not the one last-bit rounding favours, so
+    moving or scaling the whole scene leaves the assignment unchanged."""
+
+    @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
+    @pytest.mark.parametrize("shift, scale", [((1000.0, -7.25), 1.0), ((0.0, 0.0), 1e-3), ((0.0, 0.0), 1e4)])
+    def test_assignment_invariant_to_translation_and_scale(self, mode, shift, scale):
+        anchors = generate_anchors(AnchorGridSpec(image_size=32, strides=(16,)), mode)
+        moved_anchors = [_moved(a, shift, scale) for a in anchors]
+        cfg = AssignmentConfig(anchor_mode=mode)
+        rng = np.random.default_rng(11)
+        ties = 0
+        for _ in range(100):
+            boxes = [canonicalize180(*rng.uniform(0, 32, 2), *rng.uniform(1, 6, 2), rng.uniform(-90, 90))
+                     for _ in range(rng.integers(1, 4))]
+            got = assign_targets(moved_anchors, [(_moved(b, shift, scale), j) for j, b in enumerate(boxes)], cfg, CSL_CFG)
+            want = assign_targets(anchors, [(b, j) for j, b in enumerate(boxes)], cfg, CSL_CFG)
+            assert np.array_equal(got.labels, want.labels)
+            assert np.array_equal(got.matched_gt, want.matched_gt)
+            iou = targets._iou_matrix(anchors, boxes, mode)
+            ties += int(np.sum(iou >= iou.max(axis=0) * (1 - 1e-12)) > len(boxes))
+        assert ties >= 50  # most scenes have a gt with several best anchors
 
 
 def _corner_bbox(box):
