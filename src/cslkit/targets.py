@@ -22,8 +22,12 @@ class AnchorGridSpec:
     aspect_ratios: tuple = DEFAULT_RATIOS
     angles: tuple = DEFAULT_ANGLES  # used in rotated mode only
 
-    def __post_init__(self):
-        if any(r <= 0 for r in self.aspect_ratios):
+    def __post_init__(self):  # "not x > 0" rejects NaN as well
+        if not self.image_size > 0:
+            raise ValueError(f"image size {self.image_size} is not positive")
+        if not self.base_scale > 0:
+            raise ValueError(f"base scale {self.base_scale} is not positive")
+        if not all(r > 0 for r in self.aspect_ratios):
             raise ValueError("aspect ratios must be positive")
         for s in self.strides:
             if not s > 0:
@@ -39,16 +43,44 @@ class AssignmentConfig:
     anchor_mode: str = "horizontal"
 
     def __post_init__(self):
+        for name in ("fg_iou", "bg_iou"):
+            if not 0 <= getattr(self, name) <= 1:  # NaN fails the comparison too
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if self.bg_iou > self.fg_iou:
             raise ValueError("bg_iou must not exceed fg_iou")
         if self.anchor_mode not in ("horizontal", "rotated"):
             raise ValueError(f"unknown anchor mode {self.anchor_mode!r}")
 
 
+class AnchorSet(tuple):
+    """An immutable tuple of OrientedBox180 anchors that also holds their
+    (N, 5) long-edge `rows` and (N, 4) axis-aligned `bboxes`, both
+    read-only, so an anchor grid converts to arrays once, not once per
+    image. Built from long-edge rows; slicing or adding gives a plain tuple."""
+
+    def __new__(cls, rows):
+        rows = np.array(rows, dtype=float)  # a private copy, frozen below
+        self = super().__new__(cls, [OrientedBox180(*row) for row in rows.tolist()])
+        self.__dict__.update(rows=rows, bboxes=aligned_bboxes(rows))
+        for array in (self.rows, self.bboxes):
+            array.flags.writeable = False
+        return self
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot change {name!r}: AnchorSet is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy rebuild the records and arrays from the rows
+        return type(self), (self.rows,)
+
+
 def generate_anchors(spec, mode="horizontal"):
     """One anchor per (location, aspect ratio) per pyramid level; the
     anchor area at a level is (base_scale * stride)^2 for every ratio.
-    Rotated mode additionally sweeps the configured angle set."""
+    Rotated mode additionally sweeps the configured angle set. Returns
+    an AnchorSet: an immutable tuple of the records that also carries
+    their rows and bboxes, so assign_targets converts the grid once."""
     angles = spec.angles if mode == "rotated" else (0.0,)
     rows = [np.empty((0, 5))]  # no strides, no anchors
     for stride in spec.strides:
@@ -57,7 +89,7 @@ def generate_anchors(spec, mode="horizontal"):
         # anchor order: y, then x, then ratio, then angle
         cy, cx, root, angle = np.meshgrid(centers, centers, np.sqrt(spec.aspect_ratios), angles, indexing="ij")
         rows.append(np.stack([cx, cy, size * root, size / root, angle], axis=-1).reshape(-1, 5))
-    return [OrientedBox180(*row) for row in canonicalize180_rows(np.concatenate(rows)).tolist()]
+    return AnchorSet(canonicalize180_rows(np.concatenate(rows)))
 
 
 @dataclass
@@ -83,11 +115,16 @@ class AssignmentResult:
 
 
 def _iou_matrix(anchors, gts, mode):
+    if isinstance(anchors, AnchorSet):
+        rows, bboxes = anchors.rows, anchors.bboxes
+    else:  # any other sequence of records converts here, its bboxes only where used
+        rows = box_rows(anchors)
+        bboxes = aligned_bboxes(rows) if mode == "horizontal" else None
     if mode == "rotated":
-        return rotated_iou_matrix(box_rows(anchors), box_rows(gts))
+        return rotated_iou_matrix(rows, box_rows(gts))
     # horizontal anchors are matched against the gt's axis-aligned
     # enclosing rectangle
-    return aligned_iou_matrix(aligned_bboxes(box_rows(anchors)), aligned_bboxes(box_rows(gts)))
+    return aligned_iou_matrix(bboxes, aligned_bboxes(box_rows(gts)))
 
 
 def assign_targets(anchors, gts, cfg, csl_cfg):
@@ -109,8 +146,7 @@ def assign_targets(anchors, gts, cfg, csl_cfg):
         max_iou = iou[np.arange(n), matched]
         labels = np.where(max_iou >= cfg.fg_iou, 1, np.where(max_iou < cfg.bg_iou, 0, -1))
         # force every gt onto its best anchor: the first within 1e-12 of its best IoU, as exact ties may round apart
-        for j in range(m):
-            best = int(np.argmax(iou[:, j] >= iou[:, j].max() * (1 - 1e-12)))
+        for j, best in enumerate(np.argmax(iou >= iou.max(axis=0) * (1 - 1e-12), axis=0).tolist()):
             if labels[best] != 1 or iou[best, j] > iou[best, matched[best]]:
                 labels[best] = 1
                 matched[best] = j

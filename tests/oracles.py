@@ -21,19 +21,44 @@ MC_CHUNK = 1 << 16
 CLIP_EPS = 1e-9  # absolute, so the clipper is exact only near unit scale
 
 
-def box_contains(box, pts):
-    """Point-in-rotated-rectangle test via the inverse rotation."""
+def _contains_frame(box):
+    """(cx, cy, cos, sin, half along, half across) of a box, the
+    constants of its point-in-rectangle test."""
     if hasattr(box, "w") and not hasattr(box, "h"):
         raise TypeError
     along = box.w if type(box).__name__ == "OrientedBox90" else box.h
     across = box.h if type(box).__name__ == "OrientedBox90" else box.w
     t = math.radians(box.theta)
-    c, s = math.cos(t), math.sin(t)
-    dx = pts[:, 0] - box.cx
-    dy = pts[:, 1] - box.cy
+    return box.cx, box.cy, math.cos(t), math.sin(t), along / 2, across / 2
+
+
+def box_contains(box, pts):
+    """Point-in-rotated-rectangle test via the inverse rotation."""
+    cx, cy, c, s, half_along, half_across = _contains_frame(box)
+    dx = pts[:, 0] - cx
+    dy = pts[:, 1] - cy
     u = dx * c + dy * s
     v = -dx * s + dy * c
-    return (np.abs(u) <= along / 2) & (np.abs(v) <= across / 2)
+    return (np.abs(u) <= half_along) & (np.abs(v) <= half_across)
+
+
+def _contains_into(frame, x, y, out, dx, dy, u, t, edge):
+    """box_contains of the points (x, y) written to the bool buffer out:
+    the same operations in the same order, in place in the same-length
+    float buffers dx, dy, u, t and the bool buffer edge."""
+    cx, cy, c, s, half_along, half_across = frame
+    np.subtract(x, cx, out=dx)
+    np.subtract(y, cy, out=dy)
+    np.multiply(dx, c, out=u)  # u = dx * c + dy * s
+    np.multiply(dy, s, out=t)
+    np.add(u, t, out=u)
+    np.less_equal(np.abs(u, out=u), half_along, out=out)
+    np.negative(dx, out=dx)  # v = -dx * s + dy * c, in dx
+    np.multiply(dx, s, out=dx)
+    np.multiply(dy, c, out=dy)
+    np.add(dx, dy, out=dx)
+    np.less_equal(np.abs(dx, out=dx), half_across, out=edge)
+    out &= edge
 
 
 def mc_iou(a, b, samples=1_000_000, seed=0):
@@ -48,14 +73,26 @@ def mc_iou(a, b, samples=1_000_000, seed=0):
     scale = (hi - lo).astype(np.float32)
     offset = lo.astype(np.float32)
     # consecutive draws continue one random stream, so the chunk size
-    # changes only the speed (cache-sized arrays), never the result
+    # changes only the speed (cache-sized arrays), never the result.
+    # Every chunk reuses the same buffers, and the (x, y) draws are
+    # copied into two contiguous rows first: the float32 operations of
+    # box_contains then run on contiguous arrays, twice as fast as on
+    # the strided columns, with the same bits.
+    frames = [_contains_frame(box) for box in (a, b)]
+    drawn, points = np.empty((MC_CHUNK, 2), np.float32), np.empty((2, MC_CHUNK), np.float32)
+    floats, masks = np.empty((4, MC_CHUNK), np.float32), np.empty((3, MC_CHUNK), bool)
     inter = union = 0
     for left in range(samples, 0, -MC_CHUNK):
-        xy = rng.random((min(left, MC_CHUNK), 2), dtype=np.float32) * scale + offset
-        in_a = box_contains(a, xy)
-        in_b = box_contains(b, xy)
-        union += np.count_nonzero(in_a | in_b)
-        inter += np.count_nonzero(in_a & in_b)
+        k = min(left, MC_CHUNK)
+        xy, (in_a, in_b, edge) = points[:, :k], masks[:, :k]
+        rng.random(dtype=np.float32, out=drawn[:k])
+        np.copyto(xy, drawn[:k].T)
+        xy *= scale[:, None]
+        xy += offset[:, None]
+        _contains_into(frames[0], *xy, in_a, *floats[:, :k], edge)
+        _contains_into(frames[1], *xy, in_b, *floats[:, :k], edge)
+        union += np.count_nonzero(np.bitwise_or(in_a, in_b, out=edge))
+        inter += np.count_nonzero(np.bitwise_and(in_a, in_b, out=edge))
     if union == 0:
         return 0.0
     return inter / union

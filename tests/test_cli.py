@@ -1,9 +1,10 @@
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from cslkit import evaluation
+from cslkit import evaluation, targets
 from cslkit.cli import build_parser, main
 from cslkit.evaluation import DetectionRecord, GroundTruthRecord
 from cslkit.rotgeom import OrientedBox180, canonicalize180, to_quad
@@ -88,6 +89,26 @@ class TestTargets:
         )
         assert payload["num_anchors"] == 7
         assert len(payload["foreground"]) >= 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
+    def test_output_equals_record_list(self, capsys, monkeypatch, mode, fmt):
+        """The AnchorSet of generate_anchors gives the same bytes as its
+        records passed as a plain list, which assign_targets converts
+        itself: on the cases above and 20 seeded ones."""
+        rng = np.random.default_rng(41 if mode == "horizontal" else 42)
+        argvs = [("--image-size", "32", "--strides", "32", "--gt", "16 16 20 10 0 0"), ("--image-size", "32", "--strides", "32")]
+        for _ in range(20):
+            size, strides = [(32, ("16",)), (64, ("8", "16")), (64, ("32",)), (64, ("16", "32"))][rng.integers(4)]
+            gts = [f"{rng.uniform(0, size):.3f} {rng.uniform(0, size):.3f} {rng.uniform(1, 30):.3f} {rng.uniform(1, 30):.3f} "
+                   f"{rng.uniform(-90, 90):.2f} {k}" for k in range(rng.integers(1, 4))]
+            argvs.append(("--image-size", str(size), "--strides", *strides, *(t for g in gts for t in ("--gt", g))))
+        outputs = [run(capsys, "--format", fmt, "targets", "--mode", mode, *argv) for argv in argvs]
+        generate = targets.generate_anchors
+        monkeypatch.setattr(targets, "generate_anchors", lambda spec, mode: list(generate(spec, mode)))
+        assert [run(capsys, "--format", fmt, "targets", "--mode", mode, *argv) for argv in argvs] == outputs
+        assert all(code == 0 for code, _ in outputs)
+        assert sum('"foreground": [\n' in out or ",1," in out for _, out in outputs) >= 20
 
 
 # detections of four (image, class) groups, interleaved in the file
@@ -447,6 +468,10 @@ class TestBadParameters:
         (("quant-error", "--samples", "-5"), "samples must be at least 1, got -5"),
         (("targets", "--image-size", "64", "--strides", "0"), "stride 0 is not positive"),
         (("targets", "--image-size", "64", "--strides", "8", "-16"), "stride -16 is not positive"),
+        (("targets", "--image-size", "0"), "image size 0 is not positive"),
+        (("targets", "--image-size", "-16", "--strides", "8"), "image size -16 is not positive"),
+        (("targets", "--image-size", "64", "--base-scale", "nan"), "base scale nan is not positive"),
+        (("targets", "--image-size", "64", "--base-scale", "0"), "base scale 0.0 is not positive"),
     ])
     def test_data_error(self, capsys, argv, message):
         code = main(list(argv))

@@ -282,6 +282,26 @@ class TestRotatedIou:
             b = _random_box(rng)
             assert rotated_iou(a, b) == pytest.approx(mc_iou(a, b, samples=200_000, seed=i), abs=0.01)
 
+    def test_monte_carlo_oracle_equals_plain_chunks(self):
+        """mc_iou runs box_contains's float32 operations in place on
+        reused buffers; it gives the bits of plain box_contains calls on
+        the same draws, for both box types and partial last chunks."""
+        rng = np.random.default_rng(6)
+        for i, samples in enumerate([1, 12345, 65536, 65537, 200_000, 300_001]):
+            a = _random_box(rng)
+            b = (canonicalize90 if i % 2 else canonicalize180)(*rng.uniform(-2, 2, 2), *rng.uniform(0.5, 6, 2), rng.uniform(-90, 90))
+            pts = np.vstack([to_quad(a).as_array(), to_quad(b).as_array()])
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
+            draws = np.random.default_rng(i)
+            inter = union = 0
+            for left in range(samples, 0, -(1 << 16)):
+                xy = draws.random((min(left, 1 << 16), 2), dtype=np.float32) * (hi - lo).astype(np.float32) + lo.astype(np.float32)
+                in_a, in_b = box_contains(a, xy), box_contains(b, xy)
+                union += np.count_nonzero(in_a | in_b)
+                inter += np.count_nonzero(in_a & in_b)
+            assert union > 0
+            assert mc_iou(a, b, samples=samples, seed=i) == inter / union
+
 
 def _random_box(rng):
     return canonicalize180(

@@ -1,3 +1,6 @@
+import copy
+import math
+import pickle
 from dataclasses import astuple
 
 import numpy as np
@@ -6,8 +9,8 @@ import pytest
 from cslkit import targets
 from cslkit.csl_codec import CslCodecConfig, encode
 from cslkit.losses import encode_regression
-from cslkit.targets import AnchorGridSpec, AssignmentConfig, assign_targets, generate_anchors
-from cslkit.rotgeom import aligned_bbox, aligned_iou, canonicalize90, canonicalize180, to_quad
+from cslkit.targets import AnchorGridSpec, AnchorSet, AssignmentConfig, assign_targets, generate_anchors
+from cslkit.rotgeom import aligned_bbox, aligned_bboxes, aligned_iou, box_rows, canonicalize90, canonicalize180, to_quad
 from oracles import clipped_iou, loop_generate_anchors
 
 CSL_CFG = CslCodecConfig("gaussian", 6.0)
@@ -24,7 +27,7 @@ class TestAnchorGeneration:
     ])
     def test_bit_equal_to_per_anchor_loop(self, spec, mode):
         got, want = generate_anchors(spec, mode), loop_generate_anchors(spec, mode)
-        assert got == want
+        assert list(got) == want
         assert np.array([astuple(a) for a in got]).tobytes() == np.array([astuple(a) for a in want]).tobytes()
         assert all(type(v) is float for a in got for v in astuple(a))
 
@@ -62,6 +65,21 @@ class TestAnchorGeneration:
     def test_non_positive_stride(self, stride):
         with pytest.raises(ValueError, match=f"^stride {stride} is not positive$"):
             AnchorGridSpec(image_size=64, strides=(8, stride))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"image_size": 0}, "image size 0 is not positive"),
+        ({"image_size": -16}, "image size -16 is not positive"),
+        ({"image_size": math.nan}, "image size nan is not positive"),
+        ({"image_size": 64, "base_scale": math.nan}, "base scale nan is not positive"),
+        ({"image_size": 64, "base_scale": 0.0}, "base scale 0.0 is not positive"),
+        ({"image_size": 64, "base_scale": -4.0}, "base scale -4.0 is not positive"),
+        ({"image_size": 64, "aspect_ratios": (math.nan,)}, "aspect ratios must be positive"),
+        ({"image_size": 64, "aspect_ratios": (1.0, 2.0, math.nan)}, "aspect ratios must be positive"),
+        ({"image_size": 64, "aspect_ratios": (1.0, 0.0)}, "aspect ratios must be positive"),
+    ])
+    def test_bad_grid_parameters(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AnchorGridSpec(**kwargs)
 
 
 class TestAssignment:
@@ -158,6 +176,21 @@ class TestAssignment:
         with pytest.raises(ValueError):
             AssignmentConfig(fg_iou=0.3, bg_iou=0.4)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"fg_iou": math.nan}, r"fg_iou must lie in \[0, 1\], got nan"),
+        ({"bg_iou": math.nan}, r"bg_iou must lie in \[0, 1\], got nan"),
+        ({"fg_iou": math.nan, "bg_iou": math.nan}, r"fg_iou must lie in \[0, 1\], got nan"),
+        ({"fg_iou": 1.5}, r"fg_iou must lie in \[0, 1\], got 1.5"),
+        ({"bg_iou": -0.1}, r"bg_iou must lie in \[0, 1\], got -0.1"),
+        ({"fg_iou": math.inf, "bg_iou": 0.4}, r"fg_iou must lie in \[0, 1\], got inf"),
+    ])
+    def test_thresholds_outside_unit_interval(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AssignmentConfig(**kwargs)
+
+    def test_unit_interval_ends_accepted(self):
+        assert AssignmentConfig(fg_iou=1.0, bg_iou=0.0).fg_iou == 1.0
+
 
 def _moved(box, shift=(0.0, 0.0), scale=1.0):
     return canonicalize180((box.cx + shift[0]) * scale, (box.cy + shift[1]) * scale, box.h * scale, box.w * scale, box.theta)
@@ -228,3 +261,90 @@ class TestArrayPaths:
             want = encode_regression(gt, anchors[i]).as_array()
             assert np.abs(res.reg_targets[i].as_array() - want).max() <= 1e-12
             assert res.class_ids[i] == class_id
+
+
+def _scene(rng, n):
+    """n gts on a 64 px image, every third an OrientedBox90."""
+    make = [canonicalize180, canonicalize180, canonicalize90]
+    return [(make[k % 3](*rng.uniform(0, 64, 2), *rng.uniform(2, 40, 2), rng.uniform(-90, 90)), k) for k in range(n)]
+
+
+class TestAnchorSet:
+    """generate_anchors returns an AnchorSet, which carries the rows and
+    bboxes of its records; assignment on it equals assignment on the
+    same records as a plain list, which converts them per call."""
+
+    @pytest.mark.parametrize("assign_mode", ["horizontal", "rotated"])
+    @pytest.mark.parametrize("gen_mode", ["horizontal", "rotated"])
+    def test_assignment_equals_record_list(self, gen_mode, assign_mode):
+        anchors = generate_anchors(AnchorGridSpec(image_size=64, strides=(16, 32)), gen_mode)
+        cfg = AssignmentConfig(anchor_mode=assign_mode)
+        rng = np.random.default_rng(31)
+        for n in [0, 1, 2, 3, 4, 5, 6] * 2:
+            gts = _scene(rng, n)
+            got = assign_targets(anchors, gts, cfg, CSL_CFG)
+            want = assign_targets(list(anchors), gts, cfg, CSL_CFG)
+            for name in ("labels", "matched_gt", "max_iou"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert list(got.reg_targets) == list(want.reg_targets)
+            for i, target in got.reg_targets.items():
+                assert target.as_array().tobytes() == want.reg_targets[i].as_array().tobytes()
+            assert got.class_ids == want.class_ids
+            assert list(got.csl_labels) == list(want.csl_labels)
+            for i, label in got.csl_labels.items():
+                assert label.gt_bin == want.csl_labels[i].gt_bin
+                assert label.values.tobytes() == want.csl_labels[i].values.tobytes()
+
+    @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
+    def test_arrays_are_those_of_the_records(self, mode):
+        anchors = generate_anchors(AnchorGridSpec(image_size=48, strides=(16, 8, 24), base_scale=3), mode)
+        assert isinstance(anchors, tuple) and all(type(a).__name__ == "OrientedBox180" for a in anchors)
+        assert anchors.rows.tobytes() == box_rows(anchors).tobytes()
+        assert anchors.bboxes.tobytes() == aligned_bboxes(box_rows(anchors)).tobytes()
+        assert anchors.rows.shape == (len(anchors), 5) and anchors.bboxes.shape == (len(anchors), 4)
+        empty = generate_anchors(AnchorGridSpec(image_size=64, strides=()), mode)
+        assert empty == () and empty.rows.shape == (0, 5) and empty.bboxes.shape == (0, 4)
+
+    def test_immutable(self):
+        anchors = generate_anchors(AnchorGridSpec(image_size=32, strides=(16,)))
+        rows, bboxes = anchors.rows.copy(), anchors.bboxes.copy()
+        for array in (anchors.rows, anchors.bboxes):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = -1.0
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 2.0
+        for name in ("rows", "bboxes", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(anchors, name, np.zeros((1, 5)))
+        with pytest.raises(AttributeError):
+            del anchors.rows
+        assert np.array_equal(anchors.rows, rows) and np.array_equal(anchors.bboxes, bboxes)
+
+    def test_built_from_a_private_copy(self):
+        rows = box_rows(generate_anchors(AnchorGridSpec(image_size=32, strides=(16,))))
+        anchors = AnchorSet(rows)
+        rows[0, 0] = -1.0
+        assert rows.flags.writeable and anchors.rows[0, 0] == 8.0 and anchors[0].cx == 8.0
+
+    @pytest.mark.parametrize("clone", [
+        lambda a: pickle.loads(pickle.dumps(a)),
+        lambda a: pickle.loads(pickle.dumps(a, protocol=2)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "pickle-2", "copy", "deepcopy"])
+    def test_pickle_and_copy_keep_the_arrays(self, clone):
+        anchors = generate_anchors(AnchorGridSpec(image_size=32, strides=(8, 16), base_scale=1.5), "rotated")
+        twin = clone(anchors)
+        assert type(twin) is AnchorSet and twin == anchors
+        for name in ("rows", "bboxes"):
+            assert getattr(twin, name).tobytes() == getattr(anchors, name).tobytes()
+            assert not getattr(twin, name).flags.writeable
+
+    def test_slices_and_sums_are_plain_tuples(self):
+        anchors = generate_anchors(AnchorGridSpec(image_size=32, strides=(16,)))
+        assert type(anchors[1:3]) is tuple and type(anchors + anchors) is tuple
+        gts = [(canonicalize180(12, 12, 10, 5, 20), 0)]
+        got = assign_targets(anchors[7:], gts, AssignmentConfig(), CSL_CFG)
+        want = assign_targets(list(anchors)[7:], gts, AssignmentConfig(), CSL_CFG)
+        assert got.max_iou.tobytes() == want.max_iou.tobytes()
