@@ -82,14 +82,25 @@ class QuantizationErrorStats:
     expected_loss: float  # omega / 4
 
 
+def _bins(thetas, cfg):
+    """Bin indices (N,) of angles; names the first one outside the canonical range (NaN too)."""
+    thetas = np.asarray(thetas, dtype=float)
+    lo, hi = cfg.range_min, cfg.range_min + cfg.range_span
+    outside = ~((thetas >= lo) & (thetas < hi))
+    if outside.any():
+        raise ValueError(f"angle {thetas[outside][0]} outside canonical range [{lo}, {hi})")
+    return np.minimum(np.floor((thetas - lo) / cfg.omega).astype(int), cfg.bin_count - 1)
+
+
+def _window_rows(bins, cfg):
+    """(N, T) labels: row n is the window row of bin 0 rotated to bins[n]."""
+    ring = np.arange(cfg.bin_count)
+    return window_value(cfg, ring)[(ring[None, :] - bins[:, None]) % len(ring)]
+
+
 def angle_to_bin(theta, cfg):
     """Map an angle inside the canonical range to its bin index."""
-    lo = cfg.range_min
-    hi = lo + cfg.range_span
-    if not (lo <= theta < hi):
-        raise ValueError(f"angle {theta} outside canonical range [{lo}, {hi})")
-    t = cfg.bin_count
-    return min(int(np.floor((theta - lo) / cfg.omega)), t - 1)
+    return int(_bins([theta], cfg)[0])
 
 
 def circular_distance(i, j, t):
@@ -121,8 +132,8 @@ def window_value(cfg, delta_bins):
 
 def encode(theta, cfg):
     """Encode an angle as a circular smooth label."""
-    gt = angle_to_bin(theta, cfg)
-    return CslLabel(values=encode_batch([theta], cfg)[0], gt_bin=gt)
+    bins = _bins([theta], cfg)
+    return CslLabel(values=_window_rows(bins, cfg)[0], gt_bin=int(bins[0]))
 
 
 def decode(scores, cfg):
@@ -138,15 +149,7 @@ def decode(scores, cfg):
 def encode_batch(thetas, cfg):
     """Vectorized encode: (N,) angles -> (N, T) label matrix. Row n is
     the window row of bin 0 rotated to the angle's bin."""
-    thetas = np.asarray(thetas, dtype=float)
-    lo = cfg.range_min
-    hi = lo + cfg.range_span
-    if not np.all((thetas >= lo) & (thetas < hi)):  # NaN fails too
-        raise ValueError("angles outside canonical range")
-    t = cfg.bin_count
-    gt = np.minimum(np.floor((thetas - lo) / cfg.omega).astype(int), t - 1)
-    bins = np.arange(t)
-    return window_value(cfg, bins)[(bins[None, :] - gt[:, None]) % t]
+    return _window_rows(_bins(thetas, cfg), cfg)
 
 
 def decode_batch(labels, cfg):

@@ -43,36 +43,33 @@ class LossWeights:
     lambda3: float = 1.0
 
 
-def field_rows(boxes):
-    """(N, 5) rows (cx, cy, w, h, theta) of OrientedBox90 / OrientedBox180
-    records, the fields of the regression offsets; in an OrientedBox180
-    the long side h plays the "height" role."""
-    rows = []
-    for box in boxes:
-        if not isinstance(box, (OrientedBox90, OrientedBox180)):
-            raise TypeError(f"unsupported box type {type(box)!r}")
-        rows.append((box.cx, box.cy, box.w, box.h, box.theta))
-    return np.asarray(rows, dtype=float).reshape(-1, 5)
+def _fields(box):
+    """(cx, cy, h, w, theta) of a box record by field name, the layout of encode_regression_rows."""
+    if not isinstance(box, (OrientedBox90, OrientedBox180)):
+        raise TypeError(f"unsupported box type {type(box)!r}")
+    return box.cx, box.cy, box.h, box.w, box.theta
 
 
 def encode_regression(gt, anchor, include_theta=True):
     """Offsets from anchor to ground truth: center deltas normalized by
-    anchor sides, log side ratios, and the angle difference in radians."""
-    tx, ty, tw, th, t_theta = encode_regression_rows(field_rows([gt]), field_rows([anchor]))[0].tolist()
+    anchor sides, log side ratios, and the angle difference in radians,
+    each side and angle taken by its name in the records' convention."""
+    tx, ty, tw, th, t_theta = encode_regression_rows(*np.array([[_fields(gt)], [_fields(anchor)]], dtype=float))[0].tolist()
     return RegressionTarget(tx, ty, tw, th, t_theta if include_theta else None)
 
 
 def encode_regression_rows(gt, anchor):
     """(K, 5) offsets (tx, ty, tw, th, t_theta) from K anchors to K
-    ground truths, both given as field_rows."""
+    ground truths, both given as long-edge rows (cx, cy, h, w, theta):
+    tx and tw go with w (column 3), ty and th with h (column 2)."""
     d = gt - anchor
-    return np.column_stack([d[:, 0] / anchor[:, 2], d[:, 1] / anchor[:, 3], np.log(gt[:, 2:4] / anchor[:, 2:4]), d[:, 4] * DEG2RAD])
+    return np.column_stack([d[:, 0] / anchor[:, 3], d[:, 1] / anchor[:, 2], np.log(gt[:, [3, 2]] / anchor[:, [3, 2]]), d[:, 4] * DEG2RAD])
 
 
 def decode_regression(pred, anchor):
     """Exact inverse of encode_regression; returns the same box type as
     the anchor (re-canonicalized, identity for canonical round trips)."""
-    xa, ya, wa, ha, tha = field_rows([anchor])[0].tolist()
+    xa, ya, ha, wa, tha = _fields(anchor)
     if pred.tw > 60 or pred.th > 60:
         raise ValueError("log side ratio too large, exp would overflow")
     w = wa * math.exp(pred.tw)

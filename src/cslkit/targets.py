@@ -6,9 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csl_codec import CslLabel, angle_to_bin, encode_batch
-from .losses import RegressionTarget, encode_regression_rows, field_rows
-from .rotgeom import OrientedBox180, aligned_bboxes, aligned_iou_matrix, box_rows, canonicalize180_rows, rotated_iou_matrix
+from .csl_codec import CslLabel, _bins, _window_rows
+from .losses import RegressionTarget, encode_regression_rows
+from .rotgeom import (OrientedBox90, OrientedBox180, aligned_bboxes, aligned_iou_matrix, box_rows, canonicalize180,
+                      canonicalize180_rows, rotated_iou_matrix)
 
 DEFAULT_RATIOS = (1.0, 1 / 2, 2.0, 1 / 4, 4.0, 1 / 6, 6.0)
 DEFAULT_ANGLES = (-90.0, -75.0, -60.0, -45.0, -30.0, -15.0)
@@ -114,53 +115,51 @@ class AssignmentResult:
         }
 
 
-def _iou_matrix(anchors, gts, mode):
-    if isinstance(anchors, AnchorSet):
-        rows, bboxes = anchors.rows, anchors.bboxes
-    else:  # any other sequence of records converts here, its bboxes only where used
-        rows = box_rows(anchors)
-        bboxes = aligned_bboxes(rows) if mode == "horizontal" else None
-    if mode == "rotated":
-        return rotated_iou_matrix(rows, box_rows(gts))
-    # horizontal anchors are matched against the gt's axis-aligned
-    # enclosing rectangle
-    return aligned_iou_matrix(bboxes, aligned_bboxes(box_rows(gts)))
+def _long_edge_rows(boxes):
+    """(N, 5) long-edge rows of records; an OrientedBox90 is reduced to its OrientedBox180 twin."""
+    return box_rows([canonicalize180(b.cx, b.cy, b.w, b.h, b.theta) if isinstance(b, OrientedBox90) else b for b in boxes])
 
 
 def assign_targets(anchors, gts, cfg, csl_cfg):
     """Max-IoU assignment: foreground above fg_iou, background below
-    bg_iou, ignored between; each gt is additionally forced onto its
-    best anchor. Foreground anchors get regression and circular-label
-    targets against their matched gt."""
+    bg_iou, ignored between. Anchors and gts become long-edge rows once,
+    so an OrientedBox90 gt and its OrientedBox180 twin get the same
+    targets; horizontal anchors match each gt's enclosing rectangle.
+    Each gt, highest best IoU first (ties in input order), is forced onto
+    a best anchor (within 1e-12 relative) that it may take, one not yet
+    foreground or matched at a lower IoU: the first that no earlier gt
+    was forced onto, else the first. Foreground anchors get regression
+    and circular-label targets against their matched gt."""
     if not anchors:
         raise ValueError("empty anchor list")
-    gt_boxes = [g[0] for g in gts]
+    if not isinstance(anchors, AnchorSet):  # any other sequence of records
+        anchors = AnchorSet(_long_edge_rows(anchors))
+    rows, bboxes = anchors.rows, anchors.bboxes
+    gt_rows = _long_edge_rows([g[0] for g in gts])
     gt_classes = [g[1] for g in gts]
-    n, m = len(anchors), len(gt_boxes)
-    labels = np.zeros(n, dtype=int)
-    matched = np.full(n, -1, dtype=int)
-    max_iou = np.zeros(n)
+    n, m = len(rows), len(gt_rows)
+    labels, matched, max_iou = np.zeros(n, dtype=int), np.full(n, -1), np.zeros(n)
     if m:
-        iou = _iou_matrix(anchors, gt_boxes, cfg.anchor_mode)
+        iou = rotated_iou_matrix(rows, gt_rows) if cfg.anchor_mode == "rotated" else aligned_iou_matrix(bboxes, aligned_bboxes(gt_rows))
         matched = np.argmax(iou, axis=1)  # ties -> first gt index
         max_iou = iou[np.arange(n), matched]
         labels = np.where(max_iou >= cfg.fg_iou, 1, np.where(max_iou < cfg.bg_iou, 0, -1))
-        # force every gt onto its best anchor: the first within 1e-12 of its best IoU, as exact ties may round apart
-        for j, best in enumerate(np.argmax(iou >= iou.max(axis=0) * (1 - 1e-12), axis=0).tolist()):
-            if labels[best] != 1 or iou[best, j] > iou[best, matched[best]]:
-                labels[best] = 1
-                matched[best] = j
-                max_iou[best] = iou[best, j]
+        best = iou.max(axis=0)
+        forced = np.zeros(n, dtype=bool)
+        for j in np.argsort(-best, kind="stable").tolist():
+            ties = np.flatnonzero(iou[:, j] >= best[j] * (1 - 1e-12))
+            may = ties[(labels[ties] != 1) | (iou[ties, j] > max_iou[ties])]  # not foreground, or at a lower IoU
+            for i in np.concatenate([may[~forced[may]], may])[:1].tolist():  # the first free one, else the first
+                labels[i], matched[i], max_iou[i], forced[i] = 1, j, iou[i, j], True
         matched = np.where(labels == 1, matched, -1)
     result = AssignmentResult(labels=labels, matched_gt=matched, max_iou=max_iou)
     fg = np.flatnonzero(labels == 1)
     fg_gts = matched[fg]
-    gt_fields = field_rows(gt_boxes)
-    gt_bins = {j: angle_to_bin(gt_fields[j, 4], csl_cfg) for j in np.unique(fg_gts).tolist()}
-    offsets = encode_regression_rows(gt_fields[fg_gts], field_rows([anchors[i] for i in fg]))
-    csl_values = encode_batch(gt_fields[fg_gts, 4], csl_cfg)
-    for i, j, offset, values in zip(fg.tolist(), fg_gts.tolist(), offsets.tolist(), csl_values):
+    offsets = encode_regression_rows(gt_rows[fg_gts], rows[fg])
+    used = np.unique(fg_gts)  # the matched gts, each one's bin computed once
+    bins = _bins(gt_rows[used, 4], csl_cfg)[np.searchsorted(used, fg_gts)]
+    for i, j, offset, gt_bin, values in zip(fg.tolist(), fg_gts.tolist(), offsets.tolist(), bins.tolist(), _window_rows(bins, csl_cfg)):
         result.reg_targets[i] = RegressionTarget(*offset)
-        result.csl_labels[i] = CslLabel(values=values, gt_bin=gt_bins[j])
+        result.csl_labels[i] = CslLabel(values=values, gt_bin=gt_bin)
         result.class_ids[i] = gt_classes[j]
     return result

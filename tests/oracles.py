@@ -5,9 +5,10 @@ the batched sorted-candidate IoU (the library's kernel before the edge
 clipper), vertex-set comparison, brute-force minimum rectangle, central
 finite differences, a per-quad rotating-calipers loop, a per-anchor
 loop over the multi-task loss, the per-class sort-and-loop AP of
-evaluate, and the scalar long-edge reduction with the per-anchor grid
-loop built on it. Deliberately avoid the library's own clipping /
-calipers / loss / AP / canonicalization code paths."""
+evaluate, the scalar long-edge reduction with the per-anchor grid
+loop built on it, and the gt-by-gt forced-anchor loop of assignment.
+Deliberately avoid the library's own clipping / calipers / loss / AP /
+canonicalization code paths."""
 
 import math
 from collections import Counter
@@ -481,3 +482,23 @@ def loop_generate_anchors(spec, mode="horizontal"):
                     for ang in angles:
                         anchors.append(scalar_canonicalize180(cx, cy, a, b, ang))
     return anchors
+
+
+def loop_assign_targets(iou, fg_iou=0.5, bg_iou=0.4):
+    """(labels, matched_gt, max_iou) of the max-IoU rule on an (N, M)
+    anchor x gt IoU matrix, with the forced-anchor loop of assign_targets
+    before each gt kept one anchor of its own: gt by gt in input order,
+    onto its first anchor within 1e-12 (relative) of its best IoU, taken
+    if that anchor is not foreground yet or is matched at a lower IoU,
+    even from an earlier gt forced onto it."""
+    n = len(iou)
+    matched = np.argmax(iou, axis=1)
+    max_iou = iou[np.arange(n), matched]
+    labels = np.where(max_iou >= fg_iou, 1, np.where(max_iou < bg_iou, 0, -1))
+    for j in range(iou.shape[1]):
+        best = int(np.argmax(iou[:, j] >= iou[:, j].max() * (1 - 1e-12)))
+        if labels[best] != 1 or iou[best, j] > iou[best, matched[best]]:
+            labels[best] = 1
+            matched[best] = j
+            max_iou[best] = iou[best, j]
+    return labels, np.where(labels == 1, matched, -1), max_iou

@@ -90,6 +90,17 @@ class TestTargets:
         assert payload["num_anchors"] == 7
         assert len(payload["foreground"]) >= 1
 
+    def test_one_forced_anchor_per_gt(self, capsys):
+        """Every anchor of the 64 px grid covers all three small gts, so
+        each gt's tied best anchors are the whole grid: the largest gt
+        takes anchor 0 and the others the next free ones, where the loop
+        before forced all three onto anchor 0 and kept only gt 1."""
+        payload = run_json(capsys, "targets", "--image-size", "64", "--strides", "32", "--mode", "rotated",
+                           "--gt", "20 20 4 2 0 0", "--gt", "40 24 5 2 30 1", "--gt", "30 44 3 2 -45 2")
+        assert payload["foreground"] == [0, 1, 2]
+        assert [payload["matched_gt"][i] for i in range(3)] == [1, 0, 2]
+        assert [payload["max_iou"][i] * 128**2 for i in range(3)] == pytest.approx([10, 8, 6], rel=1e-12)
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
     def test_output_equals_record_list(self, capsys, monkeypatch, mode, fmt):

@@ -68,6 +68,28 @@ class TestAngleToBin:
         with pytest.raises(ValueError):
             angle_to_bin(-90.001, GAUSS6)
 
+    @pytest.mark.parametrize("omega, angle_range", [(1.0, "range180"), (0.5, "range180"), (1.5, "range90"), (7.5, "range90")])
+    def test_batch_of_one_of_encode_batch(self, omega, angle_range):
+        """angle_to_bin, encode and encode_batch share one bin formula, bit
+        for bit the scalar floor-and-clip it replaced."""
+        cfg = CslCodecConfig("triangle", 0.0, omega, angle_range)
+        lo, hi = cfg.range_min, cfg.range_min + cfg.range_span
+        rng = np.random.default_rng(3)
+        thetas = np.concatenate([rng.uniform(lo, hi, 500), np.arange(lo, hi, omega), [np.nextafter(hi, lo), lo + 1e-300]])
+        want = [min(int(np.floor((t - lo) / omega)), cfg.bin_count - 1) for t in thetas.tolist()]
+        assert [angle_to_bin(t, cfg) for t in thetas.tolist()] == want
+        assert [encode(t, cfg).gt_bin for t in thetas.tolist()] == want
+        assert np.argmax(encode_batch(thetas, cfg), axis=1).tolist() == want  # r = 0: a pulse at the bin
+
+    @pytest.mark.parametrize("thetas, bad", [([0.0, 95.0, -100.0], "95.0"), ([math.nan], "nan"), ([-math.inf, 0.0], "-inf")])
+    def test_error_names_the_first_bad_angle(self, thetas, bad):
+        message = rf"^angle {bad} outside canonical range \[-90.0, 90.0\)$"
+        with pytest.raises(ValueError, match=message):
+            encode_batch(thetas, GAUSS6)
+        for scalar in (encode, angle_to_bin):
+            with pytest.raises(ValueError, match=message):
+                scalar(float(bad), GAUSS6)
+
 
 class TestWindowValue:
     @pytest.mark.parametrize("kind", KINDS)

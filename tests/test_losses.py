@@ -82,6 +82,32 @@ class TestRegressionCodec:
         with pytest.raises(ValueError):
             decode_regression(RegressionTarget(0, 0, 1000.0, 0, 0.0), a)
 
+    def test_offsets_follow_the_field_names(self):
+        """tx and tw go with the side named w, ty and th with h, in either
+        convention and in mixed pairs, as encode_regression_rows computes
+        them on long-edge rows."""
+        rng = np.random.default_rng(4)
+
+        def box():
+            make = canonicalize90 if rng.random() < 0.5 else canonicalize180
+            return make(*rng.uniform(-5, 5, 2), *rng.uniform(0.5, 8, 2), rng.uniform(-180, 180))
+
+        for _ in range(200):
+            gt, anchor = box(), box()
+            want = [(gt.cx - anchor.cx) / anchor.w, (gt.cy - anchor.cy) / anchor.h, math.log(gt.w / anchor.w),
+                    math.log(gt.h / anchor.h), (gt.theta - anchor.theta) * math.pi / 180.0]
+            assert encode_regression(gt, anchor).as_array() == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [(0, 0, 4, 2, 0), None, "0 0 4 2 0"])
+    def test_non_box_rejected(self, bad):
+        box = canonicalize180(0, 0, 4, 2, 0)
+        with pytest.raises(TypeError, match="unsupported box type"):
+            encode_regression(bad, box)
+        with pytest.raises(TypeError, match="unsupported box type"):
+            encode_regression(box, bad)
+        with pytest.raises(TypeError, match="unsupported box type"):
+            decode_regression(RegressionTarget(0, 0, 0, 0, 0.0), bad)
+
 
 def _rand180(rng):
     return canonicalize180(

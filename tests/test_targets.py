@@ -10,8 +10,9 @@ from cslkit import targets
 from cslkit.csl_codec import CslCodecConfig, encode
 from cslkit.losses import encode_regression
 from cslkit.targets import AnchorGridSpec, AnchorSet, AssignmentConfig, assign_targets, generate_anchors
-from cslkit.rotgeom import aligned_bbox, aligned_bboxes, aligned_iou, box_rows, canonicalize90, canonicalize180, to_quad
-from oracles import clipped_iou, loop_generate_anchors
+from cslkit.rotgeom import (OrientedBox90, OrientedBox180, aligned_bbox, aligned_bboxes, aligned_iou, aligned_iou_matrix, box_rows,
+                            canonicalize90, canonicalize180, rotated_iou_matrix, to_quad)
+from oracles import clipped_iou, loop_assign_targets, loop_generate_anchors
 
 CSL_CFG = CslCodecConfig("gaussian", 6.0)
 
@@ -133,28 +134,22 @@ class TestAssignment:
         assert res.max_iou[0] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(2))
-    def test_rotated_matches_per_pair_reference(self, seed, monkeypatch):
+    def test_rotated_matches_per_pair_reference(self, seed):
         rng = np.random.default_rng(seed)
         anchors = generate_anchors(AnchorGridSpec(image_size=32, strides=(8, 16), base_scale=1.5), mode="rotated")
-
-        def oracle_matrix(a, g, mode):
-            return np.array([[clipped_iou(x, y) for y in g] for x in a])
-
         # anchors of equal area tie exactly inside a larger gt, and rounding
         # then picks the forced anchor; keep gts whose best anchor is clear
         gts = []
         while len(gts) < 4:
             box = canonicalize180(*rng.uniform(2, 30, 2), *rng.uniform(4, 20, 2), rng.uniform(-90, 90))
-            column = np.sort(targets._iou_matrix(anchors, [box], "rotated")[:, 0])
+            column = np.sort(_iou(anchors, [box], "rotated")[:, 0])
             if column[-1] - column[-2] > 1e-9:
                 gts.append((box, len(gts)))
-        cfg = AssignmentConfig(anchor_mode="rotated")
-        got = assign_targets(anchors, gts, cfg, CSL_CFG)
-        monkeypatch.setattr(targets, "_iou_matrix", oracle_matrix)
-        want = assign_targets(anchors, gts, cfg, CSL_CFG)
-        assert np.array_equal(got.labels, want.labels)
-        assert np.array_equal(got.matched_gt, want.matched_gt)
-        assert np.abs(got.max_iou - want.max_iou).max() <= 1e-12
+        got = assign_targets(anchors, gts, AssignmentConfig(anchor_mode="rotated"), CSL_CFG)
+        labels, matched, max_iou = loop_assign_targets(np.array([[clipped_iou(a, g) for g, _ in gts] for a in anchors]))
+        assert np.array_equal(got.labels, labels)
+        assert np.array_equal(got.matched_gt, matched)
+        assert np.abs(got.max_iou - max_iou).max() <= 1e-12
         assert np.count_nonzero(got.labels == 1) > len(gts)
 
     def test_permutation_invariance(self):
@@ -196,6 +191,13 @@ def _moved(box, shift=(0.0, 0.0), scale=1.0):
     return canonicalize180((box.cx + shift[0]) * scale, (box.cy + shift[1]) * scale, box.h * scale, box.w * scale, box.theta)
 
 
+def _iou(anchors, boxes, mode):
+    """The anchor x gt IoU matrix of assign_targets: generated anchors
+    against the long-edge rows of gt records."""
+    rows = targets._long_edge_rows(boxes)
+    return rotated_iou_matrix(anchors.rows, rows) if mode == "rotated" else aligned_iou_matrix(anchors.bboxes, aligned_bboxes(rows))
+
+
 class TestForcedAnchorTies:
     """A small gt inside several equal-area anchors has equal IoUs with
     them in exact arithmetic. Its forced anchor is the first within 1e-12
@@ -217,9 +219,14 @@ class TestForcedAnchorTies:
             want = assign_targets(anchors, [(b, j) for j, b in enumerate(boxes)], cfg, CSL_CFG)
             assert np.array_equal(got.labels, want.labels)
             assert np.array_equal(got.matched_gt, want.matched_gt)
-            iou = targets._iou_matrix(anchors, boxes, mode)
+            iou = _iou(anchors, boxes, mode)
             ties += int(np.sum(iou >= iou.max(axis=0) * (1 - 1e-12)) > len(boxes))
         assert ties >= 50  # most scenes have a gt with several best anchors
+
+
+def _twin(box):
+    """The OrientedBox180 twin of an OrientedBox90, else the box itself."""
+    return canonicalize180(box.cx, box.cy, box.w, box.h, box.theta) if isinstance(box, OrientedBox90) else box
 
 
 def _corner_bbox(box):
@@ -236,9 +243,9 @@ class TestArrayPaths:
                 theta = (rng.uniform(-180, 180), 0.0, -90.0, 45.0)[k % 4]
                 make = canonicalize90 if k % 3 == 0 else canonicalize180
                 boxes.append(make(*(rng.uniform(-3, 3, 2) * scale), *(rng.uniform(0.5, 6, 2) * scale), theta))
-        anchors, gts = boxes[::2], boxes[1::2]
-        got = targets._iou_matrix(anchors, gts, "horizontal")
-        want = np.array([[aligned_iou(_corner_bbox(a), _corner_bbox(g)) for g in gts] for a in anchors])
+        anchors, gts = AnchorSet(targets._long_edge_rows(boxes[::2])), boxes[1::2]
+        got = _iou(anchors, gts, "horizontal")
+        want = np.array([[aligned_iou(_corner_bbox(a), _corner_bbox(_twin(g))) for g in gts] for a in anchors])
         assert np.array_equal(got, want)
         assert np.count_nonzero(want) > 200
         assert all(aligned_bbox(b) == _corner_bbox(b) for b in boxes)
@@ -255,6 +262,7 @@ class TestArrayPaths:
         assert list(res.reg_targets) == list(res.csl_labels) == list(res.class_ids) == fg.tolist()
         for i in fg:
             gt, class_id = gts[res.matched_gt[i]]
+            gt = _twin(gt)  # the OrientedBox90 gt is labelled as its long-edge twin
             label = encode(gt.theta, CSL_CFG)
             assert res.csl_labels[i].gt_bin == label.gt_bin
             assert np.array_equal(res.csl_labels[i].values, label.values)
@@ -348,3 +356,110 @@ class TestAnchorSet:
         got = assign_targets(anchors[7:], gts, AssignmentConfig(), CSL_CFG)
         want = assign_targets(list(anchors)[7:], gts, AssignmentConfig(), CSL_CFG)
         assert got.max_iou.tobytes() == want.max_iou.tobytes()
+
+
+class TestOneBoxTwoConventions:
+    """An OrientedBox90 gt is the same box as its canonicalize180 twin,
+    and assign_targets gives both the same targets: labels and regression
+    offsets of the long side and the circular label of its angle."""
+
+    @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
+    @pytest.mark.parametrize("spec, gen_mode", [
+        (AnchorGridSpec(image_size=32, strides=(16,)), "horizontal"),
+        (AnchorGridSpec(image_size=32, strides=(16,)), "rotated"),
+        (AnchorGridSpec(image_size=64, strides=(8, 16)), "horizontal"),
+        (AnchorGridSpec(image_size=64, strides=(32,)), "rotated"),
+        (AnchorGridSpec(image_size=48, strides=(16, 8, 24), base_scale=3), "rotated"),
+    ])
+    def test_same_targets(self, spec, gen_mode, mode):
+        anchors = generate_anchors(spec, gen_mode)
+        cfg = AssignmentConfig(anchor_mode=mode)
+        rng = np.random.default_rng(51)
+        for n in [1, 2, 3, 4] * 5:
+            boxes = [canonicalize90(*rng.uniform(0, spec.image_size, 2), *rng.uniform(1, 40, 2), rng.uniform(-90, 90))
+                     for _ in range(n)]
+            got = assign_targets(anchors, [(b, k) for k, b in enumerate(boxes)], cfg, CSL_CFG)
+            want = assign_targets(anchors, [(_twin(b), k) for k, b in enumerate(boxes)], cfg, CSL_CFG)
+            assert np.array_equal(got.labels, want.labels)
+            assert np.array_equal(got.matched_gt, want.matched_gt)
+            assert np.abs(got.max_iou - want.max_iou).max() <= 1e-12
+            assert list(got.reg_targets) == list(want.reg_targets) and got.class_ids == want.class_ids
+            for i, target in got.reg_targets.items():
+                assert target.as_array().tobytes() == want.reg_targets[i].as_array().tobytes()
+                assert got.csl_labels[i].gt_bin == want.csl_labels[i].gt_bin
+                assert got.csl_labels[i].values.tobytes() == want.csl_labels[i].values.tobytes()
+
+    @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
+    def test_angle_of_the_long_side(self, mode):
+        anchors = generate_anchors(AnchorGridSpec(image_size=32, strides=(16,)), mode)
+        gt = OrientedBox90(16.0, 16.0, 4.0, 20.0, -30.0)  # side h = 20 lies at 60 degrees
+        assert _twin(gt) == OrientedBox180(16.0, 16.0, 20.0, 4.0, 60.0)
+        res = assign_targets(anchors, [(gt, 0)], AssignmentConfig(anchor_mode=mode), CSL_CFG)
+        assert len(res.csl_labels) >= 1
+        for i, label in res.csl_labels.items():
+            assert label.gt_bin == 150
+            assert res.reg_targets[i].t_theta == pytest.approx(math.radians(60.0 - anchors[i].theta), abs=1e-12)
+
+
+# the seeded scenes of the forced-anchor tests: small gts on grids whose
+# anchors cover them several times over
+_FORCED_SCENES = [(spec, mode, side) for spec in (AnchorGridSpec(image_size=32, strides=(16,)), AnchorGridSpec(image_size=64, strides=(32,)))
+                  for mode in ("horizontal", "rotated") for side in (6.0, 30.0)]
+
+
+class TestOneForcedAnchorPerGt:
+    """Each gt, highest best IoU first, is forced onto the first of its
+    tied best anchors that no earlier gt was forced onto. Everywhere
+    outside the tie sets of gts with several tied anchors the assignment
+    is that of the gt-by-gt loop it replaced."""
+
+    @pytest.mark.parametrize("spec, mode, side", _FORCED_SCENES)
+    def test_oracle_outside_ties_and_an_anchor_for_every_gt(self, spec, mode, side):
+        anchors = generate_anchors(spec, mode)
+        cfg = AssignmentConfig(anchor_mode=mode)
+        rng = np.random.default_rng([spec.image_size, mode == "rotated", int(side)])
+        empty_before = 0
+        for _ in range(25):
+            boxes = [canonicalize180(*rng.uniform(0, spec.image_size, 2), *rng.uniform(1, side, 2), rng.uniform(-90, 90))
+                     for _ in range(rng.integers(1, 4))]
+            res = assign_targets(anchors, [(b, j) for j, b in enumerate(boxes)], cfg, CSL_CFG)
+            iou = _iou(anchors, boxes, mode)
+            labels, matched, max_iou = loop_assign_targets(iou)
+            tied = iou >= iou.max(axis=0) * (1 - 1e-12)
+            outside = ~tied[:, tied.sum(axis=0) > 1].any(axis=1)
+            assert np.array_equal(res.labels[outside], labels[outside])
+            assert np.array_equal(res.matched_gt[outside], matched[outside])
+            assert res.max_iou[outside].tobytes() == max_iou[outside].tobytes()
+            # no gt here has all its tied anchors taken by other gts
+            assert set(res.matched_gt[res.labels == 1].tolist()) == set(range(len(boxes)))
+            for i, target in res.reg_targets.items():
+                gt = boxes[res.matched_gt[i]]
+                assert target.as_array().tobytes() == encode_regression(gt, anchors[i]).as_array().tobytes()
+                assert res.csl_labels[i].gt_bin == encode(gt.theta, CSL_CFG).gt_bin
+            empty_before += len(boxes) - len(set(matched[labels == 1].tolist()))
+        assert empty_before > 0  # the loop it replaced left some gt without an anchor
+
+    @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
+    def test_congruent_gts_keep_one_anchor_each(self, mode):
+        """Congruent small gts tie over the same anchors. Rounding can give
+        a later gt a higher IoU at an earlier gt's forced anchor, which
+        the override rule alone would let it take; it takes a free one."""
+        anchors = generate_anchors(AnchorGridSpec(image_size=64, strides=(32,)), mode)
+        rng = np.random.default_rng(81)
+        for _ in range(50):
+            boxes = [canonicalize180(*rng.uniform(10, 54, 2), 4.0, 2.0, rng.uniform(-90, 90)) for _ in range(3)]
+            res = assign_targets(anchors, [(b, j) for j, b in enumerate(boxes)], AssignmentConfig(anchor_mode=mode), CSL_CFG)
+            assert sorted(res.matched_gt[res.labels == 1].tolist()) == [0, 1, 2]
+
+    @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
+    def test_independent_of_gt_order(self, mode):
+        anchors = generate_anchors(AnchorGridSpec(image_size=64, strides=(32,)), mode)
+        cfg = AssignmentConfig(anchor_mode=mode)
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            boxes = [canonicalize180(*rng.uniform(0, 64, 2), *rng.uniform(1, 6, 2), rng.uniform(-90, 90)) for _ in range(3)]
+            order = rng.permutation(3)
+            a = assign_targets(anchors, [(b, j) for j, b in enumerate(boxes)], cfg, CSL_CFG)
+            b = assign_targets(anchors, [(boxes[j], j) for j in order], cfg, CSL_CFG)
+            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a.matched_gt, np.where(b.matched_gt >= 0, order[b.matched_gt], -1))
