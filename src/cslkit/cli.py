@@ -18,9 +18,8 @@ import numpy as np
 
 from . import csl_codec, evaluation, losses, targets
 from .csl_codec import CslCodecConfig
+from .evaluation import SCHEMA_VERSION
 from .rotgeom import InvalidGeometryError, canonicalize180, rotated_iou
-
-SCHEMA_VERSION = 1
 
 
 class UsageError(Exception):
@@ -229,15 +228,21 @@ def _cmd_eval(args):
     if unknown:
         raise ValueError(f"--subset class {unknown[0]!r} is not one of --classes")
     dets = evaluation.parse_detections(Path(args.dets).read_text(), table)
-    gts = ([], [], [], [])  # the columns of all annotation files
-    for path in sorted(Path(args.ann_dir).iterdir()):
-        if path.is_file() and not path.name.startswith("."):  # hidden files such as .DS_Store are not annotations
-            try:
-                columns = evaluation.dota_columns(path.read_text(), path.stem, table, strict=args.strict)
-            except (ValueError, OSError) as exc:
-                raise ValueError(f"{path.name}: {exc}") from exc
-            for column, part in zip(gts, columns):
-                column.extend(part)
+    # hidden files such as .DS_Store are not annotations
+    paths = [path for path in sorted(Path(args.ann_dir).iterdir()) if path.is_file() and not path.name.startswith(".")]
+    files, read_error = [], None  # the annotation files up to the first that cannot be read
+    for path in paths:
+        try:
+            files.append((path.stem, path.read_text()))
+        except (ValueError, OSError) as exc:
+            read_error = ValueError(f"{path.name}: {exc}")
+            break
+    try:  # a fault in an earlier file wins
+        gts = evaluation.dota_files_columns(files, table, strict=args.strict)
+    except evaluation.AnnotationParseError as exc:
+        raise ValueError(f"{paths[exc.source].name}: {exc}") from exc
+    if read_error is not None:
+        raise read_error
     report = evaluation.evaluate_columns(dets, gts, args.classes, iou_thresh=args.iou_thresh)
     payload = report.to_dict()
     if args.subset:

@@ -8,10 +8,12 @@ convention), or a quad form "image_id class score x1 y1 ... x4 y4".
 
 Detection files parse into columns (image ids, class ids, scores and
 (N, 5) long-edge rows), annotation files into the same with difficult
-flags for scores. NMS runs all groups in lockstep, one rotated_iou_pairs
-call per round; evaluate_columns matches over the same-image, same-class
-pairs of all images in one call. The record APIs wrap the column code.
-IoU thresholds lie in [0, 1].
+flags for scores; the quads of all annotation files go through one
+min_area_rects call. NMS runs all groups in lockstep, one
+rotated_iou_pairs call per round; evaluate_columns matches over the
+same-image, same-class pairs of all images in one call, then computes
+every class's curve and both APs in one array pass. The record APIs
+wrap the column code. IoU thresholds lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import functools
 import json
 import logging
 import operator
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,15 +30,19 @@ from .rotgeom import InvalidGeometryError, OrientedBox180, box_rows, canonicaliz
 
 log = logging.getLogger(__name__)
 
+SCHEMA_VERSION = 1  # of EvalReport.to_dict and every cslkit JSON payload
+
 _VOC07_RECALLS = np.linspace(0.0, 1.0, 11) - 1e-12  # slack: a recall that rounds just below a point still reaches it
 
 
 class AnnotationParseError(ValueError):
-    """Malformed annotation or detection line; carries the line number."""
+    """Malformed annotation or detection line; carries the line number
+    and, from dota_files_columns, the position of its file (source)."""
 
-    def __init__(self, message, line_no=None):
+    def __init__(self, message, line_no=None, source=None):
         super().__init__(f"line {line_no}: {message}" if line_no else message)
         self.line_no = line_no
+        self.source = source
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class EvalReport:
 
     def to_dict(self):
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "ap07": self.ap07,
             "ap12": self.ap12,
             "map07": self.map07,
@@ -137,20 +142,6 @@ def rotated_nms(dets, iou_thresh=0.1):
     return [dets[k] for k in kept]
 
 
-def _ap(recall, precision):
-    """(VOC07, VOC12) AP of a non-empty curve from one monotonized
-    precision: VOC07 averages it at the recalls 0, 0.1, ..., 1 (0 past
-    the last recall), VOC12 integrates it over recall."""
-    p = np.concatenate(([0.0], precision, [0.0]))
-    p = np.maximum.accumulate(p[::-1])[::-1]  # monotonized: the best precision at any higher recall
-    r = np.concatenate(([0.0], recall, [1.0]))
-    idx = np.flatnonzero(r[1:] != r[:-1])
-    voc12 = float(np.sum((r[idx + 1] - r[idx]) * p[idx + 1]))
-    # left to right: np.sum (pairwise from 8 terms) or sum() (compensated from Python 3.12) can move the last bit
-    voc07 = functools.reduce(operator.add, p[1 + np.searchsorted(recall, _VOC07_RECALLS)].tolist()) / 11.0
-    return voc07, voc12
-
-
 def compute_ap(dets, gts, iou_thresh=0.5, metric="voc12"):
     """Single-class average precision with greedy score-descending
     matching: evaluate with every record in one class. Difficult ground
@@ -183,7 +174,7 @@ def _hits(dets, gts, iou_thresh):
     seg = np.cumsum(n) - n  # where each detection's pairs start
     di = np.repeat(np.arange(len(det_key)), n)
     gi = by_key[np.arange(len(di)) + np.repeat(first[det_key] - seg, n)]
-    iou = rotated_iou_pairs(np.reshape(det_rows, (-1, 5)).take(di, axis=0), np.reshape(gt_rows, (-1, 5)).take(gi, axis=0))
+    iou = rotated_iou_pairs(np.reshape(det_rows, (-1, 5)), np.reshape(gt_rows, (-1, 5)), di, gi)
     has = np.flatnonzero(n)
     best = np.maximum.reduceat(iou, seg[has])
     at = np.minimum.reduceat(np.where(iou == np.repeat(best, n[has]), np.arange(len(iou)), len(iou)), seg[has])
@@ -200,35 +191,54 @@ def evaluate(dets, gts, class_names, iou_thresh=0.5):
 
 def evaluate_columns(dets, gts, class_names, iou_thresh=0.5):
     """Per-class AP under both conventions plus the mean over classes of the
-    columns of parse_detections against those of dota_columns, from one
-    ranking of all detections by (class, score desc, index): the first to
-    match a gt is a TP, one matching a difficult gt neither TP nor FP, any
-    other an FP. Raises ValueError for a detection class id outside
-    class_names or an iou_thresh outside [0, 1]."""
+    columns of parse_detections against those of dota_files_columns, from
+    one ranking of all detections by (class, score desc, index): the first
+    to match a gt is a TP, one matching a difficult gt neither TP nor FP,
+    any other an FP; gts of a class id outside class_names are ignored.
+    Raises ValueError for a detection class id outside class_names or an
+    iou_thresh outside [0, 1]."""
     _check_iou_thresh(iou_thresh)
     (image_ids, class_ids, scores, _), (_, gt_class, difficult, _) = dets, gts
     det_class = np.array(class_ids)  # an id beyond int64 becomes an object and fails the check too
-    bad = np.flatnonzero((det_class < 0) | (det_class >= len(class_names)))
+    n_class = len(class_names)
+    bad = np.flatnonzero((det_class < 0) | (det_class >= n_class))
     if bad.size:
         raise ValueError(f"class id {class_ids[bad[0]]} of a detection in image {image_ids[bad[0]]!r} is outside the "
-                         f"{len(class_names)} classes")
+                         f"{n_class} classes")
     order = np.lexsort((-np.asarray(scores, dtype=float), det_class))  # stable: ties keep input order
     hit = _hits(dets, gts, iou_thresh)[order]
-    counted = ~np.append(np.asarray(difficult, dtype=bool), False)[hit]  # hit -1 reads the sentinel: an FP
+    hard = np.asarray(difficult, dtype=bool)
+    counted = ~np.append(hard, False)[hit]  # hit -1 reads the sentinel: an FP
     first = np.zeros(len(hit), dtype=bool)
     first[np.unique(hit, return_index=True)[1]] = True
     tp = counted & first & (hit >= 0)
-    fp = counted & ~tp
-    bounds = np.searchsorted(det_class[order], np.arange(len(class_names) + 1))
-    n_pos = Counter(cid for cid, hard in zip(gt_class, difficult) if not hard)
-    ap07, ap12, curves = {}, {}, {}
-    for cid, (name, lo, hi) in enumerate(zip(class_names, bounds[:-1], bounds[1:])):
-        n = n_pos[cid]
-        tp_c, fp_c = np.cumsum([tp[lo:hi], fp[lo:hi]], axis=1, dtype=float)
-        recall = tp_c / n if n > 0 else np.zeros(hi - lo)
-        precision = np.where(tp_c + fp_c > 0, tp_c / np.maximum(tp_c + fp_c, 1e-12), 0.0)
-        ap07[name], ap12[name] = _ap(recall, precision) if hi > lo and n > 0 else (0.0, 0.0)
-        curves[name] = (recall.tolist(), precision.tolist())
+    cls = det_class[order].astype(int)
+    bounds = np.searchsorted(cls, np.arange(n_class + 1))
+    # exact counts: one running total of TPs and FPs less its value where the class starts
+    total = np.zeros((2, len(cls) + 1), dtype=int)
+    np.cumsum([tp, counted & ~tp], axis=1, out=total[:, 1:])
+    tp_c, fp_c = (total[:, 1:] - total[:, bounds[cls]]).astype(float)
+    gt_class = np.asarray(gt_class)
+    n_pos = np.bincount(gt_class[~hard & (gt_class >= 0) & (gt_class < n_class)].astype(int), minlength=n_class)
+    recall = np.divide(tp_c, n_pos[cls], out=np.zeros(len(cls)), where=n_pos[cls] > 0)
+    precision = np.where(tp_c + fp_c > 0, tp_c / np.maximum(tp_c + fp_c, 1e-12), 0.0)
+    # each class's curve as a row of r, [0, recall..., 1, 1...], and of p, [0, precision..., 0, 0...]
+    r, p = curve = np.zeros((2, n_class, int(np.max(np.diff(bounds), initial=0)) + 2))
+    r[:, 1:] = 1.0
+    curve[:, cls, np.arange(len(cls)) - bounds[cls] + 1] = recall, precision
+    p = np.maximum.accumulate(p[:, ::-1], axis=1)[:, ::-1]  # monotonized: the best precision at any higher recall
+    scored = (bounds[1:] > bounds[:-1]) & (n_pos > 0)
+    # VOC07: the mean of p at the recalls 0, 0.1, ..., 1 (0 past the last), where p's index is 1 + the number of
+    # recalls below; summed left to right, as np.sum can move the last bit
+    below = np.bincount(cls * 12 + np.searchsorted(_VOC07_RECALLS, recall, side="right"), minlength=12 * n_class)
+    at = np.cumsum(below.reshape(n_class, 12), axis=1)[:, :11] + 1
+    voc07 = np.where(scored, functools.reduce(operator.add, np.take_along_axis(p, at, axis=1).T) / 11.0, 0.0)
+    # VOC12: the area under p over recall, one np.sum-style pairwise sum per class (np.add.reduceat rounds differently)
+    step = r[:, 1:] - r[:, :-1]
+    voc12 = [float(np.add.reduce(area[keep])) for area, keep in zip(step * p[:, 1:], (step != 0.0) & scored[:, None])]
+    ap07, ap12 = dict(zip(class_names, voc07.tolist())), dict(zip(class_names, voc12))
+    spans = zip(class_names, bounds[:-1], bounds[1:])
+    curves = {name: (recall[lo:hi].tolist(), precision[lo:hi].tolist()) for name, lo, hi in spans}
     map07 = float(np.mean(list(ap07.values()))) if ap07 else 0.0
     map12 = float(np.mean(list(ap12.values()))) if ap12 else 0.0
     return EvalReport(ap07=ap07, ap12=ap12, map07=map07, map12=map12, pr_curves=curves)
@@ -267,45 +277,50 @@ def ingest_dota(text, image_id, class_table, strict=False):
 
 
 def dota_columns(text, image_id, class_table, strict=False):
-    """Parse one DOTA annotation file into ground-truth columns: image
-    ids, class ids and difficult flags (lists) and (K, 5) long-edge rows.
+    """dota_files_columns of one file."""
+    return dota_files_columns([(image_id, text)], class_table, strict)
 
-    Leading metadata lines (first token non-numeric) are skipped. The
-    quads of all body lines are converted together to their minimum
-    enclosing rotated rectangles, whatever their vertex order. Unknown
+
+def dota_files_columns(files, class_table, strict=False):
+    """Parse DOTA annotation files, (image_id, text) pairs, into one set of
+    ground-truth columns: image ids, class ids and difficult flags (lists)
+    and (K, 5) long-edge rows, the minimum enclosing rotated rectangles of
+    the quads of all files, whatever their vertex order, from one call.
+
+    Leading metadata lines (first token non-numeric) are skipped. Unknown
     categories raise in strict mode and are skipped with a warning
-    otherwise. Of several bad lines, the first in the file is reported,
-    whether its fault is in the parsing or in the geometry.
+    otherwise. Of several bad lines, the first in the first file with any
+    is reported, its fault in the parsing or in the geometry, with the
+    file's position as the error's source.
     """
-    coords, line_nos, class_ids, difficult = [], [], [], []
+    image_ids, class_ids, difficult, coords, where = [], [], [], [], []
     parse_error = None
-    body_started = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if not body_started and not _is_number(tokens[0]):
-            continue  # header / metadata line
-        body_started = True
-        try:
-            quad = _dota_quad(tokens, line_no, class_table, strict)
-        except AnnotationParseError as exc:
-            parse_error = exc  # raised after the geometry of the lines before it
-            break
-        if tokens[8] not in class_table:
-            log.warning("line %d: skipping unknown category %r", line_no, tokens[8])
-            continue
-        coords.append(quad)
-        line_nos.append(line_no)
-        class_ids.append(class_table[tokens[8]])
-        difficult.append(tokens[9] == "1")
+    try:
+        for source, (image_id, text) in enumerate(files):
+            body_started = False
+            for line_no, raw in enumerate(text.splitlines(), start=1):
+                tokens = raw.split()
+                if not tokens or not (body_started or _is_number(tokens[0])):
+                    continue  # blank, or a header / metadata line
+                body_started = True
+                quad = _dota_quad(tokens, line_no, class_table, strict)
+                if tokens[8] not in class_table:
+                    log.warning("line %d: skipping unknown category %r", line_no, tokens[8])
+                    continue
+                image_ids.append(image_id)
+                class_ids.append(class_table[tokens[8]])
+                difficult.append(tokens[9] == "1")
+                coords.append(quad)
+                where.append((line_no, source))
+    except AnnotationParseError as exc:
+        exc.source, parse_error = source, exc  # raised after the geometry of the lines before it
     try:
         rows = min_area_rects(np.reshape(coords, (-1, 4, 2)))
     except InvalidGeometryError as exc:
-        raise AnnotationParseError(str(exc), line_nos[exc.index]) from exc
+        raise AnnotationParseError(str(exc), *where[exc.index]) from exc
     if parse_error is not None:
         raise parse_error
-    return [image_id] * len(class_ids), class_ids, difficult, rows
+    return image_ids, class_ids, difficult, rows
 
 
 def parse_detections(text, class_table, quad_form=False):

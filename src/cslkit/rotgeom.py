@@ -13,10 +13,10 @@ All angles are degrees, all coordinates use the mathematical convention
 Batched geometry works on float box rows ``(cx, cy, along, across,
 theta)``: ``along`` is the side at angle theta, so an OrientedBox180
 gives ``(cx, cy, h, w, theta)`` and an OrientedBox90 ``(cx, cy, w, h,
-theta)``. Rotated IoU has one kernel behind two entries:
-rotated_iou_pairs over K aligned pairs of rows, and rotated_iou_matrix
-over every pair of two sets of rows. The kernel clips each edge of
-either box to the other box and sums the pieces by Green's theorem.
+theta)``. Rotated IoU has one kernel behind rotated_iou_pairs, over K
+pairs of rows, aligned or by index, and rotated_iou_matrix, over all
+pairs of two sets of rows. The kernel clips each edge of either box to
+the other box and sums the pieces by Green's theorem.
 """
 
 from __future__ import annotations
@@ -383,10 +383,11 @@ def _iou_pairs(a, b, i, j):
     return out
 
 
-def rotated_iou_pairs(a, b):
-    """Exact IoU (K,) of K aligned pairs of oriented boxes, given as two
-    (K, 5) arrays of box rows (see the module docstring): entry k is the
-    IoU of a[k] and b[k].
+def rotated_iou_pairs(a, b, i=None, j=None):
+    """Exact IoU (K,) of K pairs of oriented boxes, given as box rows (see
+    the module docstring): entry k is the IoU of a[i[k]] and b[j[k]] for
+    index arrays i and j, else of a[k] and b[k] for two (K, 5) arrays.
+    Only the indices are expanded, not the rows.
 
     Each pair is computed in a frame centred on its box from ``a``, with
     a tolerance relative to the pair's size, so the result does not
@@ -394,20 +395,19 @@ def rotated_iou_pairs(a, b):
     the call. Pairs whose circumcircles do not meet are 0 without further
     work; the others go through the kernel PAIR_CHUNK pairs at a time."""
     a, b = _check_rows(a), _check_rows(b)
-    if a.shape != b.shape:
+    if i is None and a.shape != b.shape:
         raise InvalidGeometryError(f"pair lists differ in shape: {a.shape} and {b.shape}")
     k = np.arange(len(a))
-    return _iou_pairs(a, b, k, k)
+    return _iou_pairs(a, b, k if i is None else np.asarray(i), k if j is None else np.asarray(j))
 
 
 def rotated_iou_matrix(a, b):
     """Exact IoU of every pair of two sets of oriented boxes, given as
     (N, 5) and (M, 5) box rows; returns the (N, M) matrix, whose entry
-    (i, j) is rotated_iou_pairs of a[i] and b[j]. Only the index pairs
-    are expanded, not the rows."""
-    a, b = _check_rows(a), _check_rows(b)
+    (i, j) is rotated_iou_pairs of a[i] and b[j], from one call over the
+    index pairs."""
     n, m = len(a), len(b)
-    return _iou_pairs(a, b, *np.divmod(np.arange(n * m), m)).reshape(n, m)
+    return rotated_iou_pairs(a, b, *np.divmod(np.arange(n * m), m)).reshape(n, m)
 
 
 def rotated_iou(a, b):

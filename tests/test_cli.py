@@ -337,6 +337,38 @@ class TestNmsAndEval(object):
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: {error}\n"
 
+    @pytest.mark.parametrize("files, error", [
+        # a geometry fault in the first file, a parse fault in the second
+        ({"a.txt": "0 0 4 0 4 2 0 2 ship 0\n0 0 0 0 1 1 0 1 ship 0\n", "b.txt": "0 0 1 0 1 1 0 ship 0\n"},
+         "a.txt: line 2: duplicate vertices"),
+        # a parse fault in the first file, a geometry fault in the second
+        ({"a.txt": "imagesource:x\n0 0 4 0 4 2 0 2 ship 2\n", "b.txt": "0 0 0 0 1 1 0 1 ship 0\n"},
+         "a.txt: line 2: difficult flag must be 0 or 1, got '2'"),
+        # in one file, a geometry fault on a line before a parse fault
+        ({"a.txt": "0 0 4 0 4 2 0 2 ship 0\n", "b.txt": "0 0 1 0 2 0 3 0 plane 0\n0 0 1 0 1 1 0 ship 0\n"},
+         "b.txt: line 1: degenerate quadrilateral (zero area)"),
+        # and a parse fault on a line before a geometry fault
+        ({"a.txt": "0 0 4 0 4 2 0 2 boat 0\n0 0 0 0 1 1 0 1 ship 0\n"}, "a.txt: line 1: unknown category 'boat'"),
+        # an undecodable later file pre-empts no fault of an earlier one
+        ({"a.txt": "0 0 0 0 1 1 0 1 ship 0\n", "b.bin": b"\x00\x87Bud1\xff"}, "a.txt: line 1: duplicate vertices"),
+        ({"a.txt": "0 0 1 0 1 1 0 ship 0\n", "b.bin": b"\x00\x87Bud1\xff"},
+         "a.txt: line 1: expected 8 coordinates, category and difficult flag, got 9 tokens"),
+        # but an undecodable earlier file pre-empts the faults of later ones
+        ({"a.bin": b"\x00\x87Bud1\xff", "b.txt": "0 0 0 0 1 1 0 1 ship 0\n"},
+         "a.bin: 'utf-8' codec can't decode byte 0x87 in position 1: invalid start byte"),
+    ])
+    def test_first_annotation_fault_wins(self, tmp_path, capsys, files, error):
+        # files in sorted order; within the first with a fault, its first bad line
+        dets = tmp_path / "dets.txt"
+        dets.write_text("a ship 0.9 2 1 4 2 0\n")
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        for name, content in files.items():
+            (ann / name).write_bytes(content.encode() if isinstance(content, str) else content)
+        code = main(["eval", "--dets", str(dets), "--ann-dir", str(ann), "--classes", "ship", "plane", "--strict"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {error}\n")
+
     def test_subset_outside_classes_is_data_error(self, capsys):
         # checked before any file is read, so the missing files are not reported
         code = main(["eval", "--dets", "/nonexistent.txt", "--ann-dir", "/nonexistent", "--classes", "ship",

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 from collections import Counter
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from cslkit import evaluation
+from cslkit.cli import main
 from cslkit.evaluation import (
     AnnotationParseError,
     DetectionRecord,
@@ -12,6 +15,7 @@ from cslkit.evaluation import (
     batched_rotated_nms,
     compute_ap,
     dota_columns,
+    dota_files_columns,
     evaluate,
     evaluate_columns,
     ingest_dota,
@@ -334,7 +338,8 @@ class TestOneCallMatching:
         dets, gts = _crowded_scene(np.random.default_rng(images), images=images)
         calls = []
         real = evaluation.rotated_iou_pairs
-        monkeypatch.setattr(evaluation, "rotated_iou_pairs", lambda a, b: calls.append(len(a)) or real(a, b))
+        # the pairs go in as indices into the detection and gt rows
+        monkeypatch.setattr(evaluation, "rotated_iou_pairs", lambda a, b, i, j: calls.append(len(i)) or real(a, b, i, j))
         evaluate(dets, gts, ["ship", "plane", "harbor"])
         same = sum(d.image_id == g.image_id and d.class_id == g.class_id for d in dets for g in gts)
         assert calls == [same]
@@ -380,6 +385,36 @@ def _ranking_scene(rng):
     return dets, gts, [f"c{k}" for k in range(classes + 1)]
 
 
+def _large_curve_scene(rng):
+    """A scene whose first class has a long curve: 150-250 gts of class
+    c0 in their own grid cells over two images, 10% difficult, nearly all
+    them detected once or twice (more than 128 TPs, so a VOC12 sum passes
+    numpy's 8-term unroll and 128-term pairwise block), plus false
+    positives, at least 200 detections in all, scores from 40 values
+    (ties). Class c1 has a few gts and detections, c2 detections but
+    only difficult gts, c3 neither; some gts have class ids -1 and 4,
+    outside the four names."""
+    gts, dets = [], []
+    for k in range(int(rng.integers(180, 251))):
+        cx, cy = 30.0 * (k % 16) + rng.uniform(-3, 3), 30.0 * (k // 16 % 8) + rng.uniform(-3, 3)
+        box = (cx, cy, *rng.uniform(4, 12, 2), rng.uniform(-90, 90))
+        cls = 0 if k >= 12 else (1 if k < 6 else 2)
+        gts.append(gt(*box, image=f"im{k // 128}", cls=cls, difficult=cls == 2 or bool(rng.random() < 0.1)))
+        if k % 25 == 0:
+            gts.append(gt(*box, image=f"im{k // 128}", cls=int(rng.choice([-1, 4]))))
+    for g in gts:
+        for _ in range(int(rng.choice(3, p=(0.05, 0.55, 0.4))) if 0 <= g.class_id < 4 else 0):
+            j = rng.normal(0, 1.0, 5) * (0.4, 0.4, 0.2, 0.2, 3)
+            b = g.box
+            dets.append(det(int(rng.integers(1, 41)) / 40, b.cx + j[0], b.cy + j[1], b.h + abs(j[2]), b.w + abs(j[3]),
+                            b.theta + j[4], image=g.image_id, cls=g.class_id))
+    for _ in range(40):
+        dets.append(det(int(rng.integers(1, 41)) / 40, *rng.uniform(0, 480, 2), *rng.uniform(4, 12, 2),
+                        rng.uniform(-90, 90), image=f"im{rng.integers(2)}", cls=int(rng.integers(3))))
+    order = rng.permutation(len(dets))
+    return [dets[i] for i in order], gts, ["c0", "c1", "c2", "c3"]
+
+
 class TestOneRankingPass:
     """evaluate's one ranking of all detections against the per-class
     sort-and-loop oracle: the same report, bit for bit, from records and
@@ -405,6 +440,20 @@ class TestOneRankingPass:
             seen["no positives"] += any(not any(g.class_id == c and not g.difficult for g in gts)
                                         for c in {d.class_id for d in dets})
         assert min(seen[k] for k in ("repeat match", "difficult match", "tied scores", "no gts", "no positives")) > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_curves_match_loop_oracle(self, seed):
+        dets, gts, names = _large_curve_scene(np.random.default_rng(300 + seed))
+        det_cols, gt_cols = det_columns(dets), gt_columns(gts)
+        assert sum(d.class_id == 0 for d in dets) >= 200 and sum(g.class_id == 0 for g in gts) >= 150
+        for thresh in (0.0, 0.3, 0.5, 1.0):
+            got = evaluate_columns(det_cols, gt_cols, names, thresh)
+            assert got.to_json() == loop_evaluate(det_cols, gt_cols, names, thresh).to_json()
+            if thresh == 0.5:
+                recall, _ = got.pr_curves["c0"]
+                assert len(set(recall)) > 129  # VOC12 sums over more than 128 recall steps
+                assert got.ap12["c1"] > 0.0 and got.ap12["c2"] == got.ap12["c3"] == 0.0
+                assert got.pr_curves["c3"] == ([], []) and set(got.pr_curves["c2"][0]) == {0.0}
 
     def test_tied_scores_keep_input_order(self):
         near, far = det(0.5), det(0.5, cx=50)
@@ -623,6 +672,75 @@ class TestIngestDota:
         assert ingest_dota(line, "P0", CLASSES) == []
         with pytest.raises(AnnotationParseError):
             ingest_dota(line, "P0", CLASSES, strict=True)
+
+
+def _annotation_files(rng):
+    """2-6 seeded DOTA files as (image id, text) pairs: 0-2 header lines,
+    quads in all eight vertex orders (four starts, either way round),
+    difficult flags and unknown categories."""
+    files = []
+    for f in range(int(rng.integers(2, 7))):
+        lines = ["imagesource:GoogleEarth", "gsd:0.146343590398"][: int(rng.integers(3))]
+        for _ in range(int(rng.integers(0, 12))):
+            box = canonicalize180(*rng.uniform(0, 100, 2), *rng.uniform(2, 20, 2), rng.uniform(-90, 90))
+            quad = to_quad(box).as_array()[:: int(rng.choice([-1, 1]))]
+            coords = " ".join(f"{v:.4f}" for v in np.roll(quad, int(rng.integers(4)), axis=0).ravel())
+            lines.append(f"{coords} {rng.choice(['ship', 'plane', 'car'])} {int(rng.random() < 0.2)}")
+        files.append((f"P{f}", "\n".join(lines) + "\n"))
+    return files
+
+
+class TestMultiFileIngestion:
+    """dota_files_columns against dota_columns of each file on its own."""
+
+    def test_columns_are_the_per_file_columns_joined(self):
+        most_files = difficult_seen = 0
+        for seed in range(20):
+            files = _annotation_files(np.random.default_rng(seed))
+            parts = [dota_columns(text, image_id, CLASSES) for image_id, text in files]
+            image_ids, class_ids, difficult, rows = dota_files_columns(files, CLASSES)
+            assert (image_ids, class_ids, difficult) == tuple([v for part in parts for v in part[k]] for k in range(3))
+            assert np.array_equal(rows, np.concatenate([part[3] for part in parts]))
+            most_files, difficult_seen = max(most_files, len(set(image_ids))), difficult_seen + (True in difficult)
+        assert most_files >= 4 and difficult_seen > 0
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_first_file_with_a_fault_wins(self, strict):
+        # of every ordered pair of texts, the first that fails on its own
+        # gives the error, with its position as the source
+        for texts in itertools.product(INGESTION_TEXTS, repeat=2):
+            files = [(f"P{k}", text) for k, text in enumerate(texts)]
+            for source, (image_id, text) in enumerate(files):
+                try:
+                    dota_columns(text, image_id, CLASSES, strict)
+                except AnnotationParseError as exc:
+                    with pytest.raises(AnnotationParseError) as got:
+                        dota_files_columns(files, CLASSES, strict)
+                    assert (str(got.value), got.value.line_no, got.value.source) == (str(exc), exc.line_no, source)
+                    break
+            else:
+                assert len(dota_files_columns(files, CLASSES, strict)[3]) == sum(
+                    len(dota_columns(text, image_id, CLASSES, strict)[3]) for image_id, text in files)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cli_report_of_the_per_file_columns(self, seed, tmp_path, capsys):
+        rng = np.random.default_rng(100 + seed)
+        files = _annotation_files(rng)
+        (tmp_path / "ann").mkdir()
+        for image_id, text in files:
+            (tmp_path / "ann" / f"{image_id}.txt").write_text(text)
+        gts = [[v for image_id, text in files for v in dota_columns(text, image_id, CLASSES)[k]] for k in range(3)]
+        rows = np.concatenate([dota_columns(text, image_id, CLASSES)[3] for image_id, text in files])
+        dets = [det(float(rng.integers(1, 9)) / 8, *np.asarray(row) + rng.normal(0, 0.5, 5), image=image_id, cls=cid)
+                for image_id, cid, row in zip(*gts[:2], rows) if rng.random() < 0.8]
+        (tmp_path / "dets.txt").write_text("".join(f"{d.image_id} {d.class_id} {d.score} {d.box.cx} {d.box.cy} {d.box.h} "
+                                                   f"{d.box.w} {d.box.theta}\n" for d in dets))
+        want = evaluate_columns(parse_detections((tmp_path / "dets.txt").read_text(), CLASSES), (*gts, rows),
+                                list(CLASSES), 0.5)
+        assert main(["eval", "--dets", str(tmp_path / "dets.txt"), "--ann-dir", str(tmp_path / "ann"),
+                     "--classes", *CLASSES]) == 0
+        assert capsys.readouterr().out == json.dumps(want.to_dict(), indent=2) + "\n"
+        assert want.map12 > 0
 
 
 RECT_SCALES = [1e-6, 1e-3, 1.0, 1e3, 1e6]

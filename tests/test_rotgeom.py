@@ -653,6 +653,9 @@ class TestIouPairs:
         pick = rng.permutation(len(want))[:500]
         pa, pb = _all_pairs(a, b)
         assert np.array_equal(rotated_iou_pairs(pa[pick], pb[pick]), want[pick])
+        # the same pairs given as indices into the two sets, repeats included
+        i, j = np.divmod(np.append(pick, pick[:50]), len(b))
+        assert np.array_equal(rotated_iou_pairs(a, b, i, j), np.append(want[pick], want[pick[:50]]))
 
     @pytest.mark.parametrize("theta", [0.0, 30.0, -45.0])
     def test_explicit_cases(self, theta):
