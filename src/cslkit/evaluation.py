@@ -288,10 +288,10 @@ def dota_files_columns(files, class_table, strict=False):
     the quads of all files, whatever their vertex order, from one call.
 
     Leading metadata lines (first token non-numeric) are skipped. Unknown
-    categories raise in strict mode and are skipped with a warning
-    otherwise. Of several bad lines, the first in the first file with any
-    is reported, its fault in the parsing or in the geometry, with the
-    file's position as the error's source.
+    categories raise in strict mode and are skipped otherwise, with a
+    warning naming the image id and line. Of several bad lines, the first
+    in the first file with any is reported, its fault in the parsing or in
+    the geometry, with the file's position as the error's source.
     """
     image_ids, class_ids, difficult, coords, where = [], [], [], [], []
     parse_error = None
@@ -305,7 +305,7 @@ def dota_files_columns(files, class_table, strict=False):
                 body_started = True
                 quad = _dota_quad(tokens, line_no, class_table, strict)
                 if tokens[8] not in class_table:
-                    log.warning("line %d: skipping unknown category %r", line_no, tokens[8])
+                    log.warning("%s: line %d: skipping unknown category %r", image_id, line_no, tokens[8])
                     continue
                 image_ids.append(image_id)
                 class_ids.append(class_table[tokens[8]])

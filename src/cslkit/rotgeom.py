@@ -10,13 +10,14 @@ Two five-parameter conventions are supported:
 All angles are degrees, all coordinates use the mathematical convention
 (y up, counter-clockwise positive).
 
-Batched geometry works on float box rows ``(cx, cy, along, across,
-theta)``: ``along`` is the side at angle theta, so an OrientedBox180
-gives ``(cx, cy, h, w, theta)`` and an OrientedBox90 ``(cx, cy, w, h,
-theta)``. Rotated IoU has one kernel behind rotated_iou_pairs, over K
-pairs of rows, aligned or by index, and rotated_iou_matrix, over all
-pairs of two sets of rows. The kernel clips each edge of either box to
-the other box and sums the pieces by Green's theorem.
+Both conventions are views of one angle reduction, canonicalize180_rows,
+from rows ``(cx, cy, a, b, theta of side a)``, the layout the geometry
+kernels take, to long-edge rows ``(cx, cy, h, w, theta)``; canonical rows
+come back unchanged. box_rows gives the long-edge rows of either record
+type. One rotated-IoU kernel is behind rotated_iou_pairs (K pairs of
+rows, aligned or by index) and rotated_iou_matrix (all pairs of two
+sets); it clips each edge of either box to the other and sums the pieces
+by Green's theorem.
 """
 
 from __future__ import annotations
@@ -99,25 +100,23 @@ class QuadBox:
 
 def canonicalize90(cx, cy, w, h, theta_free):
     """Reduce a free-angle (cx, cy, w, h, theta) into the 90-degree
-    convention. A 90-degree shift of theta swaps w and h; theta = 0 is
-    represented as theta = -90 with sides swapped."""
-    _require_finite(cx=cx, cy=cy, w=w, h=h, theta=theta_free)
-    if not (w > 0 and h > 0):
-        raise InvalidGeometryError(f"non-positive sides: w={w}, h={h}")
-    t = theta_free % 90.0  # [0, 90); may round up to exactly 90.0
-    if t >= 90.0:
-        t = 0.0
-    theta = t - 90.0  # [-90, 0)
-    k = round((theta_free - theta) / 90.0)
-    if k % 2 != 0:
-        w, h = h, w
-    return OrientedBox90(float(cx), float(cy), float(w), float(h), float(theta))
+    convention; a batch of one of canonicalize180_rows. The row goes in
+    long side first, so the reduction applies no swap shift and t, theta
+    reduced into [-90, 90), stays the angle of w: the box is (w, h, t) for
+    t < 0, else (h, w, t - 90). Canonical input comes back unchanged."""
+    tall = h > w > 0  # a bad side leaves the row as (w, h), as its error names them
+    cx, cy, a, b, t = canonicalize180_rows([[cx, cy, *((h, w) if tall else (w, h)), theta_free]]).tolist()[0]
+    w, h = (b, a) if tall else (a, b)
+    return OrientedBox90(cx, cy, w, h, t) if t < 0.0 else OrientedBox90(cx, cy, h, w, t - 90.0)
 
 
 def canonicalize180_rows(rows):
     """Reduce (N, 5) rows (cx, cy, a, b, theta-of-side-a) into long-edge
     rows (cx, cy, h, w, theta): long side in h, theta for the long side,
-    in [-90, 90). A square tie (a == b) resolves to theta in [-90, 0).
+    in [-90, 90). A row with b > a swaps its sides and adds 90 to theta; a
+    theta then outside [-90, 90) becomes (theta + 90) % 180 - 90, so
+    canonical rows come back unchanged. A square tie (a == b) resolves to
+    theta in [-90, 0).
     The first bad row raises InvalidGeometryError with its index: a side
     not above 0 first, else the first non-finite field of its result."""
     rows = np.asarray(rows, dtype=float)
@@ -125,9 +124,10 @@ def canonicalize180_rows(rows):
         raise InvalidGeometryError(f"expected (N, 5) rows, got shape {rows.shape}")
     cx, cy, a, b, theta = rows.T
     swap = b > a
+    theta = np.where(swap, theta + 90.0, theta)
     with np.errstate(invalid="ignore"):  # a non-finite theta reduces to nan, reported below
-        t = (theta + np.where(swap, 90.0, 0.0) + 90.0) % 180.0  # may round up to exactly 180.0
-    theta = np.where(t >= 180.0, 0.0, t) - 90.0
+        t = (theta + 90.0) % 180.0  # may round up to exactly 180.0
+    theta = np.where((theta >= -90.0) & (theta < 90.0), theta, np.where(t >= 180.0, 0.0, t) - 90.0)
     h, w = np.where(swap, b, a), np.where(swap, a, b)
     out = np.stack([cx, cy, h, w, np.where((h == w) & (theta >= 0.0), theta - 90.0, theta)], axis=1)
     sides, finite = (a > 0) & (b > 0), np.isfinite(out)
@@ -143,18 +143,19 @@ def canonicalize180_rows(rows):
 
 def canonicalize180(cx, cy, a, b, theta_free):
     """Reduce (cx, cy, a, b, theta-of-side-a) into an OrientedBox180; a
-    batch of one of canonicalize180_rows."""
+    batch of one of canonicalize180_rows, so canonical input is kept."""
     return OrientedBox180(*canonicalize180_rows([[cx, cy, a, b, theta_free]]).tolist()[0])
 
 
-# signs of the (along, across) half-sides at each corner, counter-clockwise
+# signs of the (a, b) half-sides at each corner, counter-clockwise
 _CORNER_SIGNS = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
 _PAIRS = np.triu_indices(4, 1)  # the six vertex pairs of a quad
 
 
 def _corners(rows, center=None):
-    """Corners (2, 4, N), coordinates first, of (N, 5) box rows moved to
-    centers (2, N) if given, counter-clockwise from the (+along, +across) corner."""
+    """Corners (2, 4, N), coordinates first, of (N, 5) rows (cx, cy, a, b,
+    theta of side a) moved to centers (2, N) if given, counter-clockwise
+    from the (+a, +b) corner."""
     center = rows[:, :2].T if center is None else center
     t = np.radians(rows[:, 4])
     c, s = np.cos(t), np.sin(t)
@@ -343,17 +344,21 @@ def quad_to_box180(quad):
 
 
 def box_rows(boxes):
-    """(N, 5) float rows (cx, cy, along, across, theta) of a sequence of
-    OrientedBox90 / OrientedBox180 records."""
-    rows = []
+    """(N, 5) long-edge rows (cx, cy, h, w, theta) of a sequence of
+    OrientedBox90 / OrientedBox180 records: if any is an OrientedBox90,
+    (cx, cy, w, h, theta), one canonicalize180_rows call over all rows,
+    which returns the OrientedBox180 ones unchanged."""
+    rows, any90 = [], False
     for box in boxes:
         if isinstance(box, OrientedBox90):
             rows.append((box.cx, box.cy, box.w, box.h, box.theta))
+            any90 = True
         elif isinstance(box, OrientedBox180):
             rows.append((box.cx, box.cy, box.h, box.w, box.theta))
         else:
             raise TypeError(f"unsupported box type {type(box)!r}")
-    return np.asarray(rows, dtype=float).reshape(-1, 5)
+    rows = np.asarray(rows, dtype=float).reshape(-1, 5)
+    return canonicalize180_rows(rows) if any90 else rows
 
 
 def _check_rows(rows):

@@ -8,8 +8,7 @@ import numpy as np
 
 from .csl_codec import CslLabel, _bins, _window_rows
 from .losses import RegressionTarget, encode_regression_rows
-from .rotgeom import (OrientedBox90, OrientedBox180, aligned_bboxes, aligned_iou_matrix, box_rows, canonicalize180,
-                      canonicalize180_rows, rotated_iou_matrix)
+from .rotgeom import OrientedBox180, aligned_bboxes, aligned_iou_matrix, box_rows, canonicalize180_rows, rotated_iou_matrix
 
 DEFAULT_RATIOS = (1.0, 1 / 2, 2.0, 1 / 4, 4.0, 1 / 6, 6.0)
 DEFAULT_ANGLES = (-90.0, -75.0, -60.0, -45.0, -30.0, -15.0)
@@ -115,11 +114,6 @@ class AssignmentResult:
         }
 
 
-def _long_edge_rows(boxes):
-    """(N, 5) long-edge rows of records; an OrientedBox90 is reduced to its OrientedBox180 twin."""
-    return box_rows([canonicalize180(b.cx, b.cy, b.w, b.h, b.theta) if isinstance(b, OrientedBox90) else b for b in boxes])
-
-
 def assign_targets(anchors, gts, cfg, csl_cfg):
     """Max-IoU assignment: foreground above fg_iou, background below
     bg_iou, ignored between. Anchors and gts become long-edge rows once,
@@ -133,9 +127,9 @@ def assign_targets(anchors, gts, cfg, csl_cfg):
     if not anchors:
         raise ValueError("empty anchor list")
     if not isinstance(anchors, AnchorSet):  # any other sequence of records
-        anchors = AnchorSet(_long_edge_rows(anchors))
+        anchors = AnchorSet(box_rows(anchors))
     rows, bboxes = anchors.rows, anchors.bboxes
-    gt_rows = _long_edge_rows([g[0] for g in gts])
+    gt_rows = box_rows([g[0] for g in gts])
     gt_classes = [g[1] for g in gts]
     n, m = len(rows), len(gt_rows)
     labels, matched, max_iou = np.zeros(n, dtype=int), np.full(n, -1), np.zeros(n)

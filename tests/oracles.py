@@ -449,16 +449,18 @@ def loop_evaluate(dets, gts, class_names, iou_thresh=0.5):
 def scalar_canonicalize180(cx, cy, a, b, theta_free):
     """One box at a time in Python floats, the library's long-edge
     reduction before canonicalize180_rows: long side in h, theta for the
-    long side in [-90, 90), a square tie to theta in [-90, 0)."""
+    long side in [-90, 90), a theta already there kept as it is, a square
+    tie to theta in [-90, 0)."""
     if not (a > 0 and b > 0):
         raise InvalidGeometryError(f"non-positive sides: a={a}, b={b}")
     if b > a:
         a, b = b, a
         theta_free = theta_free + 90.0
-    t = (theta_free + 90.0) % 180.0  # may round up to exactly 180.0
-    if t >= 180.0:
-        t = 0.0
-    theta = t - 90.0  # [-90, 90)
+    if -90.0 <= theta_free < 90.0:
+        theta = theta_free
+    else:
+        t = (theta_free + 90.0) % 180.0  # may round up to exactly 180.0
+        theta = (0.0 if t >= 180.0 else t) - 90.0  # [-90, 90)
     if a == b and theta >= 0.0:
         theta -= 90.0
     return OrientedBox180(float(cx), float(cy), float(a), float(b), float(theta))

@@ -169,6 +169,27 @@ class TestNmsAndEval(object):
         payload = run_json(capsys, "nms", "--dets", str(dets), "--classes", "ship", "--iou-thresh", "0.5")
         assert [d["score"] for d in payload["kept"]] == [0.9, 0.7]
 
+    def test_nms_writes_canonical_box_as_parsed(self, tmp_path, capsys):
+        dets = tmp_path / "dets.txt"
+        dets.write_text("im1 ship 0.9 10 10 20 5 0.1\nim1 ship 0.8 50 50 3 3 -1e-20\n")
+        argv = ("nms", "--dets", str(dets), "--classes", "ship")
+        assert [d["box"] for d in run_json(capsys, *argv)["kept"]] == [[10, 10, 20, 5, 0.1], [50, 50, 3, 3, -1e-20]]
+        assert run(capsys, "--format", "csv", *argv)[1].splitlines()[1] == "im1,0,0.9,10.0,10.0,20.0,5.0,0.1"
+
+    def test_unknown_category_warning_names_its_file(self, tmp_path, capsys, caplog):
+        dets = tmp_path / "dets.txt"
+        dets.write_text("a ship 0.9 2 1 4 2 0\n")
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        for name in ("a.txt", "b.txt"):
+            (ann / name).write_text("0 0 4 0 4 2 0 2 ship 0\n0 0 4 0 4 2 0 2 tank 0\n")
+        argv = ("eval", "--dets", str(dets), "--ann-dir", str(ann), "--classes", "ship")
+        with caplog.at_level("WARNING", logger="cslkit.evaluation"):
+            code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["ap12"] == {"ship": 0.5}
+        assert [r.getMessage() for r in caplog.records] == [
+            "a: line 2: skipping unknown category 'tank'", "b: line 2: skipping unknown category 'tank'"]
+
     def test_eval_pipeline(self, tmp_path, capsys):
         ann = tmp_path / "ann"
         ann.mkdir()

@@ -13,6 +13,7 @@ from cslkit.rotgeom import (
     OrientedBox90,
     OrientedBox180,
     QuadBox,
+    aligned_bbox,
     aligned_iou,
     box_rows,
     canonicalize90,
@@ -64,6 +65,16 @@ class TestCanonicalize90:
     def test_nonpositive_sides(self):
         with pytest.raises(InvalidGeometryError):
             canonicalize90(0, 0, -1, 1, 0)
+
+    @pytest.mark.parametrize("bad, message", [
+        ((0, 0, -1, 1, 0), "non-positive sides: a=-1.0, b=1.0"),
+        ((0, 0, 2, 0, 0), "non-positive sides: a=2.0, b=0.0"),
+        ((0, 0, 2, 3, math.inf), "non-finite theta: nan"),
+        ((math.nan, 0, 2, 3, 0), "non-finite cx: nan"),
+    ])
+    def test_error_wording(self, bad, message):
+        with pytest.raises(InvalidGeometryError, match=f"^{re.escape(message)}$"):
+            canonicalize90(*bad)
 
     @given(
         theta=st.floats(-720, 720, allow_nan=False),
@@ -168,6 +179,102 @@ class TestCanonicalize180Rows:
             scalar_canonicalize180(*map(float, bad))
         with pytest.raises(InvalidGeometryError, match=f"^{re.escape(message)}$"):
             canonicalize180(*bad)
+
+
+def _canonical_rows():
+    """(N, 5) long-edge rows already canonical: angles near 0 and the range
+    ends, -0.0, squares with theta in [-90, 0), and random rows at scales
+    1e-6 to 1e6."""
+    rng = np.random.default_rng(12)
+    named = [0.1, 1e-3, -1e-3, 1e-20, -1e-20, -0.0, 0.0, -90.0, 89.99, np.nextafter(90.0, 0.0), 45.0, -45.0]
+    rows = [(1.0, 2.0, 5.0, 2.0, t) for t in named]
+    rows += [(1.0, 2.0, 3.0, 3.0, t) for t in (-1e-20, -0.1, -45.0, -90.0, np.nextafter(0.0, -1.0))]
+    for scale in 10.0 ** np.arange(-6, 7):
+        sides = -np.sort(-rng.uniform(0.1, 10.0, (40, 2)), axis=1) * scale  # long side first
+        rows += np.column_stack([rng.uniform(-100, 100, (40, 2)) * scale, sides, rng.uniform(-90, 90, 40)]).tolist()
+    return np.array(rows)
+
+
+class TestExactReduction:
+    """The one reduction returns canonical input bit for bit, and reduces
+    every other angle by the formula it has always used."""
+
+    def test_canonical_rows_unchanged(self):
+        rows = _canonical_rows()
+        assert canonicalize180_rows(rows).tobytes() == rows.tobytes()
+        assert np.array([astuple(canonicalize180(*row)) for row in rows.tolist()]).tobytes() == rows.tobytes()
+
+    def test_out_of_range_rows_keep_the_formula(self):
+        rows = _reduction_rows()
+        a, b, theta = rows[:, 2], rows[:, 3], rows[:, 4]
+        swap = b > a
+        shifted = np.where(swap, theta + 90.0, theta)
+        out = ~((shifted >= -90.0) & (shifted < 90.0))
+        t = (theta + 90.0 * swap + 90.0) % 180.0
+        t = np.where(t >= 180.0, 0.0, t) - 90.0
+        want = np.column_stack([rows[:, :2], np.where(swap, b, a), np.where(swap, a, b),
+                                np.where((a == b) & (t >= 0.0), t - 90.0, t)])
+        assert out.sum() > len(rows) // 2
+        assert canonicalize180_rows(rows[out]).tobytes() == want[out].tobytes()
+
+    @pytest.mark.parametrize("w, h", [(5.0, 2.0), (2.0, 5.0), (3.0, 3.0), (1e-6, 1e6)])
+    def test_canonicalize90_keeps_canonical_input(self, w, h):
+        rng = np.random.default_rng(13)
+        thetas = [-1e-3, -0.1, -1e-20, -90.0, -89.99, np.nextafter(0.0, -1.0), -45.0, *rng.uniform(-90, 0, 200).tolist()]
+        for theta in thetas:
+            box = canonicalize90(1.5, -2.5, w, h, theta)
+            assert np.array(astuple(box)).tobytes() == np.array([1.5, -2.5, w, h, theta]).tobytes()
+
+    @pytest.mark.parametrize("w, h", [(5.0, 2.0), (2.0, 5.0)])
+    def test_canonicalize90_free_angles_within_an_ulp(self, w, h):
+        # angles outside [-90, 0), with every mantissa bit set, against the
+        # former % 90 reduction: the reduction's shift theta + 90 rounds to
+        # an ulp of |theta| + 90, one ulp of 90 while |theta| < 166
+        rng = np.random.default_rng(14)
+        thetas = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-3, 4, 4000)
+        for theta in thetas[(thetas < -90.0) | (thetas >= 0.0)].tolist():
+            t = theta % 90.0
+            t = (0.0 if t >= 90.0 else t) - 90.0
+            want = (w, h) if round((theta - t) / 90.0) % 2 == 0 else (h, w)
+            box = canonicalize90(0.0, 0.0, w, h, theta)
+            assert (box.w, box.h) == want
+            assert abs(box.theta - t) <= np.spacing(abs(theta) + 90.0)
+            if abs(theta) < 166.0:
+                assert abs(box.theta - t) <= np.spacing(90.0)
+
+
+class TestBoxRows:
+    """box_rows gives long-edge rows of both record types through the one
+    reduction; the geometry of an OrientedBox90 is that of its twin."""
+
+    def _records(self):
+        rng = np.random.default_rng(15)
+        return [(canonicalize90 if k % 3 else canonicalize180)(*rng.uniform(-50, 50, 2), *rng.uniform(0.5, 20, 2),
+                                                              rng.uniform(-400, 400)) for k in range(150)]
+
+    def test_mixed_records_equal_the_reduction(self, monkeypatch):
+        boxes = self._records()
+        raw = [(b.cx, b.cy, b.w, b.h, b.theta) if isinstance(b, OrientedBox90) else (b.cx, b.cy, b.h, b.w, b.theta)
+               for b in boxes]
+        assert box_rows(boxes).tobytes() == canonicalize180_rows(raw).tobytes()
+        only180 = [b for b in boxes if isinstance(b, OrientedBox180)]
+        monkeypatch.setattr("cslkit.rotgeom.canonicalize180_rows", None)  # not called without an OrientedBox90
+        assert box_rows(only180).tobytes() == np.array([astuple(b) for b in only180]).tobytes()
+
+    def test_box90_geometry_equals_its_twin(self):
+        boxes = [b for b in self._records() if isinstance(b, OrientedBox90)]
+        other = canonicalize180(0.0, 0.0, 60.0, 40.0, 10.0)
+        for box in boxes:
+            twin = canonicalize180(box.cx, box.cy, box.w, box.h, box.theta)
+            assert to_quad(box) == to_quad(twin)
+            assert aligned_bbox(box) == aligned_bbox(twin)
+            assert rotated_iou(box, other) == rotated_iou(twin, other)
+            assert rotated_iou(box, twin) == rotated_iou(twin, twin)
+        assert any(box.h > box.w for box in boxes) and any(box.w > box.h for box in boxes)
+
+    def test_non_box_raises(self):
+        with pytest.raises(TypeError, match="unsupported box type"):
+            box_rows([canonicalize180(0, 0, 2, 1, 0), (0.0, 0.0, 2.0, 1.0, 0.0)])
 
 
 class TestToQuad:
@@ -556,7 +663,7 @@ class TestIouMatrixKernel:
     def test_box90_rows(self):
         b90 = canonicalize90(1, 2, 5, 2, 20)
         b180 = canonicalize180(1, 2, 5, 2, 20)
-        assert box_rows([b90]).tolist() == [[1, 2, 2, 5, -70]]
+        assert box_rows([b90]).tolist() == [[1, 2, 5, 2, 20]]
         assert box_rows([b180]).tolist() == [[1, 2, 5, 2, 20]]
         assert rotated_iou(b90, b180) == pytest.approx(1.0, abs=1e-12)
         assert rotated_iou(b90, _shifted(b180, 1.0, 0.0)) == pytest.approx(clipped_iou(b90, _shifted(b180, 1.0, 0.0)), abs=1e-12)

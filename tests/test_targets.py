@@ -6,7 +6,6 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from cslkit import targets
 from cslkit.csl_codec import CslCodecConfig, encode
 from cslkit.losses import encode_regression
 from cslkit.targets import AnchorGridSpec, AnchorSet, AssignmentConfig, assign_targets, generate_anchors
@@ -194,7 +193,7 @@ def _moved(box, shift=(0.0, 0.0), scale=1.0):
 def _iou(anchors, boxes, mode):
     """The anchor x gt IoU matrix of assign_targets: generated anchors
     against the long-edge rows of gt records."""
-    rows = targets._long_edge_rows(boxes)
+    rows = box_rows(boxes)
     return rotated_iou_matrix(anchors.rows, rows) if mode == "rotated" else aligned_iou_matrix(anchors.bboxes, aligned_bboxes(rows))
 
 
@@ -243,7 +242,7 @@ class TestArrayPaths:
                 theta = (rng.uniform(-180, 180), 0.0, -90.0, 45.0)[k % 4]
                 make = canonicalize90 if k % 3 == 0 else canonicalize180
                 boxes.append(make(*(rng.uniform(-3, 3, 2) * scale), *(rng.uniform(0.5, 6, 2) * scale), theta))
-        anchors, gts = AnchorSet(targets._long_edge_rows(boxes[::2])), boxes[1::2]
+        anchors, gts = AnchorSet(box_rows(boxes[::2])), boxes[1::2]
         got = _iou(anchors, gts, "horizontal")
         want = np.array([[aligned_iou(_corner_bbox(a), _corner_bbox(_twin(g))) for g in gts] for a in anchors])
         assert np.array_equal(got, want)
