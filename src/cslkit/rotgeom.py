@@ -176,25 +176,21 @@ def _gap_and_extent(pts):
     return gap.min(axis=1), gap.max(axis=1)
 
 
-def _ccw(pts):
-    """K quads (K, 4, 2) with their vertices sorted counter-clockwise by
-    angle about their centroid."""
-    rel = pts - pts.mean(axis=1, keepdims=True)
-    order = np.argsort(np.arctan2(rel[..., 1], rel[..., 0]), axis=1, kind="stable")
-    return np.take_along_axis(pts, order[..., None], axis=1)
-
-
 def order_corners(quad):
     """Canonically order four vertices: counter-clockwise winding,
     starting at the vertex with minimal y (ties broken by minimal x).
-    Vertices within EPS times the quad's extent are duplicates."""
+    Non-finite or duplicate vertices (within EPS times the quad's extent)
+    raise InvalidGeometryError."""
     pts = np.asarray(quad.vertices if isinstance(quad, QuadBox) else quad, dtype=float)
     if pts.shape != (4, 2):
         raise InvalidGeometryError(f"expected 4 vertices, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise InvalidGeometryError("non-finite vertex coordinates")
     gap, extent = _gap_and_extent(pts[None])
     if gap[0] <= EPS * extent[0]:
         raise InvalidGeometryError("duplicate vertices")
-    pts = _ccw(pts[None])[0]
+    rel = pts - pts.mean(axis=0)  # sorted counter-clockwise by angle about the centroid
+    pts = pts[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]), kind="stable")]
     start = min(range(4), key=lambda i: (pts[i, 1], pts[i, 0]))
     pts = np.roll(pts, -start, axis=0)
     return QuadBox(tuple(map(tuple, pts)))
@@ -260,8 +256,14 @@ def convex_intersection(p, q):
     """Intersection of two convex counter-clockwise polygons by the IoU
     kernel's edge clipper: its pieces' starts in counter-clockwise order,
     vertices closer than REL_EPS times the larger extent merged, as an
-    (N, 2) array; contacts along an edge or at a point give none."""
+    (N, 2) array; contacts along an edge or at a point give none. A
+    polygon of fewer than 3 vertices or with non-finite coordinates raises
+    InvalidGeometryError."""
     p, q = (np.asarray(poly, dtype=float).reshape(-1, 2) for poly in (p, q))
+    if min(len(p), len(q)) < 3:
+        raise InvalidGeometryError(f"need polygons of 3 or more vertices, got {len(p)} and {len(q)}")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise InvalidGeometryError("non-finite vertex coordinates")
     # work around p's first vertex, with a tolerance relative to the size
     origin = p[0]
     tol = REL_EPS * max(np.ptp(p, axis=0).max(), np.ptp(q, axis=0).max())
@@ -282,13 +284,15 @@ def min_area_rects(quads):
     order, as (K, 5) rows (cx, cy, h, w, theta) in canonicalize180_rows'
     convention; the exact inverse of to_quad for true rectangles.
 
-    Rotating calipers: each hull edge gives the enclosing rectangle with a
-    side along it. Among areas within 1e-12 relative of the smallest, the
-    smallest theta wins, then the first edge counter-clockwise from the
-    lowest-x (then lowest-y) hull vertex. Non-finite coordinates, vertices
-    within EPS times the quad's extent, and hull areas within EPS times
-    its square raise InvalidGeometryError, whose index is the first bad
-    quad."""
+    Such a rectangle has a side along a hull edge, which joins two of the
+    vertices: each of the six vertex pairs, taken after sorting the
+    vertices by (x, y), gives the four vertices' extent along and across
+    it (a diagonal's is never smaller). Among areas within 1e-12 relative
+    of the smallest, the smallest theta wins, then the first pair.
+    Non-finite coordinates, vertices within EPS times the quad's extent,
+    and hull areas (half the summed areas of the four vertex triangles)
+    within EPS times its square raise InvalidGeometryError, whose index
+    is the first bad quad."""
     pts = np.asarray(quads, dtype=float)
     if pts.ndim != 3 or pts.shape[1:] != (4, 2):
         raise InvalidGeometryError(f"expected (K, 4, 2) quads, got shape {pts.shape}")
@@ -296,44 +300,31 @@ def min_area_rects(quads):
     pts = np.where(finite[:, None, None], pts, 0.0)
     gap, extent = _gap_and_extent(pts)
     duplicate = gap <= EPS * extent
-    # hull: the convex vertices, counter-clockwise, ahead of the reflex or
-    # collinear one
-    pts = _ccw(pts)
-    prev, nxt = np.roll(pts, 1, axis=1), np.roll(pts, -1, axis=1)
-    convex = _cross((pts - prev).T, (nxt - prev).T).T > 0.0
-    pts = np.take_along_axis(pts, np.argsort(~convex, axis=1, kind="stable")[..., None], axis=1)
-    n = convex.sum(axis=1, keepdims=True)
-    x = np.where(np.arange(4) < n, pts[..., 0], np.inf)
-    start = np.argmin(np.where(x == x.min(axis=1, keepdims=True), pts[..., 1], np.inf), axis=1)
-    # hull vertices from the start; a 3-vertex hull repeats its start last
-    at = (start[:, None] + np.arange(4)) % np.maximum(n, 1)
-    hull = np.take_along_axis(pts, at[..., None], axis=1)
-    edge = np.take_along_axis(pts, ((at + 1) % np.maximum(n, 1))[..., None], axis=1) - hull
-    rel = hull - hull[:, :1]
-    area = 0.5 * np.abs(_cross(rel.T, _next(rel).T).sum(axis=0))
-    zero_area = (n[:, 0] < 3) | (area <= EPS * extent**2)
-    bad = ~finite | duplicate | zero_area
+    # vertices (2, 4, K) sorted by x then y: each pair's vector (2, 6, K)
+    # points right, or up when vertical, whatever the input order
+    p = np.take_along_axis(pts, np.lexsort((pts[..., 1], pts[..., 0]))[..., None], axis=1).T
+    d = p[:, _PAIRS[1]] - p[:, _PAIRS[0]]
+    # triangles 012, 013, 023, 123 by the two pairs at their first vertex
+    area = 0.25 * np.abs(_cross(d[:, [0, 0, 1, 3]], d[:, [1, 2, 2, 4]])).sum(axis=0)
+    bad = ~finite | duplicate | (area <= EPS * extent**2)
     if bad.any():
         k = int(np.argmax(bad))
         reason = ("non-finite vertex coordinates" if not finite[k] else "duplicate vertices" if duplicate[k]
                   else "degenerate quadrilateral (zero area)")
         raise InvalidGeometryError(reason, index=k)
-    # one candidate per hull edge: the hull's extent along and across it
-    phi = np.arctan2(edge[..., 1], edge[..., 0])
-    c, s = np.cos(phi)[..., None], np.sin(phi)[..., None]
-    hx, hy = hull[:, None, :, 0], hull[:, None, :, 1]
-    xs = hx * c + hy * s
-    ys = -hx * s + hy * c
-    e1 = xs.max(axis=2) - xs.min(axis=2)
-    e2 = ys.max(axis=2) - ys.min(axis=2)
-    mx, my = (xs.max(axis=2) + xs.min(axis=2)) / 2.0, (ys.max(axis=2) + ys.min(axis=2)) / 2.0
-    c, s = c[..., 0], s[..., 0]
-    rects = np.stack([mx * c - my * s, mx * s + my * c, e1, e2, np.degrees(phi)], axis=2)
+    phi = np.arctan2(d[1], d[0])
+    c, s = np.cos(phi), np.sin(phi)
+    x, y = p[..., None, :]
+    along = np.stack([x * c + y * s, y * c - x * s])  # (2, 4, 6, K), along and across each pair
+    hi, lo = along.max(axis=1), along.min(axis=1)
+    e1, e2 = hi - lo
+    mx, my = (hi + lo) / 2.0
+    rects = np.stack([mx * c - my * s, mx * s + my * c, e1, e2, np.degrees(phi)], axis=-1)
     rects = canonicalize180_rows(rects.reshape(-1, 5)).reshape(rects.shape)
     size = e1 * e2
-    tie = size <= size.min(axis=1, keepdims=True) * (1.0 + 1e-12)
-    best = np.argmin(np.where(tie, rects[..., 4], np.inf), axis=1)
-    return rects[np.arange(len(rects)), best]
+    tie = size <= size.min(axis=0) * (1.0 + 1e-12)
+    best = np.argmin(np.where(tie, rects[..., 4], np.inf), axis=0)
+    return rects[best, np.arange(len(pts))]
 
 
 def quad_to_box180(quad):
@@ -391,8 +382,10 @@ def _iou_pairs(a, b, i, j):
 def rotated_iou_pairs(a, b, i=None, j=None):
     """Exact IoU (K,) of K pairs of oriented boxes, given as box rows (see
     the module docstring): entry k is the IoU of a[i[k]] and b[j[k]] for
-    index arrays i and j, else of a[k] and b[k] for two (K, 5) arrays.
-    Only the indices are expanded, not the rows.
+    1-D integer index arrays i and j of one length, within [0, len(a))
+    and [0, len(b)), else of a[k] and b[k] for two (K, 5) arrays; other
+    indices raise InvalidGeometryError. Only the indices are expanded,
+    not the rows.
 
     Each pair is computed in a frame centred on its box from ``a``, with
     a tolerance relative to the pair's size, so the result does not
@@ -400,10 +393,16 @@ def rotated_iou_pairs(a, b, i=None, j=None):
     the call. Pairs whose circumcircles do not meet are 0 without further
     work; the others go through the kernel PAIR_CHUNK pairs at a time."""
     a, b = _check_rows(a), _check_rows(b)
-    if i is None and a.shape != b.shape:
-        raise InvalidGeometryError(f"pair lists differ in shape: {a.shape} and {b.shape}")
-    k = np.arange(len(a))
-    return _iou_pairs(a, b, k if i is None else np.asarray(i), k if j is None else np.asarray(j))
+    if i is None and j is None:
+        if a.shape != b.shape:
+            raise InvalidGeometryError(f"pair lists differ in shape: {a.shape} and {b.shape}")
+        i = j = np.arange(len(a))
+    i, j = np.asarray(i), np.asarray(j)
+    if not (i.ndim == j.ndim == 1 and len(i) == len(j) and i.dtype.kind in "iu" and j.dtype.kind in "iu"
+            and (not len(i) or min(i.min(), j.min()) >= 0 and i.max() < len(a) and j.max() < len(b))):
+        raise InvalidGeometryError(f"need index arrays i and j, 1-D integers of one length within [0, {len(a)}) and "
+                                   f"[0, {len(b)}), got {i.dtype}{i.shape} and {j.dtype}{j.shape}")
+    return _iou_pairs(a, b, i, j)
 
 
 def rotated_iou_matrix(a, b):

@@ -126,9 +126,8 @@ def assign_targets(anchors, gts, cfg, csl_cfg):
     and circular-label targets against their matched gt."""
     if not anchors:
         raise ValueError("empty anchor list")
-    if not isinstance(anchors, AnchorSet):  # any other sequence of records
-        anchors = AnchorSet(box_rows(anchors))
-    rows, bboxes = anchors.rows, anchors.bboxes
+    rows = anchors.rows if isinstance(anchors, AnchorSet) else box_rows(anchors)
+    bboxes = anchors.bboxes if isinstance(anchors, AnchorSet) else aligned_bboxes(rows)
     gt_rows = box_rows([g[0] for g in gts])
     gt_classes = [g[1] for g in gts]
     n, m = len(rows), len(gt_rows)

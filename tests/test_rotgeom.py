@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cslkit.rotgeom import (
+    EPS,
     PAIR_CHUNK,
     InvalidGeometryError,
     OrientedBox90,
@@ -321,6 +322,14 @@ class TestOrderCorners:
         with pytest.raises(InvalidGeometryError):
             order_corners(QuadBox(((0, 0), (0, 0), (1, 1), (0, 1))))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertices(self, bad):
+        for at in range(8):
+            pts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+            pts[at // 2][at % 2] = bad
+            with pytest.raises(InvalidGeometryError, match="non-finite vertex coordinates"):
+                order_corners(QuadBox(tuple(map(tuple, pts))))
+
 
 def _signed(pts):
     x, y = pts[:, 0], pts[:, 1]
@@ -352,6 +361,21 @@ class TestConvexIntersection:
         right = [(1, 0), (2, 0), (2, 1), (1, 1)]
         out = convex_intersection(self.SQ, right)
         assert shoelace_area(out) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertices(self, bad):
+        for at in range(8):
+            poly = [list(v) for v in self.SQ]
+            poly[at // 2][at % 2] = bad
+            for p, q in ((poly, self.SQ), (self.SQ, poly)):
+                with pytest.raises(InvalidGeometryError, match="non-finite vertex coordinates"):
+                    convex_intersection(p, q)
+
+    def test_fewer_than_three_vertices(self):
+        for poly in ([], [(0, 0)], [(0, 0), (1, 1)]):
+            for p, q in ((poly, self.SQ), (self.SQ, poly)):
+                with pytest.raises(InvalidGeometryError, match="3 or more vertices"):
+                    convex_intersection(p, q)
 
 
 class TestRotatedIou:
@@ -529,6 +553,35 @@ def _orders(quad):
     return [np.roll(q, r, axis=0) for q in (quad, quad[::-1]) for r in range(4)]
 
 
+def _integer_rects(rng, count, square):
+    """Seeded rectangles (count, 4, 2) with integer corners below about
+    1100, as DOTA annotates them: sides along an integer vector u and
+    its normal, the normal scaled by 1 for squares, else by 1 to 3."""
+    origin = rng.integers(0, 1000, (count, 1, 2))
+    u = np.column_stack([rng.integers(1, 41, count), rng.integers(-40, 41, count)])
+    v = np.column_stack([-u[:, 1], u[:, 0]]) * (1 if square else rng.integers(1, 4, (count, 1)))
+    return (origin + np.stack([0 * u, u, u + v, v], axis=1)).astype(float)
+
+
+def _thin_quads(rng, count, ratio):
+    """Seeded quads (count, 4, 2) near unit scale whose hull area is
+    `ratio` times EPS times their squared extent: a turned unit segment
+    and two more vertices a small height off it, in turn convex, with a
+    reflex vertex, and with three collinear vertices."""
+    turn = rng.uniform(0, 2 * math.pi, count)
+    along = np.column_stack([np.cos(turn), np.sin(turn)])[:, None]
+    normal = np.column_stack([-np.sin(turn), np.cos(turn)])[:, None]
+    area = ratio * EPS * np.abs(along).max(axis=2, keepdims=True) ** 2
+    t = rng.uniform(0.2, 0.8, (count, 2, 1))
+    apex = t[:, :1] * along + 2.0 * area * normal  # its triangle with the segment has the area
+    tips = {
+        "convex": np.concatenate([t[:, 1:] * along - area * normal, t[:, :1] * along + area * normal], axis=1),
+        "reflex": np.concatenate([apex, (along + apex) / 3.0], axis=1),
+        "collinear": np.concatenate([apex, t[:, 1:] * along], axis=1),
+    }
+    return np.concatenate([np.concatenate([0.0 * along, along, tip], axis=1) for tip in tips.values()])
+
+
 def _theta_gap(a, b):
     """Distance of two long-edge angles, which are periodic in 180."""
     return abs((a - b + 90.0) % 180.0 - 90.0)
@@ -582,6 +635,36 @@ class TestMinAreaRects:
         for quad, row in zip(quads, rows.tolist()):
             box = quad_to_box180(quad)
             assert (box.cx, box.cy, box.h, box.w, box.theta) == tuple(row)
+
+    def test_rows_do_not_depend_on_vertex_order(self):
+        rng = np.random.default_rng(15)
+        boxes = [canonicalize180(*rng.uniform(0, 1000, 2), *rng.uniform(1, 300, 2), rng.uniform(-90, 90))
+                 for _ in range(200)]
+        families = {"to_quad": np.array([to_quad(b).as_array() for b in boxes]),
+                    "integer rectangle": _integer_rects(rng, 200, False), "integer square": _integer_rects(rng, 100, True),
+                    **_quad_families(rng, 50)}
+        for kind, quads in families.items():
+            rows = min_area_rects(np.concatenate([_orders(q) for q in quads])).reshape(len(quads), 8, 5)
+            assert (rows == rows[:, :1]).all(), kind
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_zero_area_decision_matches_calipers(self, scale):
+        rng = np.random.default_rng(16)
+        for ratio in (0.5, 2.0):
+            for quad in _thin_quads(rng, 20, ratio) * scale + rng.uniform(-10, 10, 2) * scale:
+                try:
+                    calipers_box180(quad)
+                except InvalidGeometryError:
+                    zero_area = True
+                else:
+                    zero_area = False
+                assert zero_area == (ratio < 1.0)
+                for order in _orders(quad):
+                    if zero_area:
+                        with pytest.raises(InvalidGeometryError, match="zero area"):
+                            min_area_rects(order[None])
+                    else:
+                        assert min_area_rects(order[None]).shape == (1, 5)
 
     def test_empty(self):
         assert min_area_rects(np.zeros((0, 4, 2))).shape == (0, 5)
@@ -792,6 +875,14 @@ class TestIouPairs:
         bad[1, 3] = math.nan
         with pytest.raises(InvalidGeometryError):
             rotated_iou_pairs(rows, bad)
+        # index arrays: both or neither, 1-D integers of one length, in range
+        a, b = rows, rows[:2]
+        for i, j in [([0], [-1]), ([-1], [0]), ([3], [0]), ([0], [2]), ([0, 0], [0]), ([0.0], [0]), ([0], [1.0]),
+                     ([True], [0]), ([[0]], [[0]]), (0, 0), ([0], None), (None, [0])]:
+            with pytest.raises(InvalidGeometryError, match="index"):
+                rotated_iou_pairs(a, b, i, j)
+        assert rotated_iou_pairs(a, b, np.array([2], dtype=np.uint8), [1]) == pytest.approx([1.0])
+        assert rotated_iou_pairs(a, b, np.zeros(0, dtype=int), np.zeros(0, dtype=int)).shape == (0,)
 
 
 def _random_rows(rng, n, spread):

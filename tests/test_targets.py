@@ -304,6 +304,15 @@ class TestAnchorSet:
                 assert label.values.tobytes() == want.csl_labels[i].values.tobytes()
 
     @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
+    def test_record_list_builds_no_records(self, mode, monkeypatch):
+        anchors = list(generate_anchors(AnchorGridSpec(image_size=32, strides=(8, 16)), mode))
+        gts = [(canonicalize180(12, 12, 10, 5, 20), 0), (canonicalize90(20, 9, 6, 3, -30), 1)]
+        built, check = [], OrientedBox180.__post_init__
+        monkeypatch.setattr(OrientedBox180, "__post_init__", lambda box: built.append(box) or check(box))
+        res = assign_targets(anchors, gts, AssignmentConfig(anchor_mode=mode), CSL_CFG)
+        assert built == [] and (res.labels == 1).any()
+
+    @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
     def test_arrays_are_those_of_the_records(self, mode):
         anchors = generate_anchors(AnchorGridSpec(image_size=48, strides=(16, 8, 24), base_scale=3), mode)
         assert isinstance(anchors, tuple) and all(type(a).__name__ == "OrientedBox180" for a in anchors)
