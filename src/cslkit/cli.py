@@ -197,7 +197,7 @@ def _cmd_targets(args):
     csl_cfg = CslCodecConfig("gaussian", 6.0, 1.0, "range180")
     result = targets.assign_targets(anchors, gts, cfg, csl_cfg)
     payload = {"schema_version": SCHEMA_VERSION, "num_anchors": len(anchors), **result.to_dict()}
-    rows = [(i, int(result.labels[i]), int(result.matched_gt[i]), float(result.max_iou[i])) for i in range(len(anchors))]
+    rows = zip(range(len(anchors)), result.labels.tolist(), result.matched_gt.tolist(), result.max_iou.tolist())
     _emit(args, payload, rows, ("anchor", "label", "matched_gt", "max_iou"))
 
 

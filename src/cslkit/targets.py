@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,9 @@ class AnchorGridSpec:
             raise ValueError(f"base scale {self.base_scale} is not positive")
         if not all(r > 0 for r in self.aspect_ratios):
             raise ValueError("aspect ratios must be positive")
+        for name in ("base_scale", "aspect_ratios", "angles"):  # inf passes "> 0"
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for s in self.strides:
             if not s > 0:
                 raise ValueError(f"stride {s} is not positive")
@@ -52,26 +56,30 @@ class AssignmentConfig:
             raise ValueError(f"unknown anchor mode {self.anchor_mode!r}")
 
 
-class AnchorSet(tuple):
-    """An immutable tuple of OrientedBox180 anchors that also holds their
-    (N, 5) long-edge `rows` and (N, 4) axis-aligned `bboxes`, both
-    read-only, so an anchor grid converts to arrays once, not once per
-    image. Built from long-edge rows; slicing or adding gives a plain tuple."""
+@dataclass(frozen=True, eq=False)
+class AnchorSet(Sequence):
+    """A read-only sequence of OrientedBox180 anchors held as their (N, 5)
+    long-edge `rows` and (N, 4) axis-aligned `bboxes`, so an anchor grid
+    converts to arrays once, not once per image. A record is built only
+    when read: an index gives one, a slice a tuple of them."""
 
-    def __new__(cls, rows):
-        rows = np.array(rows, dtype=float)  # a private copy, frozen below
-        self = super().__new__(cls, [OrientedBox180(*row) for row in rows.tolist()])
-        self.__dict__.update(rows=rows, bboxes=aligned_bboxes(rows))
-        for array in (self.rows, self.bboxes):
+    rows: np.ndarray
+    bboxes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rows = np.array(self.rows, dtype=float)  # a private copy, frozen below
+        for name, array in (("rows", rows), ("bboxes", aligned_bboxes(rows))):
             array.flags.writeable = False
-        return self
+            object.__setattr__(self, name, array)
 
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot change {name!r}: AnchorSet is immutable")
+    def __len__(self):
+        return len(self.rows)
 
-    __delattr__ = __setattr__
+    def __getitem__(self, index):
+        rows = self.rows[index].tolist()
+        return tuple(OrientedBox180(*row) for row in rows) if isinstance(index, slice) else OrientedBox180(*rows)
 
-    def __reduce__(self):  # pickle and copy rebuild the records and arrays from the rows
+    def __reduce__(self):  # pickle and copy rebuild the arrays from the rows
         return type(self), (self.rows,)
 
 
@@ -79,8 +87,10 @@ def generate_anchors(spec, mode="horizontal"):
     """One anchor per (location, aspect ratio) per pyramid level; the
     anchor area at a level is (base_scale * stride)^2 for every ratio.
     Rotated mode additionally sweeps the configured angle set. Returns
-    an AnchorSet: an immutable tuple of the records that also carries
-    their rows and bboxes, so assign_targets converts the grid once."""
+    an AnchorSet of the grid's long-edge rows: it builds no record until
+    one is read, and assign_targets reads its rows and bboxes as they are."""
+    if mode not in ("horizontal", "rotated"):
+        raise ValueError(f"unknown anchor mode {mode!r}")
     angles = spec.angles if mode == "rotated" else (0.0,)
     rows = [np.empty((0, 5))]  # no strides, no anchors
     for stride in spec.strides:
@@ -109,15 +119,17 @@ class AssignmentResult:
         return {
             "labels": self.labels.tolist(),
             "matched_gt": self.matched_gt.tolist(),
-            "max_iou": [float(v) for v in self.max_iou],
+            "max_iou": self.max_iou.tolist(),
             "foreground": sorted(int(i) for i in self.reg_targets),
         }
 
 
 def assign_targets(anchors, gts, cfg, csl_cfg):
     """Max-IoU assignment: foreground above fg_iou, background below
-    bg_iou, ignored between. Anchors and gts become long-edge rows once,
-    so an OrientedBox90 gt and its OrientedBox180 twin get the same
+    bg_iou, ignored between. An AnchorSet's rows and bboxes are read as
+    they are, and any other sequence of anchor records becomes an
+    AnchorSet of its long-edge rows; gts become long-edge rows once, so
+    an OrientedBox90 gt and its OrientedBox180 twin get the same
     targets; horizontal anchors match each gt's enclosing rectangle.
     Each gt, highest best IoU first (ties in input order), is forced onto
     a best anchor (within 1e-12 relative) that it may take, one not yet
@@ -126,8 +138,8 @@ def assign_targets(anchors, gts, cfg, csl_cfg):
     and circular-label targets against their matched gt."""
     if not anchors:
         raise ValueError("empty anchor list")
-    rows = anchors.rows if isinstance(anchors, AnchorSet) else box_rows(anchors)
-    bboxes = anchors.bboxes if isinstance(anchors, AnchorSet) else aligned_bboxes(rows)
+    anchors = anchors if isinstance(anchors, AnchorSet) else AnchorSet(box_rows(anchors))
+    rows, bboxes = anchors.rows, anchors.bboxes
     gt_rows = box_rows([g[0] for g in gts])
     gt_classes = [g[1] for g in gts]
     n, m = len(rows), len(gt_rows)

@@ -1,6 +1,8 @@
 import copy
 import math
 import pickle
+import re
+from collections.abc import Sequence
 from dataclasses import astuple
 
 import numpy as np
@@ -76,10 +78,20 @@ class TestAnchorGeneration:
         ({"image_size": 64, "aspect_ratios": (math.nan,)}, "aspect ratios must be positive"),
         ({"image_size": 64, "aspect_ratios": (1.0, 2.0, math.nan)}, "aspect ratios must be positive"),
         ({"image_size": 64, "aspect_ratios": (1.0, 0.0)}, "aspect ratios must be positive"),
+        ({"image_size": 64, "base_scale": math.inf}, "base_scale must be finite, got inf"),
+        ({"image_size": 64, "aspect_ratios": (math.inf,)}, "aspect_ratios must be finite, got (inf,)"),
+        ({"image_size": 64, "aspect_ratios": (1.0, math.inf)}, "aspect_ratios must be finite, got (1.0, inf)"),
+        ({"image_size": 64, "angles": (0.0, math.nan)}, "angles must be finite, got (0.0, nan)"),
+        ({"image_size": 64, "angles": (-math.inf,)}, "angles must be finite, got (-inf,)"),
     ])
     def test_bad_grid_parameters(self, kwargs, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AnchorGridSpec(**kwargs)
+
+    @pytest.mark.parametrize("mode", ["rotatd", "Rotated", "", None])
+    def test_unknown_anchor_mode(self, mode):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'unknown anchor mode {mode!r}')}$"):
+            generate_anchors(AnchorGridSpec(image_size=32, strides=(8,)), mode)
 
 
 class TestAssignment:
@@ -313,14 +325,28 @@ class TestAnchorSet:
         assert built == [] and (res.labels == 1).any()
 
     @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
+    def test_records_are_built_only_on_read(self, mode, monkeypatch):
+        gts = [(canonicalize180(12, 12, 10, 5, 20), 0), (canonicalize90(20, 9, 6, 3, -30), 1)]
+        built, check = [], OrientedBox180.__post_init__
+        monkeypatch.setattr(OrientedBox180, "__post_init__", lambda box: built.append(box) or check(box))
+        anchors = generate_anchors(AnchorGridSpec(image_size=32, strides=(8, 16)), mode)
+        res = assign_targets(anchors, gts, AssignmentConfig(anchor_mode=mode), CSL_CFG)
+        assert built == [] and (res.labels == 1).any()
+        got = [anchors[3], anchors[-1], *anchors[2:5]]
+        assert built == got and [list(astuple(box)) for box in built] == anchors.rows[[3, -1, 2, 3, 4]].tolist()
+        with pytest.raises(IndexError):
+            anchors[len(anchors)]
+        assert len(built) == 5
+
+    @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
     def test_arrays_are_those_of_the_records(self, mode):
         anchors = generate_anchors(AnchorGridSpec(image_size=48, strides=(16, 8, 24), base_scale=3), mode)
-        assert isinstance(anchors, tuple) and all(type(a).__name__ == "OrientedBox180" for a in anchors)
+        assert isinstance(anchors, Sequence) and all(type(a).__name__ == "OrientedBox180" for a in anchors)
         assert anchors.rows.tobytes() == box_rows(anchors).tobytes()
         assert anchors.bboxes.tobytes() == aligned_bboxes(box_rows(anchors)).tobytes()
         assert anchors.rows.shape == (len(anchors), 5) and anchors.bboxes.shape == (len(anchors), 4)
         empty = generate_anchors(AnchorGridSpec(image_size=64, strides=()), mode)
-        assert empty == () and empty.rows.shape == (0, 5) and empty.bboxes.shape == (0, 4)
+        assert tuple(empty) == () and empty.rows.shape == (0, 5) and empty.bboxes.shape == (0, 4)
 
     def test_immutable(self):
         anchors = generate_anchors(AnchorGridSpec(image_size=32, strides=(16,)))
@@ -352,14 +378,14 @@ class TestAnchorSet:
     def test_pickle_and_copy_keep_the_arrays(self, clone):
         anchors = generate_anchors(AnchorGridSpec(image_size=32, strides=(8, 16), base_scale=1.5), "rotated")
         twin = clone(anchors)
-        assert type(twin) is AnchorSet and twin == anchors
+        assert type(twin) is AnchorSet and list(twin) == list(anchors)
         for name in ("rows", "bboxes"):
             assert getattr(twin, name).tobytes() == getattr(anchors, name).tobytes()
             assert not getattr(twin, name).flags.writeable
 
-    def test_slices_and_sums_are_plain_tuples(self):
+    def test_slices_are_plain_tuples(self):
         anchors = generate_anchors(AnchorGridSpec(image_size=32, strides=(16,)))
-        assert type(anchors[1:3]) is tuple and type(anchors + anchors) is tuple
+        assert type(anchors[1:3]) is tuple
         gts = [(canonicalize180(12, 12, 10, 5, 20), 0)]
         got = assign_targets(anchors[7:], gts, AssignmentConfig(), CSL_CFG)
         want = assign_targets(list(anchors)[7:], gts, AssignmentConfig(), CSL_CFG)
