@@ -16,8 +16,9 @@ kernels take, to long-edge rows ``(cx, cy, h, w, theta)``; canonical rows
 come back unchanged. box_rows gives the long-edge rows of either record
 type. One rotated-IoU kernel is behind rotated_iou_pairs (K pairs of
 rows, aligned or by index) and rotated_iou_matrix (all pairs of two
-sets); it clips each edge of either box to the other and sums the pieces
-by Green's theorem.
+sets); it clips each edge of either box to the other, as the range of
+its parameter that lies inside, and sums the inside pieces by Green's
+theorem.
 """
 
 from __future__ import annotations
@@ -113,10 +114,9 @@ def canonicalize90(cx, cy, w, h, theta_free):
 def canonicalize180_rows(rows):
     """Reduce (N, 5) rows (cx, cy, a, b, theta-of-side-a) into long-edge
     rows (cx, cy, h, w, theta): long side in h, theta for the long side,
-    in [-90, 90). A row with b > a swaps its sides and adds 90 to theta; a
-    theta then outside [-90, 90) becomes (theta + 90) % 180 - 90, so
-    canonical rows come back unchanged. A square tie (a == b) resolves to
-    theta in [-90, 0).
+    in [-90, 90). A row with b > a swaps its sides and adds 90 to theta;
+    the angle is reduced exactly and rounded once, so canonical rows come
+    back unchanged. A square tie (a == b) resolves to theta in [-90, 0).
     The first bad row raises InvalidGeometryError with its index: a side
     not above 0 first, else the first non-finite field of its result."""
     rows = np.asarray(rows, dtype=float)
@@ -124,10 +124,11 @@ def canonicalize180_rows(rows):
         raise InvalidGeometryError(f"expected (N, 5) rows, got shape {rows.shape}")
     cx, cy, a, b, theta = rows.T
     swap = b > a
-    theta = np.where(swap, theta + 90.0, theta)
     with np.errstate(invalid="ignore"):  # a non-finite theta reduces to nan, reported below
-        t = (theta + 90.0) % 180.0  # may round up to exactly 180.0
-    theta = np.where((theta >= -90.0) & (theta < 90.0), theta, np.where(t >= 180.0, 0.0, t) - 90.0)
+        t = np.where(np.abs(theta) < 180.0, theta, np.fmod(theta, 180.0) + 0.0)  # exact; -0.0 becomes 0.0
+    # only a swapped row's shift towards 0 rounds; moving by 180 is exact (Sterbenz)
+    t = np.where(swap, np.where(t < 0.0, t + 90.0, t - 90.0), t)
+    theta = np.where(t >= 90.0, t - 180.0, np.where(t < -90.0, t + 180.0, t))
     h, w = np.where(swap, b, a), np.where(swap, a, b)
     out = np.stack([cx, cy, h, w, np.where((h == w) & (theta >= 0.0), theta - 90.0, theta)], axis=1)
     sides, finite = (a > 0) & (b > 0), np.isfinite(out)
@@ -209,18 +210,18 @@ def _cross(u, v):
 def _clip_edges(p, q, tol):
     """Clip each edge of K pairs of convex counter-clockwise polygons, p
     (2, n, K) and q (2, m, K) with the coordinates first, to the other
-    polygon (Liang-Barsky / Cyrus-Beck). Returns the pieces' starts and
-    ends (2, n + m, K), p's first, empty ones at the origin, and which are
-    non-empty (n + m, K). They bound the intersection counter-clockwise:
-    its area is half the sum of cross(start, end) (Green's theorem).
+    polygon (Cyrus-Beck / Liang-Barsky). Returns each edge's direction
+    (2, n + m, K), p's first, and the range lo, hi (n + m, K) of its
+    parameter, vertex + t direction, that lies inside the other polygon,
+    clipped to [0, 1]: empty unless lo < hi. The inside pieces bound the
+    intersection counter-clockwise, so its area is half the sum of
+    (hi - lo) cross(vertex, direction) (Green's theorem).
 
-    Edge i of p, p_i + t d_i, meets edge j of q, q_j + u g_j, at t = tn /
-    den, u = un / den. A piece ends at its own stored vertex or at that
-    crossing, computed once as p_i + t d_i for both edges so the boundary
-    closes exactly. Edges are collinear if both ends of p's lie within tol
-    (K,) of q's line: p's is kept and q's dropped if they run the same way."""
-    p_next, q_next = _next(p), _next(q)
-    d, g = p_next - p, q_next - q
+    Edge i of p, p_i + t d_i, meets the line of edge j of q, q_j + u g_j,
+    at t = tn / den, u = un / den. Edges are collinear if both ends of p's
+    lie within tol (K,) of q's line: p's is kept and q's dropped if they
+    run the same way."""
+    d, g = _next(p) - p, _next(q) - q
     di, gj = d[:, :, None], g[:, None]  # (2, n, 1, K), (2, 1, m, K)
     w = q[:, None] - p[:, :, None]
     den, tn, un = _cross(di, gj), _cross(w, gj), _cross(w, di)
@@ -234,31 +235,20 @@ def _clip_edges(p, q, tol):
     entering = den < 0.0  # p's edge enters q, and q's edge leaves p, across the pair
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t, u = tn / den, un / den
-        # p's edge i lies inside q's edge j where tn - t * den >= 0
-        lo, hi = np.where(entering, t, 0.0).max(axis=1), np.where(entering, 1.0, t).min(axis=1)
-        p_start = np.where(lo > 0.0, p + lo * d, p)
-        p_end = np.where(hi < 1.0, p + hi * d, p_next)
-        # q's edge j lies inside p's edge i where u * den - un >= 0; its
-        # piece ends at the crossing p's edge computes
-        enter, leave = np.where(entering, 0.0, u), np.where(entering, u, 1.0)
-        q_lo, q_hi = enter.max(axis=0), leave.min(axis=0)
-        crossing = (p[:, :, None] + t * di).reshape(2, -1)
-        jk = np.arange(u[0].size).reshape(u.shape[1:])  # flat position of each crossing of p's edge 0
-        q_start = np.where(q_lo > 0.0, crossing.take(enter.argmax(axis=0) * jk.size + jk, axis=1), q)
-        q_end = np.where(q_hi < 1.0, crossing.take(leave.argmin(axis=0) * jk.size + jk, axis=1), q_next)
-    keep = np.concatenate([lo < hi, q_lo < q_hi])
-    starts = np.where(keep, np.concatenate([p_start, q_start], axis=1), 0.0)
-    ends = np.where(keep, np.concatenate([p_end, q_end], axis=1), 0.0)
-    return starts, ends, keep
+        # p's edge i lies inside q's edge j where tn - t * den >= 0, q's
+        # edge j inside p's edge i where u * den - un >= 0
+        lo = np.concatenate([np.where(entering, t, 0.0).max(axis=1), np.where(entering, 0.0, u).max(axis=0)])
+        hi = np.concatenate([np.where(entering, 1.0, t).min(axis=1), np.where(entering, u, 1.0).min(axis=0)])
+    return np.concatenate([d, g], axis=1), np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
 
 
 def convex_intersection(p, q):
     """Intersection of two convex counter-clockwise polygons by the IoU
-    kernel's edge clipper: its pieces' starts in counter-clockwise order,
-    vertices closer than REL_EPS times the larger extent merged, as an
-    (N, 2) array; contacts along an edge or at a point give none. A
-    polygon of fewer than 3 vertices or with non-finite coordinates raises
-    InvalidGeometryError."""
+    kernel's edge clipper: the starts of its non-empty pieces, vertex + lo
+    direction, in counter-clockwise order, vertices closer than REL_EPS
+    times the larger extent merged, as an (N, 2) array; contacts along an
+    edge or at a point give none. A polygon of fewer than 3 vertices or
+    with non-finite coordinates raises InvalidGeometryError."""
     p, q = (np.asarray(poly, dtype=float).reshape(-1, 2) for poly in (p, q))
     if min(len(p), len(q)) < 3:
         raise InvalidGeometryError(f"need polygons of 3 or more vertices, got {len(p)} and {len(q)}")
@@ -266,11 +256,14 @@ def convex_intersection(p, q):
         raise InvalidGeometryError("non-finite vertex coordinates")
     # work around p's first vertex, with a tolerance relative to the size
     origin = p[0]
+    p, q = p - origin, q - origin
     tol = REL_EPS * max(np.ptp(p, axis=0).max(), np.ptp(q, axis=0).max())
-    starts, ends, keep = _clip_edges((p - origin).T[..., None], (q - origin).T[..., None], tol)
-    starts, ends = starts[..., 0].T[keep[:, 0]], ends[..., 0].T[keep[:, 0]]
+    direction, lo, hi = (x[..., 0].T for x in _clip_edges(p.T[..., None], q.T[..., None], tol))
+    keep = (hi - lo) * np.abs(direction).max(axis=1) > tol  # shorter pieces are point contacts
+    vertex, direction, lo, hi = np.concatenate([p, q])[keep], direction[keep], lo[keep, None], hi[keep, None]
+    starts, ends = vertex + lo * direction, vertex + hi * direction
     out, at = [], 0
-    for _ in range(len(starts)):  # from each piece to the one starting where it ends
+    for _ in range(len(starts)):  # from each piece to the one starting nearest where it ends
         if not out or np.abs(starts[at] - out[-1]).max() > tol:
             out.append(starts[at])
         at = np.abs(starts - ends[at]).max(axis=1).argmin()
@@ -288,7 +281,8 @@ def min_area_rects(quads):
     vertices: each of the six vertex pairs, taken after sorting the
     vertices by (x, y), gives the four vertices' extent along and across
     it (a diagonal's is never smaller). Among areas within 1e-12 relative
-    of the smallest, the smallest theta wins, then the first pair.
+    of the smallest, the smallest theta wins, then the first pair; sides
+    that close make a square, theta in [-90, 0), whatever rounding did.
     Non-finite coordinates, vertices within EPS times the quad's extent,
     and hull areas (half the summed areas of the four vertex triangles)
     within EPS times its square raise InvalidGeometryError, whose index
@@ -323,8 +317,9 @@ def min_area_rects(quads):
     rects = canonicalize180_rows(rects.reshape(-1, 5)).reshape(rects.shape)
     size = e1 * e2
     tie = size <= size.min(axis=0) * (1.0 + 1e-12)
-    best = np.argmin(np.where(tie, rects[..., 4], np.inf), axis=0)
-    return rects[best, np.arange(len(pts))]
+    best = rects[np.argmin(np.where(tie, rects[..., 4], np.inf), axis=0), np.arange(len(pts))]
+    best[(best[:, 2] <= best[:, 3] * (1.0 + 1e-12)) & (best[:, 4] >= 0.0), 4] -= 90.0  # a square tie
+    return best
 
 
 def quad_to_box180(quad):
@@ -363,7 +358,8 @@ def _check_rows(rows):
 
 def _iou_pairs(a, b, i, j):
     """IoU (K,) of the K pairs a[i], b[j] of checked box rows, clipped
-    in a frame centred on the a box; see rotated_iou_pairs."""
+    in a frame centred on the a box, both boxes' edge terms from one
+    corner array; see rotated_iou_pairs."""
     out = np.zeros(len(i))
     for start in range(0, len(i), PAIR_CHUNK):
         pa, pb = a.take(i[start : start + PAIR_CHUNK], axis=0), b.take(j[start : start + PAIR_CHUNK], axis=0)
@@ -373,8 +369,9 @@ def _iou_pairs(a, b, i, j):
         if not len(near):
             continue
         pa, pb, offset = pa.take(near, axis=0), pb.take(near, axis=0), offset.take(near, axis=0).T
-        starts, ends, _ = _clip_edges(_corners(pa, np.zeros_like(offset)), _corners(pb, offset), REL_EPS * reach[near])
-        inter = np.maximum(0.5 * _cross(starts, ends).sum(axis=0), 0.0)
+        corners = np.concatenate([_corners(pa, np.zeros_like(offset)), _corners(pb, offset)], axis=1)
+        direction, lo, hi = _clip_edges(corners[:, :4], corners[:, 4:], REL_EPS * reach[near])
+        inter = np.maximum(0.5 * (np.where(lo < hi, hi - lo, 0.0) * _cross(corners, direction)).sum(axis=0), 0.0)
         out[start + near] = np.clip(inter / (pa[:, 2] * pa[:, 3] + pb[:, 2] * pb[:, 3] - inter), 0.0, 1.0)
     return out
 

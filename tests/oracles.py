@@ -5,13 +5,14 @@ the batched sorted-candidate IoU (the library's kernel before the edge
 clipper), vertex-set comparison, brute-force minimum rectangle, central
 finite differences, a per-quad rotating-calipers loop, a per-anchor
 loop over the multi-task loss, the per-class sort-and-loop AP of
-evaluate, the scalar long-edge reduction with the per-anchor grid
+evaluate, the exact scalar long-edge reduction with the per-anchor grid
 loop built on it, and the gt-by-gt forced-anchor loop of assignment.
 Deliberately avoid the library's own clipping / calipers / loss / AP /
 canonicalization code paths."""
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -447,20 +448,23 @@ def loop_evaluate(dets, gts, class_names, iou_thresh=0.5):
 
 
 def scalar_canonicalize180(cx, cy, a, b, theta_free):
-    """One box at a time in Python floats, the library's long-edge
-    reduction before canonicalize180_rows: long side in h, theta for the
-    long side in [-90, 90), a theta already there kept as it is, a square
-    tie to theta in [-90, 0)."""
+    """One box at a time, the long-edge reduction in exact arithmetic:
+    long side in h, theta for the long side in [-90, 90), a theta already
+    there on an unswapped row kept as it is, any other the exact reduction
+    of the swap-shifted angle rounded once (a value that rounds to 90 is
+    the same angle as -90), a square tie to theta in [-90, 0)."""
     if not (a > 0 and b > 0):
         raise InvalidGeometryError(f"non-positive sides: a={a}, b={b}")
-    if b > a:
+    swap = b > a
+    if swap:
         a, b = b, a
-        theta_free = theta_free + 90.0
-    if -90.0 <= theta_free < 90.0:
+    if not math.isfinite(theta_free):
+        theta = math.nan
+    elif not swap and -90.0 <= theta_free < 90.0:
         theta = theta_free
     else:
-        t = (theta_free + 90.0) % 180.0  # may round up to exactly 180.0
-        theta = (0.0 if t >= 180.0 else t) - 90.0  # [-90, 90)
+        theta = float((Fraction(theta_free) + 90 * swap + 90) % 180 - 90)
+        theta = -90.0 if theta >= 90.0 else theta
     if a == b and theta >= 0.0:
         theta -= 90.0
     return OrientedBox180(float(cx), float(cy), float(a), float(b), float(theta))

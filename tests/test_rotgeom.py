@@ -125,26 +125,30 @@ class TestCanonicalize180:
 
 
 def _reduction_rows():
-    """(N, 5) rows (cx, cy, a, b, theta): random angles, +-90, +-270,
-    angles just below the range edges, whose reduction may round up to
-    180, and square ties, each with a long, a short and an equal side a."""
+    """(N, 5) rows (cx, cy, a, b, theta): random angles up to +-1e6, +-90,
+    +-270, angles just below the range edges, angles that a reduction
+    rounding twice got wrong, and square ties, each with a long, a short
+    and an equal side a."""
     rng = np.random.default_rng(11)
     edges = np.array([-450.0, -270.0, -90.0, 90.0, 270.0, 450.0])
     below = [np.nextafter(edges, -np.inf), edges - 1e-14, edges - 5e-15, edges - 3e-14]
-    theta = np.concatenate([rng.uniform(-1000, 1000, 600), edges, *below, edges + 90.0, np.nextafter(edges + 90.0, -np.inf),
-                            [0.0, -0.0, 45.0, -45.0, 135.0, 1e-300, -1e-300, 1e300, -1e300]])
+    theta = np.concatenate([rng.uniform(-1000, 1000, 600), rng.choice([-1.0, 1.0], 600) * 10.0 ** rng.uniform(-3, 6, 600),
+                            edges, *below, edges + 90.0, np.nextafter(edges + 90.0, -np.inf),
+                            [0.0, -0.0, 45.0, -45.0, 135.0, 1e-300, -1e-300, 1e300, -1e300],
+                            [500.1234567891234, 170.33333333333334, -180.1]])  # the first once gave -39.87654321087666
     sides = [(5.0, 2.0), (2.0, 5.0), (3.0, 3.0), (1e-12, 1e12), (0.1, 0.1 + 1e-17)]
     rows = [(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3), a, b, t) for t in theta for a, b in sides]
     return np.array(rows)
 
 
 class TestCanonicalize180Rows:
-    """The one long-edge reduction against the scalar reference it
-    replaced, bit for bit, and its errors."""
+    """The one long-edge reduction against the scalar reduction in exact
+    arithmetic, bit for bit, and its errors."""
 
     def test_bit_equal_to_scalar(self):
         rows = _reduction_rows()
-        assert any((t + 90.0) % 180.0 == 180.0 for t in rows[:, 4].tolist())  # the round-up case occurs
+        # the round-up case occurs: a swapped row's shift rounds to 90
+        assert any(b > a and -90.0 < t < 0.0 and t + 90.0 == 90.0 for a, b, t in rows[:, 2:].tolist())
         want = np.array([astuple(scalar_canonicalize180(*row)) for row in rows.tolist()])
         assert canonicalize180_rows(rows).tobytes() == want.tobytes()
         boxes = [canonicalize180(*row) for row in rows[::7].tolist()]
@@ -197,26 +201,12 @@ def _canonical_rows():
 
 
 class TestExactReduction:
-    """The one reduction returns canonical input bit for bit, and reduces
-    every other angle by the formula it has always used."""
+    """The one reduction returns canonical input bit for bit."""
 
     def test_canonical_rows_unchanged(self):
         rows = _canonical_rows()
         assert canonicalize180_rows(rows).tobytes() == rows.tobytes()
         assert np.array([astuple(canonicalize180(*row)) for row in rows.tolist()]).tobytes() == rows.tobytes()
-
-    def test_out_of_range_rows_keep_the_formula(self):
-        rows = _reduction_rows()
-        a, b, theta = rows[:, 2], rows[:, 3], rows[:, 4]
-        swap = b > a
-        shifted = np.where(swap, theta + 90.0, theta)
-        out = ~((shifted >= -90.0) & (shifted < 90.0))
-        t = (theta + 90.0 * swap + 90.0) % 180.0
-        t = np.where(t >= 180.0, 0.0, t) - 90.0
-        want = np.column_stack([rows[:, :2], np.where(swap, b, a), np.where(swap, a, b),
-                                np.where((a == b) & (t >= 0.0), t - 90.0, t)])
-        assert out.sum() > len(rows) // 2
-        assert canonicalize180_rows(rows[out]).tobytes() == want[out].tobytes()
 
     @pytest.mark.parametrize("w, h", [(5.0, 2.0), (2.0, 5.0), (3.0, 3.0), (1e-6, 1e6)])
     def test_canonicalize90_keeps_canonical_input(self, w, h):
@@ -229,8 +219,7 @@ class TestExactReduction:
     @pytest.mark.parametrize("w, h", [(5.0, 2.0), (2.0, 5.0)])
     def test_canonicalize90_free_angles_within_an_ulp(self, w, h):
         # angles outside [-90, 0), with every mantissa bit set, against the
-        # former % 90 reduction: the reduction's shift theta + 90 rounds to
-        # an ulp of |theta| + 90, one ulp of 90 while |theta| < 166
+        # former % 90 reduction, whose shifts by 90 round within an ulp of 90
         rng = np.random.default_rng(14)
         thetas = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-3, 4, 4000)
         for theta in thetas[(thetas < -90.0) | (thetas >= 0.0)].tolist():
@@ -356,6 +345,35 @@ class TestConvexIntersection:
         # seed 7): 0.8285; closed form is 2*(sqrt(2)-1)
         assert shoelace_area(out) == pytest.approx(2 * (math.sqrt(2) - 1), abs=1e-9)
         assert shoelace_area(out) == pytest.approx(0.8285, abs=0.002)
+
+    C30, S30 = math.cos(math.pi / 6), math.sin(math.pi / 6)
+
+    @pytest.mark.parametrize("q", [
+        # vertices on the square's edges
+        [(0.5, 0.0), (1.0, 0.5), (0.5, 1.0), (0.0, 0.5)],
+        [(0.25, 0.0), (1.0, 0.25), (0.75, 1.0), (0.0, 0.75)],
+        [(0.5, 0.0), (1.5, 2.0), (-0.5, 2.0)],
+        [(0.5, 1.0), (1.5, 0.5), (1.5, 1.5)],
+        [(0.5, 0.5), (0.5, -1.0), (1.5, -1.0), (1.5, 0.5)],
+        # shared vertices
+        [(0.0, 0.0), (C30, S30), (C30 - S30, S30 + C30), (-S30, C30)],
+        [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)],
+        [(0.0, 0.0), (1.0, 1.0), (0.0, 2.0), (-1.0, 1.0)],
+        [(0.0, 0.0), (1.0, 0.0), (0.5, 2.0)],
+        [(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5)],
+    ])
+    def test_vertices_on_edges_and_shared_vertices(self, q):
+        # turned and moved so that the pieces' ends meet only to rounding
+        for degrees in (0.0, 17.0, 33.3, 90.0, 123.0):
+            t = math.radians(degrees)
+            turn = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+            for shift in ((0.0, 0.0), (0.1, 0.7), (123.0, -45.0)):
+                p1, q1 = (np.asarray(poly, dtype=float) @ turn.T + shift for poly in (self.SQ, q))
+                for a, b in ((p1, q1), (q1, p1)):
+                    got, want = convex_intersection(a, b), clip_convex(a, b)
+                    assert len(got) == len(want), (degrees, shift)
+                    assert vertex_set_equal(got, want, tol=1e-9), (degrees, shift)
+                    assert _signed(got) > 0
 
     def test_touching_edges_zero_area(self):
         right = [(1, 0), (2, 0), (2, 1), (1, 1)]
@@ -647,6 +665,18 @@ class TestMinAreaRects:
             rows = min_area_rects(np.concatenate([_orders(q) for q in quads])).reshape(len(quads), 8, 5)
             assert (rows == rows[:, :1]).all(), kind
 
+    def test_squares_resolve_to_negative_theta(self):
+        # rounding makes one side of a square an ulp longer; either way the
+        # row takes canonicalize180_rows' square tie, theta in [-90, 0)
+        rng = np.random.default_rng(17)
+        boxes = [canonicalize180(*rng.uniform(-500, 500, 2), side, side, theta)
+                 for side, theta in zip(rng.uniform(1, 300, 200), rng.uniform(-90, 0, 200))]
+        for kind, quads in {"integer square": _integer_rects(rng, 500, True),
+                            "to_quad square": np.array([to_quad(b).as_array() for b in boxes])}.items():
+            rows = min_area_rects(np.concatenate([_orders(q) for q in quads])).reshape(len(quads), 8, 5)
+            assert ((rows[..., 4] >= -90.0) & (rows[..., 4] < 0.0)).all(), kind
+            assert (rows[..., 2] <= rows[..., 3] * (1 + 1e-12)).all(), kind
+
     @pytest.mark.parametrize("scale", SCALES)
     def test_zero_area_decision_matches_calipers(self, scale):
         rng = np.random.default_rng(16)
@@ -922,13 +952,13 @@ class TestEdgeClipKernel:
         assert np.abs(rotated_iou_matrix(box_rows(boxes_a), box_rows(boxes_b)) - want).max() <= 1e-12
 
     @pytest.mark.parametrize("long, short", [(9.0, 1.0), (100.0, 0.1), (1000.0, 1.0), (1000.0, 1e-3)])
-    @pytest.mark.parametrize("fraction", [1e-3, 0.1, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("fraction", [1e-6, 1e-4, 1e-3, 0.1, 0.5, 0.9, 1.0])
     def test_sliver_closed_form(self, long, short, fraction):
         # turned by up to the largest angle the closed form covers; at
         # theta 0 the corners of the first box are exact
         delta = math.degrees(2 * math.atan(short / long)) * fraction
         want = concentric_rect_iou(long, short, delta)
-        for cx, cy in ((0.0, 0.0), (123.0, -45.0)):
+        for cx, cy in ((0.0, 0.0), (123.0, -45.0), (1e6, -1e6)):
             a = np.array([[cx, cy, long, short, 0.0]])
             b = np.array([[cx, cy, long, short, delta]])
             assert rotated_iou_matrix(a, b)[0, 0] == pytest.approx(want, abs=1e-12)
