@@ -9,8 +9,9 @@ convention), or a quad form "image_id class score x1 y1 ... x4 y4".
 Detection files parse into columns (image ids, class ids, scores and
 (N, 5) long-edge rows), annotation files into the same with difficult
 flags for scores; the quads of all annotation files go through one
-min_area_rects call. NMS runs all groups in lockstep, one
-rotated_iou_pairs call per round; evaluate_columns matches over the
+min_area_rects call. NMS runs all groups at once on sort-and-sweep
+candidate pairs, in rounds of free detections, one rotated_iou_pairs
+call per round; evaluate_columns matches over the
 same-image, same-class pairs of all images in one call, then computes
 every class's curve and both APs in one array pass. The record APIs
 wrap the column code. IoU thresholds lie in [0, 1].
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .rotgeom import InvalidGeometryError, OrientedBox180, box_rows, canonicalize180_rows, min_area_rects, rotated_iou_pairs
+from .rotgeom import (InvalidGeometryError, OrientedBox180, _check_rows, box_rows, canonicalize180_rows, min_area_rects,
+                      rotated_iou_pairs)
 
 log = logging.getLogger(__name__)
 
@@ -101,37 +103,75 @@ def _check_iou_thresh(iou_thresh):
         raise ValueError(f"IoU threshold {iou_thresh} is not a number in [0, 1]")
 
 
+def _candidate_pairs(rows, groups):
+    """Index pairs (i, j), i < j, of box rows (N, 5) with the same group id
+    (N,) whose circumcircles' bounding squares meet, by sort and sweep:
+    the 2N x bounds sorted by (group, bound), each low before any equal
+    high, so that a bound's position there is an exact integer key; the
+    x partners of a box are the boxes whose low lies between its own low
+    and high, then a y test.
+
+    Each radius is padded by 2**-39 of the largest coordinate or side, at
+    least 2**-40 of the radius plus the largest coordinate: far more than
+    the few roundings of these bounds and of the IoU kernel's
+    circumcircle test, so every pair that test keeps is a candidate
+    (while no sum of coordinates and radii overflows)."""
+    n = len(rows)
+    radius = np.hypot(rows[:, 2], rows[:, 3]) / 2.0 + 2.0**-39 * np.abs(rows[:, :4]).max(initial=0.0)
+    x = np.concatenate([rows[:, 0] - radius, rows[:, 0] + radius])
+    order = np.lexsort((x, np.concatenate([groups, groups])))  # stable: lows first among equal bounds
+    is_low = order < n
+    by_left = order[is_low]  # the boxes by their lows
+    lows = np.empty(2 * n, dtype=int)  # lows[k]: the lows at or before bound k in that order
+    lows[order] = is_low.cumsum()
+    # the partners of the box at position p of by_left are at p + 1 ... p + count[p]
+    after = np.arange(1, n + 1)
+    count = lows[n:][by_left] - after
+    second = np.arange(count.sum()) + (after - count.cumsum() + count).repeat(count)
+    cy, r = rows[by_left, 1], radius[by_left]
+    low, high = cy - r, cy + r
+    meet = np.flatnonzero((low[second] <= high.repeat(count)) & (low.repeat(count) <= high[second]))
+    i, j = by_left.repeat(count)[meet], by_left[second[meet]]
+    return np.minimum(i, j), np.maximum(i, j)
+
+
 def batched_rotated_nms(rows, scores, groups, iou_thresh=0.1):
     """Greedy rotated NMS of each group of N detections, given as long-edge
-    box rows (N, 5), scores (N,) and integer group ids (N,), all groups in
-    lockstep; returns the kept positions sorted by group, then position.
+    box rows (N, 5), scores (N,) and integer group ids (N,), all groups at
+    once; returns the kept positions sorted by group, then position.
 
-    Each group is sorted by (score desc, position). Each round keeps
-    every group's next live detection and suppresses the later live ones
-    of its group whose rotated IoU with it is above iou_thresh, the pairs
-    of all groups in one rotated_iou_pairs call, so there are as many
-    rounds as the most detections any group keeps. Raises ValueError for
-    an iou_thresh outside [0, 1]."""
+    Each group is sorted by (score desc, position). The candidate pairs of
+    _candidate_pairs hold every pair of a group whose IoU can be above 0.
+    A live detection is free when no pair ties it to a live, higher-ranked
+    one; greedy NMS keeps it, as no kept detection suppressed it and no
+    live one can. Each round keeps every free detection and suppresses the
+    live ones paired with it whose rotated IoU with it is above
+    iou_thresh, all in one rotated_iou_pairs call, then drops the pairs
+    with a decided end; the rounds follow the longest chain of pairs, not
+    the detections kept. Raises ValueError for an iou_thresh outside
+    [0, 1] and InvalidGeometryError for a row that is not finite or has a
+    side that is not positive."""
     _check_iou_thresh(iou_thresh)
+    rows = _check_rows(rows)
     groups = np.asarray(groups, dtype=int)
     order = np.lexsort((-np.asarray(scores, dtype=float), groups))  # stable: ties keep input order
-    rows = np.asarray(rows, dtype=float).take(order, axis=0)
+    rows, groups = rows.take(order, axis=0), groups.take(order)
+    head, tail = _candidate_pairs(rows, groups)  # in rank order: head is the higher-ranked
+    live = np.ones(len(order), dtype=bool)
     keep = np.zeros(len(order), dtype=bool)
-    # sorted positions of the live detections (row 0) and their groups (row 1)
-    live = np.stack([np.arange(len(order)), groups[order]])
-    while live.shape[1]:
-        head = np.empty(live.shape[1], dtype=bool)  # each group's first live detection
-        head[0] = True
-        np.not_equal(live[1, 1:], live[1, :-1], out=head[1:])
-        keep[live[0].compress(head)] = True
-        owner = live[0].take(np.maximum.accumulate(np.where(head, np.arange(len(head)), 0)))  # its group's head
-        live, owner = live.compress(~head, axis=1), owner.compress(~head)
-        if not live.shape[1]:
-            break
-        survive = rotated_iou_pairs(rows.take(live[0], axis=0), rows.take(owner, axis=0)) <= iou_thresh
-        live = live.compress(survive, axis=1)
+    while len(tail):
+        free = live.copy()
+        free[tail] = False
+        keep |= free
+        live ^= free
+        ask = np.flatnonzero(free[head])
+        suppress = rotated_iou_pairs(rows, rows, tail[ask], head[ask]) > iou_thresh
+        live[tail[ask[suppress]]] = False
+        stay = np.flatnonzero(live[tail] & live[head])
+        head, tail = head[stay], tail[stay]
+    keep |= live
     kept = order[keep]
-    return kept[np.lexsort((kept, groups[kept]))]
+    return kept[np.lexsort((kept, groups[keep]))]
 
 
 def rotated_nms(dets, iou_thresh=0.1):

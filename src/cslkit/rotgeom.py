@@ -160,8 +160,8 @@ def _corners(rows, center=None):
     center = rows[:, :2].T if center is None else center
     t = np.radians(rows[:, 4])
     c, s = np.cos(t), np.sin(t)
-    along = rows[:, 2] / 2.0 * np.stack([c, s])
-    across = rows[:, 3] / 2.0 * np.stack([-s, c])
+    along = rows[:, 2] / 2.0 * np.array([c, s])  # np.array: np.stack's (2, N) at a quarter of the call cost
+    across = rows[:, 3] / 2.0 * np.array([-s, c])
     return center[:, None] + _CORNER_SIGNS[:, :1] * along[:, None] + _CORNER_SIGNS[:, 1:] * across[:, None]
 
 
@@ -239,7 +239,7 @@ def _clip_edges(p, q, tol):
         # edge j inside p's edge i where u * den - un >= 0
         lo = np.concatenate([np.where(entering, t, 0.0).max(axis=1), np.where(entering, 0.0, u).max(axis=0)])
         hi = np.concatenate([np.where(entering, 1.0, t).min(axis=1), np.where(entering, u, 1.0).min(axis=0)])
-    return np.concatenate([d, g], axis=1), np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
+    return np.concatenate([d, g], axis=1), lo.clip(0.0, 1.0), hi.clip(0.0, 1.0)
 
 
 def convex_intersection(p, q):
@@ -247,8 +247,10 @@ def convex_intersection(p, q):
     kernel's edge clipper: the starts of its non-empty pieces, vertex + lo
     direction, in counter-clockwise order, vertices closer than REL_EPS
     times the larger extent merged, as an (N, 2) array; contacts along an
-    edge or at a point give none. A polygon of fewer than 3 vertices or
-    with non-finite coordinates raises InvalidGeometryError."""
+    edge or at a point give none. A polygon of fewer than 3 vertices, with
+    non-finite coordinates or with consecutive vertices (the last and the
+    first too) within that tolerance raises InvalidGeometryError: a
+    zero-length edge would clip the other polygon to nothing."""
     p, q = (np.asarray(poly, dtype=float).reshape(-1, 2) for poly in (p, q))
     if min(len(p), len(q)) < 3:
         raise InvalidGeometryError(f"need polygons of 3 or more vertices, got {len(p)} and {len(q)}")
@@ -258,6 +260,8 @@ def convex_intersection(p, q):
     origin = p[0]
     p, q = p - origin, q - origin
     tol = REL_EPS * max(np.ptp(p, axis=0).max(), np.ptp(q, axis=0).max())
+    if any((np.abs(np.roll(poly, -1, axis=0) - poly).max(axis=1) <= tol).any() for poly in (p, q)):
+        raise InvalidGeometryError("duplicate vertices")
     direction, lo, hi = (x[..., 0].T for x in _clip_edges(p.T[..., None], q.T[..., None], tol))
     keep = (hi - lo) * np.abs(direction).max(axis=1) > tol  # shorter pieces are point contacts
     vertex, direction, lo, hi = np.concatenate([p, q])[keep], direction[keep], lo[keep, None], hi[keep, None]
@@ -351,7 +355,7 @@ def _check_rows(rows):
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 5:
         raise InvalidGeometryError(f"expected (N, 5) box rows, got shape {rows.shape}")
-    if not (np.isfinite(rows).all() and np.min(rows[:, 2:4], initial=np.inf) > 0):
+    if not (np.isfinite(rows).all() and rows[:, 2:4].min(initial=np.inf) > 0):
         raise InvalidGeometryError("box rows need finite values and positive sides")
     return rows
 
@@ -369,10 +373,10 @@ def _iou_pairs(a, b, i, j):
         if not len(near):
             continue
         pa, pb, offset = pa.take(near, axis=0), pb.take(near, axis=0), offset.take(near, axis=0).T
-        corners = np.concatenate([_corners(pa, np.zeros_like(offset)), _corners(pb, offset)], axis=1)
+        corners = np.concatenate([_corners(pa, np.zeros(offset.shape)), _corners(pb, offset)], axis=1)
         direction, lo, hi = _clip_edges(corners[:, :4], corners[:, 4:], REL_EPS * reach[near])
         inter = np.maximum(0.5 * (np.where(lo < hi, hi - lo, 0.0) * _cross(corners, direction)).sum(axis=0), 0.0)
-        out[start + near] = np.clip(inter / (pa[:, 2] * pa[:, 3] + pb[:, 2] * pb[:, 3] - inter), 0.0, 1.0)
+        out[start + near] = (inter / (pa[:, 2] * pa[:, 3] + pb[:, 2] * pb[:, 3] - inter)).clip(0.0, 1.0)
     return out
 
 
@@ -389,7 +393,7 @@ def rotated_iou_pairs(a, b, i=None, j=None):
     depend on coordinate scale or translation, nor on the other pairs of
     the call. Pairs whose circumcircles do not meet are 0 without further
     work; the others go through the kernel PAIR_CHUNK pairs at a time."""
-    a, b = _check_rows(a), _check_rows(b)
+    a, b = (_check_rows(a),) * 2 if b is a else (_check_rows(a), _check_rows(b))
     if i is None and j is None:
         if a.shape != b.shape:
             raise InvalidGeometryError(f"pair lists differ in shape: {a.shape} and {b.shape}")

@@ -6,7 +6,8 @@ clipper), vertex-set comparison, brute-force minimum rectangle, central
 finite differences, a per-quad rotating-calipers loop, a per-anchor
 loop over the multi-task loss, the per-class sort-and-loop AP of
 evaluate, the exact scalar long-edge reduction with the per-anchor grid
-loop built on it, and the gt-by-gt forced-anchor loop of assignment.
+loop built on it, the gt-by-gt forced-anchor loop of assignment, and
+the lockstep batched NMS (the library's NMS before free sets).
 Deliberately avoid the library's own clipping / calipers / loss / AP /
 canonicalization code paths."""
 
@@ -16,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from cslkit.evaluation import EvalReport, _hits
-from cslkit.rotgeom import EPS, REL_EPS, InvalidGeometryError, OrientedBox180, to_quad
+from cslkit.evaluation import EvalReport, _check_iou_thresh, _hits
+from cslkit.rotgeom import EPS, REL_EPS, InvalidGeometryError, OrientedBox180, rotated_iou_pairs, to_quad
 
 MC_CHUNK = 1 << 16
 CLIP_EPS = 1e-9  # absolute, so the clipper is exact only near unit scale
@@ -508,3 +509,31 @@ def loop_assign_targets(iou, fg_iou=0.5, bg_iou=0.4):
             matched[best] = j
             max_iou[best] = iou[best, j]
     return labels, np.where(labels == 1, matched, -1), max_iou
+
+
+def lockstep_batched_rotated_nms(rows, scores, groups, iou_thresh=0.1):
+    """batched_rotated_nms with all groups in lockstep: each round keeps
+    every group's next live detection and suppresses the later live ones
+    of its group whose rotated IoU with it is above iou_thresh, the pairs
+    of all groups in one rotated_iou_pairs call, so there are as many
+    rounds as the most detections any group keeps."""
+    _check_iou_thresh(iou_thresh)
+    groups = np.asarray(groups, dtype=int)
+    order = np.lexsort((-np.asarray(scores, dtype=float), groups))  # stable: ties keep input order
+    rows = np.asarray(rows, dtype=float).take(order, axis=0)
+    keep = np.zeros(len(order), dtype=bool)
+    # sorted positions of the live detections (row 0) and their groups (row 1)
+    live = np.stack([np.arange(len(order)), groups[order]])
+    while live.shape[1]:
+        head = np.empty(live.shape[1], dtype=bool)  # each group's first live detection
+        head[0] = True
+        np.not_equal(live[1, 1:], live[1, :-1], out=head[1:])
+        keep[live[0].compress(head)] = True
+        owner = live[0].take(np.maximum.accumulate(np.where(head, np.arange(len(head)), 0)))  # its group's head
+        live, owner = live.compress(~head, axis=1), owner.compress(~head)
+        if not live.shape[1]:
+            break
+        survive = rotated_iou_pairs(rows.take(live[0], axis=0), rows.take(owner, axis=0)) <= iou_thresh
+        live = live.compress(survive, axis=1)
+    kept = order[keep]
+    return kept[np.lexsort((kept, groups[kept]))]

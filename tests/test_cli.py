@@ -257,18 +257,19 @@ class TestNmsAndEval(object):
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: im1.txt: line 3: duplicate vertices\n"
 
-    def test_nms_one_kernel_call_per_round(self, tmp_path, capsys, monkeypatch):
+    def test_nms_one_kernel_call_for_free_heads(self, tmp_path, capsys, monkeypatch):
         calls = []
         real = evaluation.rotated_iou_pairs
-        monkeypatch.setattr(evaluation, "rotated_iou_pairs", lambda a, b: calls.append(len(a)) or real(a, b))
+        monkeypatch.setattr(evaluation, "rotated_iou_pairs", lambda *args: calls.append(len(args[2])) or real(*args))
         dets = tmp_path / "dets.txt"
         dets.write_text(INTERLEAVED_DETS)
         payload = run_json(capsys, "nms", "--dets", str(dets), "--classes", "ship", "plane", "--iou-thresh", "0.3")
-        # (im1, plane) keeps two and still suppresses one in the second
-        # round, so the rounds, each one kernel call, are the most kept
+        # (im1, plane) keeps two boxes that share no candidate pair, so
+        # both are free at once: one call takes the three candidate pairs
+        # of all groups, each later box against a kept one
         kept = Counter((d["image_id"], d["class_id"]) for d in payload["kept"])
-        assert len(calls) == max(kept.values()) == 2
-        assert calls == [5, 1]
+        assert max(kept.values()) == 2
+        assert calls == [3]
 
     @pytest.mark.parametrize("thresh", ["nan", "-0.5", "1.5", "inf"])
     def test_bad_iou_thresh_is_data_error(self, tmp_path, capsys, thresh):

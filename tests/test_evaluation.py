@@ -23,7 +23,7 @@ from cslkit.evaluation import (
     rotated_nms,
 )
 from cslkit.rotgeom import InvalidGeometryError, OrientedBox180, box_rows, canonicalize180, rotated_iou, to_quad
-from oracles import clipped_iou, loop_evaluate
+from oracles import clipped_iou, lockstep_batched_rotated_nms, loop_evaluate
 
 CLASSES = {"ship": 0, "plane": 1}
 
@@ -271,7 +271,7 @@ def _batched(groups, iou_thresh=0.1):
 
 
 class TestBatchedNms:
-    """Lockstep NMS over many groups against the per-group greedy loop
+    """Free-set NMS over many groups against the per-group greedy loop
     on the clipper oracle."""
 
     @pytest.mark.parametrize("seed", range(3))
@@ -283,8 +283,8 @@ class TestBatchedNms:
             assert kept == [rotated_nms(g, thresh) for g in groups]
         kept = _batched(groups, 0.1)
         assert kept[[len(g) for g in groups].index(0)] == []
-        rounds = [len(k) for k in kept]
-        assert max(rounds) == 9 and min(r for r, g in zip(rounds, groups) if len(g) > 1) == 1
+        counts = [len(k) for k in kept]
+        assert max(counts) == 9 and min(c for c, g in zip(counts, groups) if len(g) > 1) == 1
 
     def test_ties_go_by_input_index(self):
         a, b = det(0.5, cx=0.0), det(0.5, cx=0.5)
@@ -295,15 +295,155 @@ class TestBatchedNms:
     def test_no_groups(self):
         assert batched_rotated_nms(np.empty((0, 5)), [], []).tolist() == []
 
-    def test_one_kernel_call_per_round(self, monkeypatch):
+    def test_kernel_calls_follow_overlap_chains(self, monkeypatch):
         calls = []
         real = evaluation.rotated_iou_pairs
-        monkeypatch.setattr(evaluation, "rotated_iou_pairs", lambda a, b: calls.append(len(a)) or real(a, b))
-        groups = _nms_groups(np.random.default_rng(0))
-        kept = _batched(groups, 0.1)
-        # the row of 9 disjoint boxes keeps every box, so its last round
-        # has no later box left: one call fewer than the rounds
-        assert len(calls) == max(len(k) for k in kept) - 1 == 8
+        monkeypatch.setattr(evaluation, "rotated_iou_pairs", lambda *args: calls.append(len(args[2])) or real(*args))
+        # disjoint boxes have no candidate pair, so every one is free at once
+        row = [det(float(s), cx=10.0 * i, cy=-5.0) for i, s in enumerate(np.linspace(0.9, 0.1, 9))]
+        assert _batched([row]) == [row] and calls == []
+        # one round suppresses every cluster's later boxes against its head
+        groups = [[det(0.9 - 0.1 * i, cx=50.0 * k + 0.1 * i) for i in range(4)] for k in range(5)]
+        assert _batched(groups, 0.5) == [[g[0]] for g in groups] and calls == [15]
+
+    def test_rounds_at_tile_scale(self, monkeypatch):
+        """8000 raw detections on a 2048 px tile: the rounds follow the
+        longest overlap chain, not the 4000-odd boxes kept, and the kept
+        set is greedy's, as it is the only set where no two kept boxes
+        overlap above the threshold and every other box overlaps a kept,
+        higher-ranked one above it."""
+        calls = []
+        real = evaluation.rotated_iou_pairs
+        monkeypatch.setattr(evaluation, "rotated_iou_pairs", lambda *args: calls.append(len(args[2])) or real(*args))
+        rows, scores = _tile_scene(np.random.default_rng(7), 8000, 2048.0)
+        kept = batched_rotated_nms(rows, scores, np.zeros(8000, dtype=int), 0.1)
+        assert len(kept) > 4000 and 0 < len(calls) <= 20
+        order = np.lexsort((-scores,))
+        rank = np.empty(8000, dtype=int)
+        rank[order] = np.arange(8000)
+        i, j = evaluation._candidate_pairs(rows, np.zeros(8000, dtype=int))
+        over = real(rows, rows, i, j) > 0.1
+        is_kept = np.isin(np.arange(8000), kept)
+        assert not (over & is_kept[i] & is_kept[j]).any()
+        # each pair as (lower-ranked, higher-ranked)
+        low, high = np.where(rank[i] > rank[j], i, j), np.where(rank[i] > rank[j], j, i)
+        covered = np.zeros(8000, dtype=bool)
+        covered[low[over & is_kept[high]]] = True
+        assert np.array_equal(covered, ~is_kept)
+
+
+def _tile_scene(rng, n, tile):
+    """n boxes uniform on a square tile, long sides 8-60 and aspect
+    0.2-1 at any angle, with uniform scores."""
+    h = rng.uniform(8.0, 60.0, n)
+    rows = np.column_stack([rng.uniform(0.0, tile, (n, 2)), h, h * rng.uniform(0.2, 1.0, n), rng.uniform(-90.0, 90.0, n)])
+    return rows, rng.uniform(0.0, 1.0, n)
+
+
+def _nms_scenes(rng):
+    """Named (rows, scores, groups) scenes for the free-set NMS against
+    the lockstep oracle."""
+    ids = np.array([-2**62, -5, 0, 7, 2**62])
+    scenes = {}
+    for name, n, tile in (("sparse", 300, 1024.0), ("crowded", 300, 48.0)):
+        rows, scores = _tile_scene(rng, n, tile)
+        scenes[name] = rows, scores, np.zeros(n, dtype=int)
+        scenes[name + " groups"] = rows, scores, rng.choice(ids, n)
+    # axis-aligned and turned grids of boxes whose edges touch: circumcircles meet, the boxes have IoU 0
+    grid = np.array([(4.0 * i, 2.0 * j, 4.0, 2.0, 0.0) for i in range(8) for j in range(8)])
+    turned = np.array([(4.0 * i * math.cos(0.5), 4.0 * i * math.sin(0.5), 4.0, 2.0, math.degrees(0.5)) for i in range(10)])
+    touching = np.concatenate([grid, turned + (100.0, 0.0, 0.0, 0.0, 0.0)])
+    scenes["touching"] = touching, rng.uniform(0.0, 1.0, len(touching)), np.zeros(len(touching), dtype=int)
+    # boxes nested in one another about shared and shifted centres
+    size = np.geomspace(1.0, 40.0, 30)
+    nested = np.column_stack([rng.choice([0.0, 0.5], (30, 2)), size, size * 0.5, rng.choice([0.0, 30.0], 30)])
+    scenes["nested"] = nested, rng.uniform(0.0, 1.0, 30), np.zeros(30, dtype=int)
+    # copies of a few boxes, with equal scores: ties go by input index
+    same = np.repeat(_tile_scene(rng, 6, 20.0)[0], 5, axis=0)[rng.permutation(30)]
+    scenes["identical"] = same, np.full(30, 0.5), rng.choice(ids[:3], 30)
+    rows, _ = _tile_scene(rng, 200, 64.0)
+    scenes["equal scores"] = rows, rng.choice([0.25, 0.5], 200), rng.choice(ids, 200)
+    return scenes
+
+
+class TestFreeSetNms:
+    """batched_rotated_nms against the lockstep body it replaced."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("thresh", [0.0, 0.1, 0.5, 1.0])
+    def test_matches_lockstep(self, seed, thresh):
+        for name, (rows, scores, groups) in _nms_scenes(np.random.default_rng(seed)).items():
+            got = batched_rotated_nms(rows, scores, groups, thresh)
+            assert np.array_equal(got, lockstep_batched_rotated_nms(rows, scores, groups, thresh)), name
+
+    def test_extreme_group_ids(self):
+        rows = box_rows([det(0.9).box, det(0.8).box])
+        assert batched_rotated_nms(rows, [0.9, 0.8], [2**62, -2**62]).tolist() == [1, 0]
+        assert batched_rotated_nms(rows, [0.9, 0.8], [2**62, 2**62]).tolist() == [0]
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0, 4.0, 2.0, 0.0), (0.0, math.inf, 4.0, 2.0, 0.0),
+                                     (0.0, 0.0, 4.0, 0.0, 0.0), (0.0, 0.0, -4.0, 2.0, 0.0)])
+    def test_bad_row_rejected_in_any_group(self, bad):
+        # a bad row alone in its group is never paired, so it must be checked up front
+        rows = np.array([bad, (0.0, 0.0, 4.0, 2.0, 0.0)])
+        for groups in ([0, 1], [0, 0], [1, 0]):
+            with pytest.raises(InvalidGeometryError, match="finite values and positive sides"):
+                batched_rotated_nms(rows, [0.9, 0.8], groups)
+
+
+def _kernel_keeps(rows, i, j):
+    """The circumcircle test by which the IoU kernel (rotgeom._iou_pairs)
+    passes the pair (rows[i], rows[j]) on, in its own arithmetic."""
+    pa, pb = rows[i], rows[j]
+    offset = pb[:, :2] - pa[:, :2]
+    reach = np.hypot(pa[:, 2], pa[:, 3]) / 2.0 + np.hypot(pb[:, 2], pb[:, 3]) / 2.0
+    return np.hypot(offset[:, 0], offset[:, 1]) <= reach
+
+
+def _tangent_rows(rng, n):
+    """Pairs of boxes whose centres lie their circumradii apart, then
+    moved by -4 ... 4 units in the last place of that distance: the
+    kernel's test is decided by rounding."""
+    a, _ = _tile_scene(rng, n, 100.0)
+    b, _ = _tile_scene(rng, n, 100.0)
+    reach = np.hypot(a[:, 2], a[:, 3]) / 2.0 + np.hypot(b[:, 2], b[:, 3]) / 2.0
+    reach *= 1.0 + 2.0**-52 * rng.integers(-4, 5, n)
+    phi = rng.choice([0.0, 0.5 * math.pi, rng.uniform(0.0, 2.0 * math.pi)], n)
+    b[:, :2] = a[:, :2] + reach[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
+    # sides 3 and 4 at centres 5 apart: exactly tangent circumcircles
+    exact = np.array([(0.0, 0.0, 4.0, 3.0, 10.0), (3.0, 4.0, 4.0, 3.0, -70.0),
+                      (5.0, 0.0, 3.0, 4.0, 0.0), (0.0, -5.0, 4.0, 3.0, 45.0)])
+    return np.concatenate([a, b, exact])
+
+
+class TestCandidatePairs:
+    """Every pair that the IoU kernel's circumcircle test keeps is a
+    candidate, so dropping the others changes no IoU."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_superset_of_kernel_test(self, scale, shift):
+        rng = np.random.default_rng(int(math.log10(scale)) + 10)
+        near, _ = _tile_scene(rng, 300, 150.0)
+        rows = np.concatenate([near, _tangent_rows(rng, 200)]) * (scale, scale, scale, scale, 1.0)
+        rows[:, :2] += shift
+        groups = rng.choice([0, 1], len(rows))
+        i, j = evaluation._candidate_pairs(rows, groups)
+        assert (i < j).all() and (groups[i] == groups[j]).all()
+        a, b = np.triu_indices(len(rows), 1)
+        same = groups[a] == groups[b]
+        a, b = a[same], b[same]
+        keeps = _kernel_keeps(rows, a, b) | _kernel_keeps(rows, b, a)
+        assert keeps.sum() > 1000
+        found = set(zip(i.tolist(), j.tolist()))
+        assert len(found) == len(i)
+        assert all(pair in found for pair in zip(a[keeps].tolist(), b[keeps].tolist()))
+
+    def test_tangent_circumcircles(self):
+        rows = _tangent_rows(np.random.default_rng(3), 0)
+        assert _kernel_keeps(rows, np.zeros(3, dtype=int), np.arange(1, 4)).all()
+        i, j = evaluation._candidate_pairs(rows, np.zeros(4, dtype=int))
+        assert {(0, 1), (0, 2), (0, 3)} <= set(zip(i.tolist(), j.tolist()))
 
 
 class TestIouThreshold:

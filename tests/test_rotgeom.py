@@ -389,6 +389,17 @@ class TestConvexIntersection:
                 with pytest.raises(InvalidGeometryError, match="non-finite vertex coordinates"):
                     convex_intersection(p, q)
 
+    def test_repeated_vertices(self):
+        # a zero-length edge used to clip the other polygon to nothing:
+        # this square against [0.5, 2]^2 gave 2 vertices, not [0.5, 1]^2
+        other = [(0.5, 0.5), (2, 0.5), (2, 2), (0.5, 2)]
+        for poly in ([(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)], [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)],
+                     [(0, 0), (1, 0), (1, 1e-12), (1, 1), (0, 1)]):
+            for p, q in ((poly, other), (other, poly)):
+                with pytest.raises(InvalidGeometryError, match="duplicate vertices"):
+                    convex_intersection(p, q)
+        assert vertex_set_equal(convex_intersection(self.SQ, other), [(0.5, 0.5), (1, 0.5), (1, 1), (0.5, 1)])
+
     def test_fewer_than_three_vertices(self):
         for poly in ([], [(0, 0)], [(0, 0), (1, 1)]):
             for p, q in ((poly, self.SQ), (self.SQ, poly)):
