@@ -103,21 +103,13 @@ def angle_to_bin(theta, cfg):
     return int(_bins([theta], cfg)[0])
 
 
-def circular_distance(i, j, t):
-    """Shortest distance between bins i and j on a ring of t bins."""
-    d = np.abs(np.asarray(i, dtype=float) - j) % t
-    return np.minimum(d, t - d)
-
-
 def window_value(cfg, delta_bins):
-    """Window function on the circular bin distance. Satisfies the
-    periodicity, symmetry, maximum and monotonicity axioms; r = 0
-    degenerates every kind to the pulse window."""
-    t = cfg.bin_count
-    d = circular_distance(delta_bins, 0.0, t)
-    r = cfg.radius_r
-    scalar = np.isscalar(delta_bins)
-    d = np.atleast_1d(d)
+    """Window function on the circular bin distance (a float for a scalar
+    or 0-d delta_bins). Satisfies the periodicity, symmetry, maximum and
+    monotonicity axioms; r = 0 degenerates every kind to the pulse window."""
+    t, r = cfg.bin_count, cfg.radius_r
+    d = np.abs(np.asarray(delta_bins, dtype=float)) % t
+    d = np.minimum(d, t - d)  # the distance to bin 0 on the ring of t bins
     if cfg.window_kind == "pulse" or r == 0:
         out = np.where(d <= 0.0, 1.0, 0.0)
     elif cfg.window_kind == "rectangular":
@@ -126,8 +118,8 @@ def window_value(cfg, delta_bins):
         out = np.maximum(0.0, 1.0 - d / r)
     else:  # gaussian, sigma = r/3, truncated outside the radius
         sigma = r / 3.0
-        out = np.where(d < r, np.exp(-(d**2) / (2.0 * sigma**2)), 0.0)
-    return float(out[0]) if scalar else out
+        out = np.where(d < r, np.exp(-(d * d) / (2.0 * sigma**2)), 0.0)  # d * d: a numpy scalar's d**2 can round apart
+    return out if out.ndim else float(out)
 
 
 def encode(theta, cfg):
@@ -171,7 +163,7 @@ def quantization_error_stats(omega):
     return QuantizationErrorStats(max_loss=omega / 2.0, expected_loss=omega / 4.0)
 
 
-def monte_carlo_roundtrip_error(cfg, samples=1_000_000, seed=0, chunk=50_000):
+def monte_carlo_roundtrip_error(cfg, samples=1_000_000, seed=0):
     """Empirical encode/decode round-trip error over uniform angles.
 
     Returns (mean_abs_error, max_abs_error) in degrees; the mean converges
@@ -180,24 +172,15 @@ def monte_carlo_roundtrip_error(cfg, samples=1_000_000, seed=0, chunk=50_000):
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
-    total = 0.0
-    worst = 0.0
-    n = 0
-    while n < samples:
-        m = min(chunk, samples - n)
-        thetas = rng.uniform(cfg.range_min, cfg.range_min + cfg.range_span, size=m)
+    total = worst = 0.0
+    for start in range(0, samples, 50_000):
+        thetas = rng.uniform(cfg.range_min, cfg.range_min + cfg.range_span, size=min(50_000, samples - start))
         errs = np.abs(decode_batch(encode_batch(thetas, cfg), cfg) - thetas)
         total += errs.sum()
         worst = max(worst, errs.max())
-        n += m
     return total / samples, worst
 
 
-def window_curve(cfg, center_bin=None):
-    """(bin, value) pairs of the label for an angle at `center_bin`
-    (default: the middle bin); the raw data behind a window-shape plot."""
-    t = cfg.bin_count
-    if center_bin is None:
-        center_bin = t // 2
-    bins = np.arange(t, dtype=float)
-    return list(zip(range(t), window_value(cfg, bins - center_bin)))
+def window_curve(cfg):
+    """(bin, value) pairs of the label of an angle in the middle bin, T // 2."""
+    return list(enumerate(_window_rows(np.array([cfg.bin_count // 2]), cfg)[0]))

@@ -9,9 +9,9 @@ convention), or a quad form "image_id class score x1 y1 ... x4 y4".
 Detection files parse into columns (image ids, class ids, scores and
 (N, 5) long-edge rows), annotation files into the same with difficult
 flags for scores; the quads of all annotation files go through one
-min_area_rects call. NMS runs all groups at once on sort-and-sweep
-candidate pairs, in rounds of free detections, one rotated_iou_pairs
-call per round; evaluate_columns matches over the
+min_area_rects call. NMS checks its columns, then runs all groups at
+once on sort-and-sweep candidate pairs, in rounds of free detections,
+one rotated_iou_pairs call per round; evaluate_columns matches over the
 same-image, same-class pairs of all images in one call, then computes
 every class's curve and both APs in one array pass. The record APIs
 wrap the column code. IoU thresholds lie in [0, 1].
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .rotgeom import (InvalidGeometryError, OrientedBox180, _check_rows, box_rows, canonicalize180_rows, min_area_rects,
+from .rotgeom import (InvalidGeometryError, OrientedBox180, _kernel_rows, box_rows, canonicalize180_rows, min_area_rects,
                       rotated_iou_pairs)
 
 log = logging.getLogger(__name__)
@@ -149,12 +149,15 @@ def batched_rotated_nms(rows, scores, groups, iou_thresh=0.1):
     iou_thresh, all in one rotated_iou_pairs call, then drops the pairs
     with a decided end; the rounds follow the longest chain of pairs, not
     the detections kept. Raises ValueError for an iou_thresh outside
-    [0, 1] and InvalidGeometryError for a row that is not finite or has a
-    side that is not positive."""
+    [0, 1] or other than finite scores and integer group ids (N,), and
+    InvalidGeometryError for a row rotated_iou_pairs rejects, alone too."""
     _check_iou_thresh(iou_thresh)
-    rows = _check_rows(rows)
-    groups = np.asarray(groups, dtype=int)
-    order = np.lexsort((-np.asarray(scores, dtype=float), groups))  # stable: ties keep input order
+    rows, scores, groups = _kernel_rows(rows), np.asarray(scores, dtype=float), np.asarray(groups)
+    if not (scores.shape == groups.shape == (len(rows),) and np.isfinite(scores).all()
+            and (groups.dtype.kind in "iu" or not groups.size)):  # an empty list reads as float64
+        raise ValueError(f"need finite scores (N,) and integer group ids (N,) for N = {len(rows)} rows, got scores "
+                         f"{scores.shape} and group ids {groups.dtype}{groups.shape}")
+    order = np.lexsort((-scores, groups))  # stable: ties keep input order
     rows, groups = rows.take(order, axis=0), groups.take(order)
     head, tail = _candidate_pairs(rows, groups)  # in rank order: head is the higher-ranked
     live = np.ones(len(order), dtype=bool)
@@ -178,7 +181,7 @@ def rotated_nms(dets, iou_thresh=0.1):
     """Greedy descending-score suppression with rotated IoU; stable sort
     (score desc, then input index) makes the result deterministic. A
     batch of one of batched_rotated_nms."""
-    kept = batched_rotated_nms(*_columns(dets, "box", "score"), np.zeros(len(dets)), iou_thresh)
+    kept = batched_rotated_nms(*_columns(dets, "box", "score"), np.zeros(len(dets), dtype=int), iou_thresh)
     return [dets[k] for k in kept]
 
 
@@ -310,15 +313,10 @@ def _dota_quad(tokens, line_no, class_table, strict):
 
 
 def ingest_dota(text, image_id, class_table, strict=False):
-    """The ground-truth records of dota_columns."""
-    _, class_ids, difficult, rows = dota_columns(text, image_id, class_table, strict)
+    """The ground-truth records of one file's dota_files_columns."""
+    _, class_ids, difficult, rows = dota_files_columns([(image_id, text)], class_table, strict)
     return [GroundTruthRecord(image_id, cid, OrientedBox180(*row), hard)
             for cid, hard, row in zip(class_ids, difficult, rows.tolist())]
-
-
-def dota_columns(text, image_id, class_table, strict=False):
-    """dota_files_columns of one file."""
-    return dota_files_columns([(image_id, text)], class_table, strict)
 
 
 def dota_files_columns(files, class_table, strict=False):

@@ -18,7 +18,7 @@ type. One rotated-IoU kernel is behind rotated_iou_pairs (K pairs of
 rows, aligned or by index) and rotated_iou_matrix (all pairs of two
 sets); it clips each edge of either box to the other, as the range of
 its parameter that lies inside, and sums the inside pieces by Green's
-theorem.
+theorem; rows it cannot compute raise InvalidGeometryError there.
 """
 
 from __future__ import annotations
@@ -177,6 +177,12 @@ def _gap_and_extent(pts):
     return gap.min(axis=1), gap.max(axis=1)
 
 
+def _by_angle(pts):
+    """Points (N, 2), N >= 1, sorted counter-clockwise by angle about their centroid."""
+    rel = pts - pts.mean(axis=0)
+    return pts[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]), kind="stable")]
+
+
 def order_corners(quad):
     """Canonically order four vertices: counter-clockwise winding,
     starting at the vertex with minimal y (ties broken by minimal x).
@@ -190,8 +196,7 @@ def order_corners(quad):
     gap, extent = _gap_and_extent(pts[None])
     if gap[0] <= EPS * extent[0]:
         raise InvalidGeometryError("duplicate vertices")
-    rel = pts - pts.mean(axis=0)  # sorted counter-clockwise by angle about the centroid
-    pts = pts[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]), kind="stable")]
+    pts = _by_angle(pts)
     start = min(range(4), key=lambda i: (pts[i, 1], pts[i, 0]))
     pts = np.roll(pts, -start, axis=0)
     return QuadBox(tuple(map(tuple, pts)))
@@ -245,12 +250,13 @@ def _clip_edges(p, q, tol):
 def convex_intersection(p, q):
     """Intersection of two convex counter-clockwise polygons by the IoU
     kernel's edge clipper: the starts of its non-empty pieces, vertex + lo
-    direction, in counter-clockwise order, vertices closer than REL_EPS
-    times the larger extent merged, as an (N, 2) array; contacts along an
-    edge or at a point give none. A polygon of fewer than 3 vertices, with
-    non-finite coordinates or with consecutive vertices (the last and the
-    first too) within that tolerance raises InvalidGeometryError: a
-    zero-length edge would clip the other polygon to nothing."""
+    direction, sorted by angle about their centroid, each within REL_EPS
+    times the larger extent of the one before it merged into it, as an
+    (N, 2) array; contacts along an edge or at a point give none. A
+    polygon of fewer than 3 vertices, with non-finite coordinates or with
+    consecutive vertices (the last and the first too) within that
+    tolerance raises InvalidGeometryError: a zero-length edge would clip
+    the other polygon to nothing."""
     p, q = (np.asarray(poly, dtype=float).reshape(-1, 2) for poly in (p, q))
     if min(len(p), len(q)) < 3:
         raise InvalidGeometryError(f"need polygons of 3 or more vertices, got {len(p)} and {len(q)}")
@@ -264,16 +270,13 @@ def convex_intersection(p, q):
         raise InvalidGeometryError("duplicate vertices")
     direction, lo, hi = (x[..., 0].T for x in _clip_edges(p.T[..., None], q.T[..., None], tol))
     keep = (hi - lo) * np.abs(direction).max(axis=1) > tol  # shorter pieces are point contacts
-    vertex, direction, lo, hi = np.concatenate([p, q])[keep], direction[keep], lo[keep, None], hi[keep, None]
-    starts, ends = vertex + lo * direction, vertex + hi * direction
-    out, at = [], 0
-    for _ in range(len(starts)):  # from each piece to the one starting nearest where it ends
-        if not out or np.abs(starts[at] - out[-1]).max() > tol:
-            out.append(starts[at])
-        at = np.abs(starts - ends[at]).max(axis=1).argmin()
-    if len(out) > 1 and np.abs(out[0] - out[-1]).max() <= tol:
-        out.pop()
-    return np.asarray(out).reshape(-1, 2) + origin
+    if not keep.any():
+        return np.empty((0, 2))
+    starts = _by_angle((np.concatenate([p, q]) + lo[:, None] * direction)[keep])
+    # a start within tol of the one before it, cyclically, merges into that one; a lone cluster keeps one
+    apart = np.abs(starts - np.roll(starts, 1, axis=0)).max(axis=1) > tol
+    apart[0] |= not apart.any()
+    return starts[apart] + origin
 
 
 def min_area_rects(quads):
@@ -360,6 +363,18 @@ def _check_rows(rows):
     return rows
 
 
+def _kernel_rows(rows):
+    """_check_rows, then the bounds of rotated_iou_pairs; the first row outside them raises."""
+    rows = _check_rows(rows)
+    short, long = np.minimum(rows[:, 2], rows[:, 3]), np.maximum(rows[:, 2], rows[:, 3])
+    bad = (short < 1e-8 * long) | (short < 1e-150) | (long > 1e150)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvalidGeometryError(f"box row {k} has sides {long[k]} and {short[k]}; the IoU kernel needs a short side "
+                                   "of at least 1e-8 of the long side and sides within [1e-150, 1e150]", index=k)
+    return rows
+
+
 def _iou_pairs(a, b, i, j):
     """IoU (K,) of the K pairs a[i], b[j] of checked box rows, clipped
     in a frame centred on the a box, both boxes' edge terms from one
@@ -392,8 +407,10 @@ def rotated_iou_pairs(a, b, i=None, j=None):
     a tolerance relative to the pair's size, so the result does not
     depend on coordinate scale or translation, nor on the other pairs of
     the call. Pairs whose circumcircles do not meet are 0 without further
-    work; the others go through the kernel PAIR_CHUNK pairs at a time."""
-    a, b = (_check_rows(a),) * 2 if b is a else (_check_rows(a), _check_rows(b))
+    work; the others go through the kernel PAIR_CHUNK pairs at a time.
+    A row of a or b with a short side below 1e-8 of the long one (REL_EPS
+    of the pair's size would swallow it) or a side outside [1e-150, 1e150] raises."""
+    a, b = (_kernel_rows(a),) * 2 if b is a else (_kernel_rows(a), _kernel_rows(b))
     if i is None and j is None:
         if a.shape != b.shape:
             raise InvalidGeometryError(f"pair lists differ in shape: {a.shape} and {b.shape}")

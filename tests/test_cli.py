@@ -1,5 +1,7 @@
 import json
+import shlex
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,21 @@ def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     assert code == 0
     return json.loads(out)
+
+
+def _readme_cli_examples():
+    """The cslkit lines of the README's "CLI examples" block, as argument lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("cslkit ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    # the lines that read a --dets file need fixtures and are skipped
+    runnable = [argv for argv in _readme_cli_examples() if "--dets" not in argv]
+    assert len(runnable) == 7
+    for argv in runnable:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 class TestWindow:
@@ -60,6 +77,13 @@ class TestIou:
         assert code == 2
         code, _ = run(capsys, "iou", "--a", "0 nan 9 1 0", "--b", "0 0 9 1 0.5")
         assert code == 2
+
+    @pytest.mark.parametrize("box", ["5 -3 1 1e-10 0", "5 -3 1 1e-10 17.3", "0 0 2e160 1e160 10", "0 0 2e-200 1e-200 10"])
+    def test_box_the_kernel_cannot_compute_is_data_error(self, capsys, box):
+        # these gave 0.0, 0.333 and nan with the box itself
+        for a, b in ((box, box), (box, "0 0 4 2 0"), ("0 0 4 2 0", box)):
+            assert main(["iou", "--a", a, "--b", b]) == 2
+            assert "the IoU kernel needs" in capsys.readouterr().err
 
 
 class TestQuantError:

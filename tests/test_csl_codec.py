@@ -97,6 +97,19 @@ class TestWindowValue:
         cfg = CslCodecConfig(kind, 6.0)
         assert window_value(cfg, 0.0) == 1.0
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_shape_of_input(self, kind):
+        # a scalar or 0-d input gives a float (a 0-d array gave a 1-element
+        # array), an array the values in its shape
+        cfg = CslCodecConfig(kind, 6.0)
+        grid = np.arange(6.0).reshape(2, 3)
+        for d in (2.0, 2, np.float64(2.0), np.array(2.0)):
+            assert type(window_value(cfg, d)) is float and window_value(cfg, d) == window_value(cfg, grid)[0, 2]
+        assert window_value(cfg, grid).shape == (2, 3)
+        # the same bits as in an array: a numpy scalar's d**2 is 1 ulp off here
+        cfg = CslCodecConfig(kind, 44.9, 2.0)
+        assert window_value(cfg, 869.9221883733005) == window_value(cfg, np.array([869.9221883733005]))[0]
+
     def test_triangle_midpoint(self):
         cfg = CslCodecConfig("triangle", 6.0)
         assert window_value(cfg, 3.0) == pytest.approx(0.5)
@@ -286,3 +299,4 @@ def test_window_curve_center_peak():
     curve = window_curve(GAUSS6)
     assert len(curve) == 180
     assert curve[90][1] == 1.0
+    assert [v for _, v in curve] == encode(0.5, GAUSS6).values.tolist()  # the label of an angle in bin 90

@@ -14,7 +14,6 @@ from cslkit.evaluation import (
     GroundTruthRecord,
     batched_rotated_nms,
     compute_ap,
-    dota_columns,
     dota_files_columns,
     evaluate,
     evaluate_columns,
@@ -43,7 +42,7 @@ def det_columns(dets):
 
 
 def gt_columns(gts):
-    """The columns of ground-truth records, as dota_columns returns them."""
+    """The columns of ground-truth records, as dota_files_columns returns them."""
     return [g.image_id for g in gts], [g.class_id for g in gts], [g.difficult for g in gts], box_rows([g.box for g in gts])
 
 
@@ -380,6 +379,7 @@ class TestFreeSetNms:
         rows = box_rows([det(0.9).box, det(0.8).box])
         assert batched_rotated_nms(rows, [0.9, 0.8], [2**62, -2**62]).tolist() == [1, 0]
         assert batched_rotated_nms(rows, [0.9, 0.8], [2**62, 2**62]).tolist() == [0]
+        assert batched_rotated_nms(rows, [0.9, 0.8], np.array([1, 0], dtype=np.uint8)).tolist() == [1, 0]
 
     @pytest.mark.parametrize("bad", [(math.nan, 0.0, 4.0, 2.0, 0.0), (0.0, math.inf, 4.0, 2.0, 0.0),
                                      (0.0, 0.0, 4.0, 0.0, 0.0), (0.0, 0.0, -4.0, 2.0, 0.0)])
@@ -389,6 +389,26 @@ class TestFreeSetNms:
         for groups in ([0, 1], [0, 0], [1, 0]):
             with pytest.raises(InvalidGeometryError, match="finite values and positive sides"):
                 batched_rotated_nms(rows, [0.9, 0.8], groups)
+
+    @pytest.mark.parametrize("bad", [(5.0, -3.0, 1.0, 1e-10, 17.3), (0.0, 0.0, 2e160, 1e160, 10.0),
+                                     (0.0, 0.0, 2e-160, 1e-160, 10.0)])
+    def test_row_the_kernel_cannot_compute_rejected_in_any_group(self, bad):
+        rows = np.array([bad, (0.0, 0.0, 4.0, 2.0, 0.0)])
+        for groups in ([0, 1], [0, 0], [1, 0]):
+            with pytest.raises(InvalidGeometryError, match="the IoU kernel needs"):
+                batched_rotated_nms(rows, [0.9, 0.8], groups)
+
+    @pytest.mark.parametrize("n, scores, groups", [
+        # 5 rows with 3 scores used to keep [0 1 2] and drop rows 3-4, 3 rows with 5 scores raised IndexError
+        (5, [0.9, 0.8, 0.7], range(5)), (3, [0.9] * 5, range(5)), (5, [0.9] * 5, range(3)), (5, [0.9] * 5, [range(5)]),
+        # group ids 0.2 and 0.7 were truncated into one group, so one of two identical boxes went
+        (2, [0.9, 0.8], [0.2, 0.7]),
+        (2, [0.9, math.nan], [0, 1]), (2, [0.9, math.inf], [0, 1]), (2, [-math.inf, 0.8], [0, 1]),
+    ], ids=["3 scores", "3 rows", "3 groups", "2-D groups", "float groups", "nan score", "inf score", "-inf score"])
+    def test_columns_checked(self, n, scores, groups):
+        rows = box_rows([det(0.9).box] * n)
+        with pytest.raises(ValueError, match=r"need finite scores \(N,\) and integer group ids \(N,\)"):
+            batched_rotated_nms(rows, scores, list(groups))
 
 
 def _kernel_keeps(rows, i, j):
@@ -793,10 +813,10 @@ class TestIngestDota:
 
     @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("text", INGESTION_TEXTS)
-    def test_records_of_dota_columns(self, text, strict):
+    def test_records_of_one_file_columns(self, text, strict):
         # the same records from the columns, or the same first bad line
         try:
-            image_ids, class_ids, difficult, rows = dota_columns(text, "P3", CLASSES, strict)
+            image_ids, class_ids, difficult, rows = dota_files_columns([("P3", text)], CLASSES, strict)
         except AnnotationParseError as exc:
             with pytest.raises(AnnotationParseError) as got:
                 ingest_dota(text, "P3", CLASSES, strict)
@@ -831,13 +851,13 @@ def _annotation_files(rng):
 
 
 class TestMultiFileIngestion:
-    """dota_files_columns against dota_columns of each file on its own."""
+    """dota_files_columns of several files against its columns of each file on its own."""
 
     def test_columns_are_the_per_file_columns_joined(self):
         most_files = difficult_seen = 0
         for seed in range(20):
             files = _annotation_files(np.random.default_rng(seed))
-            parts = [dota_columns(text, image_id, CLASSES) for image_id, text in files]
+            parts = [dota_files_columns([(image_id, text)], CLASSES) for image_id, text in files]
             image_ids, class_ids, difficult, rows = dota_files_columns(files, CLASSES)
             assert (image_ids, class_ids, difficult) == tuple([v for part in parts for v in part[k]] for k in range(3))
             assert np.array_equal(rows, np.concatenate([part[3] for part in parts]))
@@ -852,7 +872,7 @@ class TestMultiFileIngestion:
             files = [(f"P{k}", text) for k, text in enumerate(texts)]
             for source, (image_id, text) in enumerate(files):
                 try:
-                    dota_columns(text, image_id, CLASSES, strict)
+                    dota_files_columns([(image_id, text)], CLASSES, strict)
                 except AnnotationParseError as exc:
                     with pytest.raises(AnnotationParseError) as got:
                         dota_files_columns(files, CLASSES, strict)
@@ -860,7 +880,7 @@ class TestMultiFileIngestion:
                     break
             else:
                 assert len(dota_files_columns(files, CLASSES, strict)[3]) == sum(
-                    len(dota_columns(text, image_id, CLASSES, strict)[3]) for image_id, text in files)
+                    len(dota_files_columns([(image_id, text)], CLASSES, strict)[3]) for image_id, text in files)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cli_report_of_the_per_file_columns(self, seed, tmp_path, capsys):
@@ -869,8 +889,8 @@ class TestMultiFileIngestion:
         (tmp_path / "ann").mkdir()
         for image_id, text in files:
             (tmp_path / "ann" / f"{image_id}.txt").write_text(text)
-        gts = [[v for image_id, text in files for v in dota_columns(text, image_id, CLASSES)[k]] for k in range(3)]
-        rows = np.concatenate([dota_columns(text, image_id, CLASSES)[3] for image_id, text in files])
+        gts = [[v for image_id, text in files for v in dota_files_columns([(image_id, text)], CLASSES)[k]] for k in range(3)]
+        rows = np.concatenate([dota_files_columns([(image_id, text)], CLASSES)[3] for image_id, text in files])
         dets = [det(float(rng.integers(1, 9)) / 8, *np.asarray(row) + rng.normal(0, 0.5, 5), image=image_id, cls=cid)
                 for image_id, cid, row in zip(*gts[:2], rows) if rng.random() < 0.8]
         (tmp_path / "dets.txt").write_text("".join(f"{d.image_id} {d.class_id} {d.score} {d.box.cx} {d.box.cy} {d.box.h} "

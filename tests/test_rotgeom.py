@@ -375,6 +375,15 @@ class TestConvexIntersection:
                     assert vertex_set_equal(got, want, tol=1e-9), (degrees, shift)
                     assert _signed(got) > 0
 
+    def test_lone_piece_keeps_its_start(self):
+        # a flat tip 1e-14 deep in the square's bottom edge: its two edges
+        # inside are shorter than the tolerance (1e-10), the bottom edge's
+        # piece, 1.5e-10 long, is not
+        slope = 1e-14 / 0.75e-10
+        tip = [(0.5 - 1e-3, 1e-14 - 1e-3 * slope), (0.5 + 1e-3, 1e-14 - 1e-3 * slope), (0.5, 1e-14)]
+        for p, q in ((self.SQ, tip), (tip, self.SQ)):
+            assert convex_intersection(p, q) == pytest.approx(np.array([[0.5 - 0.75e-10, 0.0]]), abs=1e-15)
+
     def test_touching_edges_zero_area(self):
         right = [(1, 0), (2, 0), (2, 1), (1, 1)]
         out = convex_intersection(self.SQ, right)
@@ -924,6 +933,33 @@ class TestIouPairs:
                 rotated_iou_pairs(a, b, i, j)
         assert rotated_iou_pairs(a, b, np.array([2], dtype=np.uint8), [1]) == pytest.approx([1.0])
         assert rotated_iou_pairs(a, b, np.zeros(0, dtype=int), np.zeros(0, dtype=int)).shape == (0,)
+
+    @pytest.mark.parametrize("sides", [(1.0, 1e-10), (1.0, 0.99e-8), (2e160, 1e160), (2e-200, 1e-200), (2e-160, 1e-160),
+                                       (1.01e150, 1.0e150), (1.0e-150, 0.99e-150)])
+    def test_rejects_rows_the_kernel_cannot_compute(self, sides):
+        # these gave an IoU of 0.0 (1:1e10 at theta 0) or 0.333 (at 17.3)
+        # with the box itself, nan (1e160, 1e-200) or 0.451807 for 0.451810
+        # (1e-160): the short side lay below the kernel's tolerance, or an
+        # area overflowed or lost digits to underflow
+        good = np.array([[0.0, 0.0, 4.0, 2.0, 10.0]] * 2)
+        for theta in (0.0, 17.3):
+            bad = np.array([[5.0, -3.0, *sides, theta]])
+            for a, b in ((bad, bad), (bad, bad.copy()), (good[:1], bad), (bad, good[:1])):
+                with pytest.raises(InvalidGeometryError, match="the IoU kernel needs"):
+                    rotated_iou_pairs(a, b)
+            # a row no pair reads is rejected too
+            with pytest.raises(InvalidGeometryError, match="box row 1 has sides") as exc:
+                rotated_iou_pairs(np.concatenate([good[:1], bad]), good, [0], [0])
+            assert exc.value.index == 1
+            with pytest.raises(InvalidGeometryError, match="the IoU kernel needs"):
+                rotated_iou(OrientedBox180(5.0, -3.0, *sides, theta), OrientedBox180(5.0, -3.0, *sides, theta))
+            # the angle reduction still takes such rows
+            assert np.array_equal(canonicalize180_rows(bad), bad)
+
+    def test_kernel_bounds_are_inclusive(self):
+        for sides in ((1.0, 1e-8), (1e150, 1e142), (1e-142, 1e-150)):
+            rows = np.array([[5.0, -3.0, *sides, 17.3]])
+            assert rotated_iou_pairs(rows, rows.copy()) == pytest.approx([1.0], abs=1e-6)
 
 
 def _random_rows(rng, n, spread):
