@@ -8,13 +8,13 @@ convention), or a quad form "image_id class score x1 y1 ... x4 y4".
 
 Detection files parse into columns (image ids, class ids, scores and
 (N, 5) long-edge rows), annotation files into the same with difficult
-flags for scores; the quads of all annotation files go through one
-min_area_rects call. NMS checks its columns, then runs all groups at
-once on sort-and-sweep candidate pairs, in rounds of free detections,
-one rotated_iou_pairs call per round; evaluate_columns matches over the
-same-image, same-class pairs of all images in one call, then computes
-every class's curve and both APs in one array pass. The record APIs
-wrap the column code. IoU thresholds lie in [0, 1].
+flags for scores; a reader converts all its numbers in one call, searched
+line by line only to name a bad line, and reduces all its boxes in one.
+NMS checks its rows once and runs all groups on sort-and-sweep candidate
+pairs, one IoU kernel call per round of free detections; evaluate_columns
+matches over the same-image, same-class pairs of all images in one call,
+then computes every class's curve and both APs in one array pass. The
+record APIs wrap the column code. IoU thresholds lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .rotgeom import (InvalidGeometryError, OrientedBox180, _kernel_rows, box_rows, canonicalize180_rows, min_area_rects,
-                      rotated_iou_pairs)
+from .rotgeom import (InvalidGeometryError, OrientedBox180, _iou_pairs, _kernel_rows, box_rows, canonicalize180_rows,
+                      min_area_rects, rotated_iou_pairs)
 
 log = logging.getLogger(__name__)
 
@@ -146,10 +146,10 @@ def batched_rotated_nms(rows, scores, groups, iou_thresh=0.1):
     one; greedy NMS keeps it, as no kept detection suppressed it and no
     live one can. Each round keeps every free detection and suppresses the
     live ones paired with it whose rotated IoU with it is above
-    iou_thresh, all in one rotated_iou_pairs call, then drops the pairs
-    with a decided end; the rounds follow the longest chain of pairs, not
-    the detections kept. Raises ValueError for an iou_thresh outside
-    [0, 1] or other than finite scores and integer group ids (N,), and
+    iou_thresh, all in one _iou_pairs call, then drops the pairs with a
+    decided end; the rounds follow the longest chain of pairs, not the
+    detections kept. Raises ValueError for an iou_thresh outside [0, 1]
+    or other than finite scores and integer group ids (N,), and
     InvalidGeometryError for a row rotated_iou_pairs rejects, alone too."""
     _check_iou_thresh(iou_thresh)
     rows, scores, groups = _kernel_rows(rows), np.asarray(scores, dtype=float), np.asarray(groups)
@@ -168,7 +168,7 @@ def batched_rotated_nms(rows, scores, groups, iou_thresh=0.1):
         keep |= free
         live ^= free
         ask = np.flatnonzero(free[head])
-        suppress = rotated_iou_pairs(rows, rows, tail[ask], head[ask]) > iou_thresh
+        suppress = _iou_pairs(rows, rows, tail[ask], head[ask]) > iou_thresh  # rows checked, pairs in range
         live[tail[ask[suppress]]] = False
         stay = np.flatnonzero(live[tail] & live[head])
         head, tail = head[stay], tail[stay]
@@ -295,21 +295,19 @@ def _is_number(tok):
         return False
 
 
-def _dota_quad(tokens, line_no, class_table, strict):
-    """The 8 coordinates of one DOTA body line's tokens, after checking
-    the line's layout, its difficult flag and, in strict mode, its
-    category."""
-    if len(tokens) != 10:
-        raise AnnotationParseError(f"expected 8 coordinates, category and difficult flag, got {len(tokens)} tokens", line_no)
+def _numbers(token_lists, width, where, error):
+    """The numbers (K, width) of K lists of width tokens, in one conversion,
+    and error; or, if float rejects a token, those of the lists before its
+    own and float's AnnotationParseError at that list's (line, source)."""
     try:
-        quad = [float(t) for t in tokens[:8]]
-    except ValueError as exc:
-        raise AnnotationParseError(str(exc), line_no) from None
-    if tokens[9] not in ("0", "1"):
-        raise AnnotationParseError(f"difficult flag must be 0 or 1, got {tokens[9]!r}", line_no)
-    if strict and tokens[8] not in class_table:
-        raise AnnotationParseError(f"unknown category {tokens[8]!r}", line_no)
-    return quad
+        return np.array(token_lists, dtype=float).reshape(-1, width), error
+    except ValueError:  # numpy reads a token as float does, so one list has a token float rejects: name it
+        for k, tokens in enumerate(token_lists):
+            try:
+                list(map(float, tokens))
+            except ValueError as exc:
+                return _numbers(token_lists[:k], width, where, AnnotationParseError(str(exc), *where[k]))
+        raise  # numpy failed on no token that float rejects
 
 
 def ingest_dota(text, image_id, class_table, strict=False):
@@ -331,8 +329,7 @@ def dota_files_columns(files, class_table, strict=False):
     in the first file with any is reported, its fault in the parsing or in
     the geometry, with the file's position as the error's source.
     """
-    image_ids, class_ids, difficult, coords, where = [], [], [], [], []
-    parse_error = None
+    quads, where, labels, parse_error = [], [], [], None  # labels: of the lines whose layout passed
     try:
         for source, (image_id, text) in enumerate(files):
             body_started = False
@@ -341,24 +338,30 @@ def dota_files_columns(files, class_table, strict=False):
                 if not tokens or not (body_started or _is_number(tokens[0])):
                     continue  # blank, or a header / metadata line
                 body_started = True
-                quad = _dota_quad(tokens, line_no, class_table, strict)
-                if tokens[8] not in class_table:
-                    log.warning("%s: line %d: skipping unknown category %r", image_id, line_no, tokens[8])
-                    continue
-                image_ids.append(image_id)
-                class_ids.append(class_table[tokens[8]])
-                difficult.append(tokens[9] == "1")
-                coords.append(quad)
+                if len(tokens) != 10:
+                    raise AnnotationParseError(f"expected 8 coordinates, category and difficult flag, got "
+                                               f"{len(tokens)} tokens", line_no)
+                quads.append(tokens[:8])  # its numbers are checked before its flag and category
                 where.append((line_no, source))
+                if tokens[9] not in ("0", "1"):
+                    raise AnnotationParseError(f"difficult flag must be 0 or 1, got {tokens[9]!r}", line_no)
+                if strict and tokens[8] not in class_table:
+                    raise AnnotationParseError(f"unknown category {tokens[8]!r}", line_no)
+                labels.append((image_id, tokens[8], tokens[9] == "1"))
     except AnnotationParseError as exc:
-        exc.source, parse_error = source, exc  # raised after the geometry of the lines before it
+        exc.source, parse_error = source, exc
+    numbers, parse_error = _numbers(quads, 8, where, parse_error)
+    for (image_id, category, _), (line_no, _) in zip(labels[:len(numbers)], where):
+        if category not in class_table:
+            log.warning("%s: line %d: skipping unknown category %r", image_id, line_no, category)
+    kept = [k for k, (_, category, _) in enumerate(labels[:len(numbers)]) if category in class_table]
     try:
-        rows = min_area_rects(np.reshape(coords, (-1, 4, 2)))
+        rows = min_area_rects(numbers[kept].reshape(-1, 4, 2))  # raised after the geometry of the lines before it
     except InvalidGeometryError as exc:
-        raise AnnotationParseError(str(exc), *where[exc.index]) from exc
+        raise AnnotationParseError(str(exc), *where[kept[exc.index]]) from exc
     if parse_error is not None:
         raise parse_error
-    return image_ids, class_ids, difficult, rows
+    return [labels[k][0] for k in kept], [class_table[labels[k][1]] for k in kept], [labels[k][2] for k in kept], rows
 
 
 def parse_detections(text, class_table, quad_form=False):
@@ -369,34 +372,30 @@ def parse_detections(text, class_table, quad_form=False):
     lines the first is reported; on one line a bad box before a bad
     score."""
     want = 11 if quad_form else 8
-    image_ids, class_ids, numbers, line_nos = [], [], [], []
-    parse_error = None
+    lines, where, parse_error = [], [], None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
             continue
-        try:
-            if len(tokens) != want:
-                raise ValueError(f"expected {want} tokens, got {len(tokens)}")
-            if tokens[1] not in class_table and not tokens[1].removeprefix("-").isdecimal():  # exactly what int() takes
-                raise ValueError(f"unknown class {tokens[1]!r}")
-            numbers.append([float(t) for t in tokens[2:]])  # the score, then the box
-        except ValueError as exc:
-            parse_error = AnnotationParseError(str(exc), line_no)  # raised after the lines before it
+        if len(tokens) != want:
+            parse_error = AnnotationParseError(f"expected {want} tokens, got {len(tokens)}", line_no)
             break
-        image_ids.append(tokens[0])
-        class_ids.append(class_table[tokens[1]] if tokens[1] in class_table else int(tokens[1]))
-        line_nos.append(line_no)
-    numbers = np.reshape(numbers, (-1, want - 2))
+        if tokens[1] not in class_table and not tokens[1].removeprefix("-").isdecimal():  # exactly what int() takes
+            parse_error = AnnotationParseError(f"unknown class {tokens[1]!r}", line_no)
+            break
+        lines.append(tokens)
+        where.append((line_no, None))
+    numbers, parse_error = _numbers([t[2:] for t in lines], want - 2, where, parse_error)  # the score, then the box
+    class_ids = [class_table[t[1]] if t[1] in class_table else int(t[1]) for t in lines[:len(numbers)]]
     scores = numbers[:, 0]
     bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))  # NaN fails both comparisons
     n = bad[0] + 1 if bad.size else len(scores)  # the boxes up to the first bad score
     try:
         rows = min_area_rects(numbers[:n, 1:].reshape(-1, 4, 2)) if quad_form else canonicalize180_rows(numbers[:n, 1:])
     except InvalidGeometryError as exc:
-        raise AnnotationParseError(str(exc), line_nos[exc.index]) from None
+        raise AnnotationParseError(str(exc), *where[exc.index]) from None
     if bad.size:
-        raise AnnotationParseError(f"score {scores[n - 1].item()} outside [0, 1]", line_nos[n - 1])
+        raise AnnotationParseError(f"score {scores[n - 1].item()} outside [0, 1]", *where[n - 1])
     if parse_error is not None:
         raise parse_error
-    return image_ids, class_ids, scores, rows
+    return [t[0] for t in lines[:len(scores)]], class_ids, scores, rows

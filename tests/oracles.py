@@ -6,19 +6,26 @@ clipper), vertex-set comparison, brute-force minimum rectangle, central
 finite differences, a per-quad rotating-calipers loop, a per-anchor
 loop over the multi-task loss, the per-class sort-and-loop AP of
 evaluate, the exact scalar long-edge reduction with the per-anchor grid
-loop built on it, the gt-by-gt forced-anchor loop of assignment, and
-the lockstep batched NMS (the library's NMS before free sets).
-Deliberately avoid the library's own clipping / calipers / loss / AP /
-canonicalization code paths."""
+loop built on it, the gt-by-gt forced-anchor loop of assignment, the
+lockstep batched NMS (the library's NMS before free sets), and the
+detection and DOTA readers with one float call per token (the library's
+readers before their one conversion per read). Deliberately avoid the
+library's own clipping / calipers / loss / AP / canonicalization code
+paths; the readers reduce their boxes with the library's calls, as they
+are oracles of the parsing only."""
 
+import logging
 import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from cslkit.evaluation import EvalReport, _check_iou_thresh, _hits
-from cslkit.rotgeom import EPS, REL_EPS, InvalidGeometryError, OrientedBox180, rotated_iou_pairs, to_quad
+from cslkit.evaluation import AnnotationParseError, EvalReport, _check_iou_thresh, _hits
+from cslkit.rotgeom import (EPS, REL_EPS, InvalidGeometryError, OrientedBox180, canonicalize180_rows, min_area_rects,
+                            rotated_iou_pairs, to_quad)
+
+log = logging.getLogger("cslkit.evaluation")  # the library reader's logger, so that the warning records compare equal
 
 MC_CHUNK = 1 << 16
 CLIP_EPS = 1e-9  # absolute, so the clipper is exact only near unit scale
@@ -537,3 +544,100 @@ def lockstep_batched_rotated_nms(rows, scores, groups, iou_thresh=0.1):
         live = live.compress(survive, axis=1)
     kept = order[keep]
     return kept[np.lexsort((kept, groups[kept]))]
+
+
+def _is_float(tok):
+    try:
+        float(tok)
+        return True
+    except ValueError:
+        return False
+
+
+def _loop_dota_quad(tokens, line_no, class_table, strict):
+    """The 8 coordinates of one DOTA body line's tokens, after checking
+    the line's layout, its difficult flag and, in strict mode, its
+    category."""
+    if len(tokens) != 10:
+        raise AnnotationParseError(f"expected 8 coordinates, category and difficult flag, got {len(tokens)} tokens", line_no)
+    try:
+        quad = [float(t) for t in tokens[:8]]
+    except ValueError as exc:
+        raise AnnotationParseError(str(exc), line_no) from None
+    if tokens[9] not in ("0", "1"):
+        raise AnnotationParseError(f"difficult flag must be 0 or 1, got {tokens[9]!r}", line_no)
+    if strict and tokens[8] not in class_table:
+        raise AnnotationParseError(f"unknown category {tokens[8]!r}", line_no)
+    return quad
+
+
+def loop_dota_files_columns(files, class_table, strict=False):
+    """dota_files_columns with one float call per coordinate, line by
+    line: the first bad line stops the loop, and its parse fault is
+    raised after the geometry of the lines before it."""
+    image_ids, class_ids, difficult, coords, where = [], [], [], [], []
+    parse_error = None
+    try:
+        for source, (image_id, text) in enumerate(files):
+            body_started = False
+            for line_no, raw in enumerate(text.splitlines(), start=1):
+                tokens = raw.split()
+                if not tokens or not (body_started or _is_float(tokens[0])):
+                    continue  # blank, or a header / metadata line
+                body_started = True
+                quad = _loop_dota_quad(tokens, line_no, class_table, strict)
+                if tokens[8] not in class_table:
+                    log.warning("%s: line %d: skipping unknown category %r", image_id, line_no, tokens[8])
+                    continue
+                image_ids.append(image_id)
+                class_ids.append(class_table[tokens[8]])
+                difficult.append(tokens[9] == "1")
+                coords.append(quad)
+                where.append((line_no, source))
+    except AnnotationParseError as exc:
+        exc.source, parse_error = source, exc  # raised after the geometry of the lines before it
+    try:
+        rows = min_area_rects(np.reshape(coords, (-1, 4, 2)))
+    except InvalidGeometryError as exc:
+        raise AnnotationParseError(str(exc), *where[exc.index]) from exc
+    if parse_error is not None:
+        raise parse_error
+    return image_ids, class_ids, difficult, rows
+
+
+def loop_parse_detections(text, class_table, quad_form=False):
+    """parse_detections with one float call per number, line by line: the
+    first bad line stops the loop; of the lines before it, a bad box
+    is reported before a bad score, and both before the bad line."""
+    want = 11 if quad_form else 8
+    image_ids, class_ids, numbers, line_nos = [], [], [], []
+    parse_error = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        try:
+            if len(tokens) != want:
+                raise ValueError(f"expected {want} tokens, got {len(tokens)}")
+            if tokens[1] not in class_table and not tokens[1].removeprefix("-").isdecimal():  # exactly what int() takes
+                raise ValueError(f"unknown class {tokens[1]!r}")
+            numbers.append([float(t) for t in tokens[2:]])  # the score, then the box
+        except ValueError as exc:
+            parse_error = AnnotationParseError(str(exc), line_no)  # raised after the lines before it
+            break
+        image_ids.append(tokens[0])
+        class_ids.append(class_table[tokens[1]] if tokens[1] in class_table else int(tokens[1]))
+        line_nos.append(line_no)
+    numbers = np.reshape(numbers, (-1, want - 2))
+    scores = numbers[:, 0]
+    bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))  # NaN fails both comparisons
+    n = bad[0] + 1 if bad.size else len(scores)  # the boxes up to the first bad score
+    try:
+        rows = min_area_rects(numbers[:n, 1:].reshape(-1, 4, 2)) if quad_form else canonicalize180_rows(numbers[:n, 1:])
+    except InvalidGeometryError as exc:
+        raise AnnotationParseError(str(exc), line_nos[exc.index]) from None
+    if bad.size:
+        raise AnnotationParseError(f"score {scores[n - 1].item()} outside [0, 1]", line_nos[n - 1])
+    if parse_error is not None:
+        raise parse_error
+    return image_ids, class_ids, scores, rows

@@ -283,8 +283,8 @@ class TestNmsAndEval(object):
 
     def test_nms_one_kernel_call_for_free_heads(self, tmp_path, capsys, monkeypatch):
         calls = []
-        real = evaluation.rotated_iou_pairs
-        monkeypatch.setattr(evaluation, "rotated_iou_pairs", lambda *args: calls.append(len(args[2])) or real(*args))
+        real = evaluation._iou_pairs
+        monkeypatch.setattr(evaluation, "_iou_pairs", lambda *args: calls.append(len(args[2])) or real(*args))
         dets = tmp_path / "dets.txt"
         dets.write_text(INTERLEAVED_DETS)
         payload = run_json(capsys, "nms", "--dets", str(dets), "--classes", "ship", "plane", "--iou-thresh", "0.3")

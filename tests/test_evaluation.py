@@ -1,5 +1,6 @@
 import itertools
 import json
+import logging
 import math
 from collections import Counter
 
@@ -22,7 +23,8 @@ from cslkit.evaluation import (
     rotated_nms,
 )
 from cslkit.rotgeom import InvalidGeometryError, OrientedBox180, box_rows, canonicalize180, rotated_iou, to_quad
-from oracles import clipped_iou, lockstep_batched_rotated_nms, loop_evaluate
+from oracles import (clipped_iou, lockstep_batched_rotated_nms, loop_dota_files_columns, loop_evaluate,
+                     loop_parse_detections)
 
 CLASSES = {"ship": 0, "plane": 1}
 
@@ -296,8 +298,8 @@ class TestBatchedNms:
 
     def test_kernel_calls_follow_overlap_chains(self, monkeypatch):
         calls = []
-        real = evaluation.rotated_iou_pairs
-        monkeypatch.setattr(evaluation, "rotated_iou_pairs", lambda *args: calls.append(len(args[2])) or real(*args))
+        real = evaluation._iou_pairs
+        monkeypatch.setattr(evaluation, "_iou_pairs", lambda *args: calls.append(len(args[2])) or real(*args))
         # disjoint boxes have no candidate pair, so every one is free at once
         row = [det(float(s), cx=10.0 * i, cy=-5.0) for i, s in enumerate(np.linspace(0.9, 0.1, 9))]
         assert _batched([row]) == [row] and calls == []
@@ -312,8 +314,8 @@ class TestBatchedNms:
         overlap above the threshold and every other box overlaps a kept,
         higher-ranked one above it."""
         calls = []
-        real = evaluation.rotated_iou_pairs
-        monkeypatch.setattr(evaluation, "rotated_iou_pairs", lambda *args: calls.append(len(args[2])) or real(*args))
+        real = evaluation._iou_pairs
+        monkeypatch.setattr(evaluation, "_iou_pairs", lambda *args: calls.append(len(args[2])) or real(*args))
         rows, scores = _tile_scene(np.random.default_rng(7), 8000, 2048.0)
         kept = batched_rotated_nms(rows, scores, np.zeros(8000, dtype=int), 0.1)
         assert len(kept) > 4000 and 0 < len(calls) <= 20
@@ -321,7 +323,7 @@ class TestBatchedNms:
         rank = np.empty(8000, dtype=int)
         rank[order] = np.arange(8000)
         i, j = evaluation._candidate_pairs(rows, np.zeros(8000, dtype=int))
-        over = real(rows, rows, i, j) > 0.1
+        over = evaluation.rotated_iou_pairs(rows, rows, i, j) > 0.1
         is_kept = np.isin(np.arange(8000), kept)
         assert not (over & is_kept[i] & is_kept[j]).any()
         # each pair as (lower-ranked, higher-ranked)
@@ -726,6 +728,8 @@ FIRST_BAD_LINE_CASES = [  # lines, the first bad line, its error
     ([_DEGENERATE, "0 0 1 0 1 1 0 1 ship 2"], 1, "duplicate vertices"),
     (["0 0 1 0 1 1 0 1 ship 2", _DEGENERATE], 1, "difficult flag"),
     ([_GOOD, _DEGENERATE, _DEGENERATE.replace("ship", "car")], 2, "duplicate vertices"),
+    ([_GOOD, "0 0 1 0 1 x 0 1 ship 2"], 2, "could not convert string to float: 'x'"),  # the number before the flag
+    ([_GOOD, "0 0 1 0 1 x 0 1 car 0"], 2, "could not convert string to float: 'x'"),  # and before the category
 ]
 
 # the texts of the ingestion cases below, good and bad
@@ -967,8 +971,152 @@ class TestParseDetections:
             ([f"0.5 {good}", "0.5", f"1.5 {bad_box}"], f"line 2: expected {want} tokens, got 3"),
             ([f"0.5 {bad_box}", "0.5"], f"line 1: {box_error}"),
             ([f"0.5 {good}", f"x {good}", f"0.5 {bad_box}"], "line 2: could not convert string to float: 'x'"),
+            ([f"0.5 {good}", ("car", f"x {good}")], "line 2: unknown class 'car'"),  # the class before the numbers
         ):
-            text = "".join("\n" if line is None else f"im1 ship {line}\n" for line in lines)  # None: a blank line
+            # None: a blank line; (class, rest): a line of another class than ship
+            lines = [line if line is None or isinstance(line, tuple) else ("ship", line) for line in lines]
+            text = "".join("\n" if line is None else "im1 %s %s\n" % line for line in lines)
             with pytest.raises(AnnotationParseError) as exc:
                 parse_detections(text, CLASSES, quad_form=quad_form)
             assert str(exc.value) == error
+
+
+# float's accepted and rejected forms of a number: the readers convert with numpy and ask float only to name a bad line
+ACCEPTED_TOKENS = ["1_0", "Infinity", "+nan", "-iNF", "1e400", "1.0e-400", "-0", "\u0661e\u0662"]  # the last: 1e2 in Arabic-Indic
+REJECTED_TOKENS = ["0x10", "nan(123)", "1__0", "_1", "1e"]
+
+
+@pytest.mark.parametrize("tok", ACCEPTED_TOKENS + REJECTED_TOKENS)
+def test_numpy_reads_a_token_as_float_does(tok):
+    try:
+        want = float(tok)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            np.array([[tok]], dtype=float)
+        assert str(got.value) == str(exc)
+        return
+    got = np.array([[tok]], dtype=float)
+    assert got.shape == (1, 1)
+    assert np.isnan(got[0, 0]) if math.isnan(want) else got.tobytes() == np.array([[want]]).tobytes()
+
+
+FAULTS = ("could not convert", "tokens", "unknown", "difficult flag", "score", "")  # "": a fault in the geometry
+
+
+def _fault(outcome):
+    """The kind of a reader's outcome: its fault, or "columns"."""
+    got, _ = outcome
+    return next(f for f in FAULTS if f in got[1]) if isinstance(got[0], type) else "columns"
+
+
+def _outcome(read, caplog, *args):
+    """A reader's columns, arrays as their bits, or its error, and its warning records."""
+    caplog.clear()
+    try:
+        columns = read(*args)
+    except ValueError as exc:
+        got = (type(exc), str(exc), getattr(exc, "line_no", None), getattr(exc, "source", None))
+    else:
+        got = tuple((c.dtype, c.shape, c.tobytes()) if isinstance(c, np.ndarray) else repr(c) for c in columns)
+    return got, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+
+def _with_bad_token(lines, rng):
+    """Each variant of the token lists with one of the bad tokens on one
+    line, at a seeded position, every line in turn."""
+    for k, tokens in enumerate(lines):
+        if not tokens:
+            continue  # a blank line has no token to replace
+        for tok in ACCEPTED_TOKENS + REJECTED_TOKENS:
+            variant = [list(t) for t in lines]
+            variant[k][int(rng.integers(len(tokens)))] = tok
+            yield variant
+
+
+def _detection_lines(rng, quad_form):
+    """5-8 seeded detection lines as token lists, some blank, of the
+    wrong length, with a bad score or a degenerate box."""
+    lines = []
+    for _ in range(int(rng.integers(5, 9))):
+        box = canonicalize180(*rng.uniform(0, 100, 2), *rng.uniform(2, 20, 2), rng.uniform(-90, 90))
+        numbers = to_quad(box).as_array().ravel() if quad_form else (box.cx, box.cy, box.h, box.w, box.theta)
+        tokens = [f"im{rng.integers(3)}", str(rng.choice(["ship", "plane", "1", "-2"])), f"{rng.random():.3f}",
+                  *(f"{v:.4f}" for v in numbers)]
+        fault = rng.random()
+        if fault < 0.08:
+            tokens = []
+        elif fault < 0.12:
+            tokens.pop()
+        elif fault < 0.16:
+            tokens[2] = "1.5"
+        elif fault < 0.2:
+            tokens[5:7] = tokens[3:5] if quad_form else ["0", tokens[6]]
+        lines.append(tokens)
+    return lines
+
+
+def _dota_files(rng):
+    """2-3 seeded DOTA files as (image id, token lists): 0-2 header lines
+    and 0-5 body lines, some blank, of the wrong length, with a bad
+    difficult flag, a degenerate quad or an unknown category."""
+    files = []
+    for f in range(int(rng.integers(2, 4))):
+        lines = [["imagesource:GoogleEarth"], ["gsd:0.146343590398"]][: int(rng.integers(3))]
+        for _ in range(int(rng.integers(0, 6))):
+            box = canonicalize180(*rng.uniform(0, 100, 2), *rng.uniform(2, 20, 2), rng.uniform(-90, 90))
+            category = str(rng.choice(["ship", "plane", "car"], p=[0.45, 0.45, 0.1]))
+            tokens = [*(f"{v:.4f}" for v in to_quad(box).as_array().ravel()), category, str(int(rng.random() < 0.2))]
+            fault = rng.random()
+            if fault < 0.08:
+                tokens = []
+            elif fault < 0.12:
+                tokens.pop()
+            elif fault < 0.16:
+                tokens[9] = "2"
+            elif fault < 0.2:
+                tokens[2:4] = tokens[:2]
+            lines.append(tokens)
+        files.append((f"P{f}", lines))
+    return files
+
+
+def _text(lines):
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)
+
+
+class TestReadersAgainstLoopReaders:
+    """The one-conversion readers against the per-token loops they
+    replace, on seeded files with one bad token on every line in turn:
+    the same column bits, or the same error, line and source, and the
+    same warnings."""
+
+    @pytest.mark.parametrize("quad_form", [False, True])
+    def test_parse_detections(self, quad_form, caplog):
+        seen = Counter()
+        with caplog.at_level(logging.WARNING, logger="cslkit.evaluation"):
+            for seed in range(6):
+                rng = np.random.default_rng(seed)
+                for lines in _with_bad_token(_detection_lines(rng, quad_form), rng):
+                    text = _text(lines)
+                    want = _outcome(loop_parse_detections, caplog, text, CLASSES, quad_form)
+                    assert _outcome(parse_detections, caplog, text, CLASSES, quad_form) == want
+                    seen[_fault(want)] += 1
+        assert set(seen) == {"columns", *FAULTS} - {"difficult flag"}, seen
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_dota_files_columns(self, strict, caplog):
+        seen = Counter()
+        with caplog.at_level(logging.WARNING, logger="cslkit.evaluation"):
+            for seed in range(6):
+                rng = np.random.default_rng(seed)
+                files = _dota_files(rng)
+                for f, (image_id, lines) in enumerate(files):
+                    for variant in _with_bad_token(lines, rng):
+                        texts = [(i, _text(variant if k == f else body)) for k, (i, body) in enumerate(files)]
+                        want = _outcome(loop_dota_files_columns, caplog, texts, CLASSES, strict)
+                        assert _outcome(dota_files_columns, caplog, texts, CLASSES, strict) == want
+                        seen[_fault(want)] += 1
+                        if want[1]:
+                            seen["warnings"] += 1
+        kinds = {"columns", "could not convert", "tokens", "difficult flag", "", "unknown" if strict else "warnings"}
+        assert set(seen) == kinds, seen
