@@ -1,14 +1,16 @@
 """Command-line frontend.
 
 Subcommands: window, encode, decode, iou, quant-error, boundary-report,
-targets, nms, eval. Output is JSON (default) or CSV via --format; JSON
-payloads carry a schema_version field. Exit codes: 0 success, 1 usage
-error, 2 data error.
+targets, nms, eval. Output is JSON (default) or CSV via --format, the
+latter through the csv module; JSON payloads carry a schema_version field.
+Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import functools
 import json
 import sys
@@ -64,19 +66,11 @@ def _parse_gt(text):
 
 def _emit(args, payload_json, rows, header):
     """payload_json for --format json, (header, rows) for csv."""
-    out = sys.stdout
-    if getattr(args, "output", None):
-        out = open(args.output, "w")
-    try:
+    with open(args.output, "w", newline="") if args.output else contextlib.nullcontext(sys.stdout) as out:
         if args.format == "json":
             out.write(json.dumps(payload_json, indent=2) + "\n")
         else:
-            out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(",".join(str(v) for v in row) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            csv.writer(out, lineterminator="\n").writerows([header, *rows])
 
 
 def build_parser():
@@ -134,17 +128,16 @@ def build_parser():
 
 def _cmd_window(args):
     cfg = _codec_cfg(args)
-    curve = csl_codec.window_curve(cfg)
-    payload = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(), "curve": [[b, float(v)] for b, v in curve]}
-    _emit(args, payload, [(b, float(v)) for b, v in curve], ("bin", "value"))
+    curve = [(b, float(v)) for b, v in csl_codec.window_curve(cfg)]
+    payload = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(), "curve": curve}
+    _emit(args, payload, curve, ("bin", "value"))
 
 
 def _cmd_encode(args):
     cfg = _codec_cfg(args)
     label = csl_codec.encode(args.theta, cfg)
     payload = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict(), "theta": args.theta, **label.to_dict()}
-    rows = list(enumerate(label.values))
-    _emit(args, payload, [(b, float(v)) for b, v in rows], ("bin", "value"))
+    _emit(args, payload, list(enumerate(label.values.tolist())), ("bin", "value"))
 
 
 def _cmd_decode(args):
@@ -168,16 +161,9 @@ def _cmd_quant_error(args):
     stats = csl_codec.quantization_error_stats(args.omega)
     cfg = CslCodecConfig("pulse", 0.0, args.omega, f"range{args.angle_range}")
     mc_mean, mc_max = csl_codec.monte_carlo_roundtrip_error(cfg, samples=args.samples, seed=args.seed)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "omega": args.omega,
-        "max": stats.max_loss,
-        "expected": stats.expected_loss,
-        "mc_mean": mc_mean,
-        "mc_max": mc_max,
-    }
-    _emit(args, payload, [(args.omega, stats.max_loss, stats.expected_loss, mc_mean, mc_max)],
-          ("omega", "max", "expected", "mc_mean", "mc_max"))
+    header = ("omega", "max", "expected", "mc_mean", "mc_max")
+    row = (args.omega, stats.max_loss, stats.expected_loss, mc_mean, mc_max)
+    _emit(args, {"schema_version": SCHEMA_VERSION, **dict(zip(header, row))}, [row], header)
 
 
 def _cmd_boundary_report(args):

@@ -9,7 +9,8 @@ convention), or a quad form "image_id class score x1 y1 ... x4 y4".
 Detection files parse into columns (image ids, class ids, scores and
 (N, 5) long-edge rows), annotation files into the same with difficult
 flags for scores; a reader converts all its numbers in one call, searched
-line by line only to name a bad line, and reduces all its boxes in one.
+line by line only to name a bad line, and reduces all its boxes in one,
+rows the IoU kernel takes: a box it rejects is reported at its line.
 NMS checks its rows once and runs all groups on sort-and-sweep candidate
 pairs, one IoU kernel call per round of free detections; evaluate_columns
 matches over the same-image, same-class pairs of all images in one call,
@@ -310,6 +311,17 @@ def _numbers(token_lists, width, where, error):
         raise  # numpy failed on no token that float rejects
 
 
+def _reader_rows(boxes, where):
+    """Long-edge rows of boxes (K, 5) or quads (K, 8) within the IoU kernel's bounds; the first box that the
+    reduction or the kernel rejects raises AnnotationParseError at its (line, source) in where."""
+    try:
+        rows = min_area_rects(boxes.reshape(-1, 4, 2)) if boxes.shape[1] == 8 else canonicalize180_rows(boxes)
+        return _kernel_rows(rows, "box")
+    except InvalidGeometryError as exc:
+        _reader_rows(boxes[:exc.index], where)  # a box before it that the kernel rejects comes first
+        raise AnnotationParseError(str(exc), *where[exc.index]) from exc
+
+
 def ingest_dota(text, image_id, class_table, strict=False):
     """The ground-truth records of one file's dota_files_columns."""
     _, class_ids, difficult, rows = dota_files_columns([(image_id, text)], class_table, strict)
@@ -355,10 +367,7 @@ def dota_files_columns(files, class_table, strict=False):
         if category not in class_table:
             log.warning("%s: line %d: skipping unknown category %r", image_id, line_no, category)
     kept = [k for k, (_, category, _) in enumerate(labels[:len(numbers)]) if category in class_table]
-    try:
-        rows = min_area_rects(numbers[kept].reshape(-1, 4, 2))  # raised after the geometry of the lines before it
-    except InvalidGeometryError as exc:
-        raise AnnotationParseError(str(exc), *where[kept[exc.index]]) from exc
+    rows = _reader_rows(numbers[kept], [where[k] for k in kept])  # raised after the geometry of the lines before it
     if parse_error is not None:
         raise parse_error
     return [labels[k][0] for k in kept], [class_table[labels[k][1]] for k in kept], [labels[k][2] for k in kept], rows
@@ -390,10 +399,7 @@ def parse_detections(text, class_table, quad_form=False):
     scores = numbers[:, 0]
     bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))  # NaN fails both comparisons
     n = bad[0] + 1 if bad.size else len(scores)  # the boxes up to the first bad score
-    try:
-        rows = min_area_rects(numbers[:n, 1:].reshape(-1, 4, 2)) if quad_form else canonicalize180_rows(numbers[:n, 1:])
-    except InvalidGeometryError as exc:
-        raise AnnotationParseError(str(exc), *where[exc.index]) from None
+    rows = _reader_rows(numbers[:n, 1:], where)
     if bad.size:
         raise AnnotationParseError(f"score {scores[n - 1].item()} outside [0, 1]", *where[n - 1])
     if parse_error is not None:

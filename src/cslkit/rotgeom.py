@@ -281,8 +281,8 @@ def convex_intersection(p, q):
 
 def min_area_rects(quads):
     """Minimum-area enclosing rectangles of K quads (K, 4, 2) in any vertex
-    order, as (K, 5) rows (cx, cy, h, w, theta) in canonicalize180_rows'
-    convention; the exact inverse of to_quad for true rectangles.
+    order, as (K, 5) long-edge rows; to_quad's inverse for true rectangles,
+    but at the +-90 wrap rounding can return theta 180 degrees away.
 
     Such a rectangle has a side along a hull edge, which joins two of the
     vertices: each of the six vertex pairs, taken after sorting the
@@ -363,15 +363,15 @@ def _check_rows(rows):
     return rows
 
 
-def _kernel_rows(rows):
-    """_check_rows, then the bounds of rotated_iou_pairs; the first row outside them raises."""
+def _kernel_rows(rows, name="box row {}"):
+    """_check_rows, then rotated_iou_pairs' bounds; the first row outside them raises, named name.format(index)."""
     rows = _check_rows(rows)
     short, long = np.minimum(rows[:, 2], rows[:, 3]), np.maximum(rows[:, 2], rows[:, 3])
     bad = (short < 1e-8 * long) | (short < 1e-150) | (long > 1e150)
     if bad.any():
         k = int(np.argmax(bad))
-        raise InvalidGeometryError(f"box row {k} has sides {long[k]} and {short[k]}; the IoU kernel needs a short side "
-                                   "of at least 1e-8 of the long side and sides within [1e-150, 1e150]", index=k)
+        raise InvalidGeometryError(f"{name.format(k)} has sides {long[k]} and {short[k]}; the IoU kernel needs a short "
+                                   "side of at least 1e-8 of the long side and sides within [1e-150, 1e150]", index=k)
     return rows
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -105,22 +106,32 @@ def generate_anchors(spec, mode="horizontal"):
 @dataclass
 class AssignmentResult:
     """Per-anchor targets: label 1 = foreground, 0 = background,
-    -1 = ignore; foreground anchors carry their matched gt index,
-    regression target and circular angle label."""
+    -1 = ignore. The foreground anchors, in index order, key class_ids
+    and are the rows of offsets, bins and csl_values; the reg_targets
+    and csl_labels dicts are built from those rows on first read."""
 
     labels: np.ndarray  # (N,) int
     matched_gt: np.ndarray  # (N,) int, -1 where unmatched
     max_iou: np.ndarray  # (N,)
-    reg_targets: dict = field(default_factory=dict)  # anchor idx -> RegressionTarget
-    csl_labels: dict = field(default_factory=dict)  # anchor idx -> CslLabel
-    class_ids: dict = field(default_factory=dict)  # anchor idx -> class id
+    class_ids: dict  # anchor idx -> class id
+    offsets: np.ndarray  # (F, 5) regression offsets
+    bins: np.ndarray  # (F,) int, the matched gt's angle bin
+    csl_values: np.ndarray  # (F, T) circular labels
+
+    @functools.cached_property
+    def reg_targets(self):  # anchor idx -> RegressionTarget
+        return {i: RegressionTarget(*offset) for i, offset in zip(self.class_ids, self.offsets.tolist())}
+
+    @functools.cached_property
+    def csl_labels(self):  # anchor idx -> CslLabel
+        return dict(zip(self.class_ids, map(CslLabel, self.csl_values, self.bins.tolist())))
 
     def to_dict(self):
         return {
             "labels": self.labels.tolist(),
             "matched_gt": self.matched_gt.tolist(),
             "max_iou": self.max_iou.tolist(),
-            "foreground": sorted(int(i) for i in self.reg_targets),
+            "foreground": list(self.class_ids),
         }
 
 
@@ -157,14 +168,11 @@ def assign_targets(anchors, gts, cfg, csl_cfg):
             for i in np.concatenate([may[~forced[may]], may])[:1].tolist():  # the first free one, else the first
                 labels[i], matched[i], max_iou[i], forced[i] = 1, j, iou[i, j], True
         matched = np.where(labels == 1, matched, -1)
-    result = AssignmentResult(labels=labels, matched_gt=matched, max_iou=max_iou)
     fg = np.flatnonzero(labels == 1)
     fg_gts = matched[fg]
     offsets = encode_regression_rows(gt_rows[fg_gts], rows[fg])
     used = np.unique(fg_gts)  # the matched gts, each one's bin computed once
     bins = _bins(gt_rows[used, 4], csl_cfg)[np.searchsorted(used, fg_gts)]
-    for i, j, offset, gt_bin, values in zip(fg.tolist(), fg_gts.tolist(), offsets.tolist(), bins.tolist(), _window_rows(bins, csl_cfg)):
-        result.reg_targets[i] = RegressionTarget(*offset)
-        result.csl_labels[i] = CslLabel(values=values, gt_bin=gt_bin)
-        result.class_ids[i] = gt_classes[j]
-    return result
+    class_ids = {i: gt_classes[j] for i, j in zip(fg.tolist(), fg_gts.tolist())}
+    return AssignmentResult(labels=labels, matched_gt=matched, max_iou=max_iou, class_ids=class_ids, offsets=offsets,
+                            bins=bins, csl_values=_window_rows(bins, csl_cfg))

@@ -200,6 +200,12 @@ class TestNmsAndEval(object):
         assert [d["box"] for d in run_json(capsys, *argv)["kept"]] == [[10, 10, 20, 5, 0.1], [50, 50, 3, 3, -1e-20]]
         assert run(capsys, "--format", "csv", *argv)[1].splitlines()[1] == "im1,0,0.9,10.0,10.0,20.0,5.0,0.1"
 
+    def test_csv_quotes_an_image_id_with_a_comma(self, tmp_path, capsys):
+        dets = tmp_path / "dets.txt"
+        dets.write_text("P,1 ship 0.9 10 10 20 5 0.1\n")
+        code, out = run(capsys, "--format", "csv", "nms", "--dets", str(dets), "--classes", "ship")
+        assert (code, out) == (0, 'image_id,class_id,score,cx,cy,h,w,theta\n"P,1",0,0.9,10.0,10.0,20.0,5.0,0.1\n')
+
     def test_unknown_category_warning_names_its_file(self, tmp_path, capsys, caplog):
         dets = tmp_path / "dets.txt"
         dets.write_text("a ship 0.9 2 1 4 2 0\n")
@@ -370,6 +376,8 @@ class TestNmsAndEval(object):
         ("README", b"1 2 3\n", "README: line 1: expected 8 coordinates, category and difficult flag, got 3 tokens"),
         ("notes.bin", b"\x00\x87Bud1\xff", "notes.bin: 'utf-8' codec can't decode byte 0x87 in position 1: invalid start byte"),
         ("im2.txt", b"imagesource:x\n0 0 4 0 4 2 0 2 car 0\n", "im2.txt: line 2: unknown category 'car'"),
+        ("im2.txt", b"imagesource:x\n0 0 1 0 1 5e-9 0 5e-9 ship 0\n", "im2.txt: line 2: box has sides 1.0 and 5e-09; the "
+         "IoU kernel needs a short side of at least 1e-8 of the long side and sides within [1e-150, 1e150]"),
     ])
     def test_annotation_error_names_its_file(self, tmp_path, capsys, name, content, error):
         dets = tmp_path / "dets.txt"

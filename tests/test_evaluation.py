@@ -722,6 +722,7 @@ def _geometry_error_text(quad):
 _DEGENERATE = "0 0 0 0 1 1 0 1 ship 0"
 _MALFORMED = "0 0 1 0 1 1 0 ship 0"
 _GOOD = "0 0 4 0 4 2 0 2 ship 0"
+_THIN = "0 0 1 0 1 5e-9 0 5e-9 ship 0"  # a rectangle of aspect 5e-9, which the IoU kernel rejects
 FIRST_BAD_LINE_CASES = [  # lines, the first bad line, its error
     ([_GOOD, _DEGENERATE, _MALFORMED], 2, "duplicate vertices"),
     ([_GOOD, _MALFORMED, _DEGENERATE], 2, "tokens"),
@@ -730,6 +731,10 @@ FIRST_BAD_LINE_CASES = [  # lines, the first bad line, its error
     ([_GOOD, _DEGENERATE, _DEGENERATE.replace("ship", "car")], 2, "duplicate vertices"),
     ([_GOOD, "0 0 1 0 1 x 0 1 ship 2"], 2, "could not convert string to float: 'x'"),  # the number before the flag
     ([_GOOD, "0 0 1 0 1 x 0 1 car 0"], 2, "could not convert string to float: 'x'"),  # and before the category
+    ([_GOOD, _THIN, _DEGENERATE], 2, "box has sides 1.0 and 5e-09; the IoU kernel needs"),  # the kernel's fault first
+    ([_GOOD, _DEGENERATE, _THIN], 2, "duplicate vertices"),
+    ([_THIN, "0 0 1 0 1 1 0 1 ship 2"], 1, "the IoU kernel needs"),  # the geometry before a later parse fault
+    (["0 0 1 0 1 1 0 1 ship 2", _THIN], 1, "difficult flag"),
 ]
 
 # the texts of the ingestion cases below, good and bad
@@ -941,6 +946,9 @@ class TestQuadScale:
             _assert_same_box(OrientedBox180(*row), box, scale)
 
 
+KERNEL_NEEDS = "the IoU kernel needs a short side of at least 1e-8 of the long side and sides within [1e-150, 1e150]"
+
+
 class TestParseDetections:
     def test_box_form(self):
         image_ids, class_ids, scores, rows = parse_detections("im1 ship 0.9 1.0 2.0 8.0 3.0 35.0\n", CLASSES)
@@ -960,6 +968,8 @@ class TestParseDetections:
     @pytest.mark.parametrize("quad_form, good, bad_box, box_error", [
         (False, "1 2 8 3 35", "1 2 0 3 35", "non-positive sides: a=0.0, b=3.0"),
         (True, "0 0 4 0 4 2 0 2", "0 0 0 0 1 1 0 1", "duplicate vertices"),
+        (False, "1 2 8 3 35", "50 50 1 1e-9 10", f"box has sides 1.0 and 1e-09; {KERNEL_NEEDS}"),
+        (True, "0 0 4 0 4 2 0 2", "0 0 1 0 1 5e-9 0 5e-9", f"box has sides 1.0 and 5e-09; {KERNEL_NEEDS}"),
     ])
     def test_first_bad_line_wins(self, quad_form, good, bad_box, box_error):
         want = 11 if quad_form else 8

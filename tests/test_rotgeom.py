@@ -4,7 +4,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cslkit.rotgeom import (
@@ -523,13 +523,14 @@ class TestQuadToBox180:
         b=st.floats(0.2, 10),
         theta=st.floats(-180, 180),
     )
+    @example(cx=0, cy=0, a=0.25, b=3, theta=179.99999999999997)  # theta 89.99999999999997 comes back as -90.0
     @settings(max_examples=100)
     def test_inverse_of_to_quad(self, cx, cy, a, b, theta):
         box = canonicalize180(cx, cy, a, b, theta)
         r = quad_to_box180(to_quad(box))
         assert (r.cx, r.cy, r.h, r.w) == pytest.approx((box.cx, box.cy, box.h, box.w), abs=1e-6)
-        if abs(box.h - box.w) > 1e-6:
-            assert r.theta == pytest.approx(box.theta, abs=1e-6)
+        if abs(box.h - box.w) > 1e-6:  # theta is periodic: the difference wrapped into [-90, 90)
+            assert abs((r.theta - box.theta + 90.0) % 180.0 - 90.0) <= 1e-6
 
 
 SCALES = [1e-6, 1e-3, 1.0, 1e3, 1e6]

@@ -8,8 +8,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from cslkit.csl_codec import CslCodecConfig, encode
-from cslkit.losses import encode_regression
+from cslkit.csl_codec import CslCodecConfig, CslLabel, encode
+from cslkit.losses import RegressionTarget, encode_regression
 from cslkit.targets import AnchorGridSpec, AnchorSet, AssignmentConfig, assign_targets, generate_anchors
 from cslkit.rotgeom import (OrientedBox90, OrientedBox180, aligned_bbox, aligned_bboxes, aligned_iou, aligned_iou_matrix, box_rows,
                             canonicalize90, canonicalize180, rotated_iou_matrix, to_quad)
@@ -329,9 +329,19 @@ class TestAnchorSet:
         gts = [(canonicalize180(12, 12, 10, 5, 20), 0), (canonicalize90(20, 9, 6, 3, -30), 1)]
         built, check = [], OrientedBox180.__post_init__
         monkeypatch.setattr(OrientedBox180, "__post_init__", lambda box: built.append(box) or check(box))
+        made = []  # the RegressionTarget and CslLabel records, as their types
+        for record in (RegressionTarget, CslLabel):
+            monkeypatch.setattr(record, "__init__", lambda self, *args, init=record.__init__, **kwargs:
+                                made.append(type(self)) or init(self, *args, **kwargs))
         anchors = generate_anchors(AnchorGridSpec(image_size=32, strides=(8, 16)), mode)
         res = assign_targets(anchors, gts, AssignmentConfig(anchor_mode=mode), CSL_CFG)
         assert built == [] and (res.labels == 1).any()
+        assert made == []
+        f = int((res.labels == 1).sum())
+        for _ in range(2):  # each dict is built in one pass on its first read, then kept
+            assert len(res.reg_targets) == len(res.csl_labels) == f
+            assert made == [RegressionTarget] * f + [CslLabel] * f
+        assert built == []
         got = [anchors[3], anchors[-1], *anchors[2:5]]
         assert built == got and [list(astuple(box)) for box in built] == anchors.rows[[3, -1, 2, 3, 4]].tolist()
         with pytest.raises(IndexError):
