@@ -143,7 +143,7 @@ def _cmd_encode(args):
 def _cmd_decode(args):
     cfg = _codec_cfg(args)
     if args.scores.startswith("@"):
-        text = Path(args.scores[1:]).read_text()
+        text = Path(args.scores[1:]).read_text(encoding="utf-8-sig")
         scores = [float(t) for t in text.replace(",", " ").split()]
     else:
         scores = [float(t) for t in args.scores.split(",")]
@@ -196,7 +196,7 @@ def _class_table(names, option="--classes"):
 
 def _cmd_nms(args):
     table = _class_table(args.classes)
-    image_ids, class_ids, scores, rows = evaluation.parse_detections(Path(args.dets).read_text(), table)
+    image_ids, class_ids, scores, rows = evaluation.parse_detections(Path(args.dets).read_text(encoding="utf-8-sig"), table)
     keys = list(zip(image_ids, class_ids))
     rank = {key: g for g, key in enumerate(sorted(set(keys)))}  # kept detections come out by (image, class)
     kept = evaluation.batched_rotated_nms(rows, scores, [rank[key] for key in keys], args.iou_thresh)
@@ -213,13 +213,13 @@ def _cmd_eval(args):
     unknown = [c for c in _class_table(args.subset, "--subset") if c not in table]
     if unknown:
         raise ValueError(f"--subset class {unknown[0]!r} is not one of --classes")
-    dets = evaluation.parse_detections(Path(args.dets).read_text(), table)
+    dets = evaluation.parse_detections(Path(args.dets).read_text(encoding="utf-8-sig"), table)
     # hidden files such as .DS_Store are not annotations
     paths = [path for path in sorted(Path(args.ann_dir).iterdir()) if path.is_file() and not path.name.startswith(".")]
     files, read_error = [], None  # the annotation files up to the first that cannot be read
     for path in paths:
         try:
-            files.append((path.stem, path.read_text()))
+            files.append((path.stem, path.read_text(encoding="utf-8-sig")))
         except (ValueError, OSError) as exc:
             read_error = ValueError(f"{path.name}: {exc}")
             break

@@ -13,9 +13,9 @@ line by line only to name a bad line, and reduces all its boxes in one,
 rows the IoU kernel takes: a box it rejects is reported at its line.
 NMS checks its rows once and runs all groups on sort-and-sweep candidate
 pairs, one IoU kernel call per round of free detections; evaluate_columns
-matches over the same-image, same-class pairs of all images in one call,
-then computes every class's curve and both APs in one array pass. The
-record APIs wrap the column code. IoU thresholds lie in [0, 1].
+checks its rows once, matches the same-image, same-class pairs of all
+images in one kernel call and computes every class's curve and both APs
+in one array pass. Record APIs wrap both. IoU thresholds lie in [0, 1].
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .rotgeom import (InvalidGeometryError, OrientedBox180, _iou_pairs, _kernel_rows, box_rows, canonicalize180_rows,
-                      min_area_rects, rotated_iou_pairs)
+                      min_area_rects)
 
 log = logging.getLogger(__name__)
 
@@ -205,7 +205,7 @@ def _hits(dets, gts, iou_thresh):
     """Each detection's match, the first gt of its image and class with
     the strictly largest IoU, as a gt index if that IoU is above 0 and at
     least iou_thresh, else -1. The (detection, gt) pairs of the same image
-    and class, over all images, go through one rotated_iou_pairs call."""
+    and class, all images' at once, go straight to one IoU kernel call."""
     (det_ids, det_class, _, det_rows), (gt_ids, gt_class, _, gt_rows) = dets, gts
     keys = {}
     gt_key = np.array([keys.setdefault(key, len(keys)) for key in zip(gt_ids, gt_class)], dtype=int)
@@ -218,7 +218,7 @@ def _hits(dets, gts, iou_thresh):
     seg = np.cumsum(n) - n  # where each detection's pairs start
     di = np.repeat(np.arange(len(det_key)), n)
     gi = by_key[np.arange(len(di)) + np.repeat(first[det_key] - seg, n)]
-    iou = rotated_iou_pairs(np.reshape(det_rows, (-1, 5)), np.reshape(gt_rows, (-1, 5)), di, gi)
+    iou = _iou_pairs(_kernel_rows(det_rows), _kernel_rows(gt_rows), di, gi)  # rows checked once, pairs in range
     has = np.flatnonzero(n)
     best = np.maximum.reduceat(iou, seg[has])
     at = np.minimum.reduceat(np.where(iou == np.repeat(best, n[has]), np.arange(len(iou)), len(iou)), seg[has])
@@ -272,10 +272,9 @@ def evaluate_columns(dets, gts, class_names, iou_thresh=0.5):
     curve[:, cls, np.arange(len(cls)) - bounds[cls] + 1] = recall, precision
     p = np.maximum.accumulate(p[:, ::-1], axis=1)[:, ::-1]  # monotonized: the best precision at any higher recall
     scored = (bounds[1:] > bounds[:-1]) & (n_pos > 0)
-    # VOC07: the mean of p at the recalls 0, 0.1, ..., 1 (0 past the last), where p's index is 1 + the number of
-    # recalls below; summed left to right, as np.sum can move the last bit
-    below = np.bincount(cls * 12 + np.searchsorted(_VOC07_RECALLS, recall, side="right"), minlength=12 * n_class)
-    at = np.cumsum(below.reshape(n_class, 12), axis=1)[:, :11] + 1
+    # VOC07: the mean of p at the recalls 0, 0.1, ..., 1 (0 past the last), p's index the number of r's entries below
+    # the point (none at 0; p[:, 0] == p[:, 1] once monotonized); summed left to right, as np.sum can move the last bit
+    at = (r[:, None] < _VOC07_RECALLS[:, None]).sum(axis=2)
     voc07 = np.where(scored, functools.reduce(operator.add, np.take_along_axis(p, at, axis=1).T) / 11.0, 0.0)
     # VOC12: the area under p over recall, one np.sum-style pairwise sum per class (np.add.reduceat rounds differently)
     step = r[:, 1:] - r[:, :-1]
@@ -307,7 +306,7 @@ def _numbers(token_lists, width, where, error):
             try:
                 list(map(float, tokens))
             except ValueError as exc:
-                return _numbers(token_lists[:k], width, where, AnnotationParseError(str(exc), *where[k]))
+                return np.array(token_lists[:k], dtype=float).reshape(-1, width), AnnotationParseError(str(exc), *where[k])
         raise  # numpy failed on no token that float rejects
 
 
@@ -389,7 +388,7 @@ def parse_detections(text, class_table, quad_form=False):
         if len(tokens) != want:
             parse_error = AnnotationParseError(f"expected {want} tokens, got {len(tokens)}", line_no)
             break
-        if tokens[1] not in class_table and not tokens[1].removeprefix("-").isdecimal():  # exactly what int() takes
+        if tokens[1] not in class_table and not tokens[1].removeprefix("-").isdecimal():  # an optional "-", then decimal digits
             parse_error = AnnotationParseError(f"unknown class {tokens[1]!r}", line_no)
             break
         lines.append(tokens)

@@ -14,11 +14,11 @@ Both conventions are views of one angle reduction, canonicalize180_rows,
 from rows ``(cx, cy, a, b, theta of side a)``, the layout the geometry
 kernels take, to long-edge rows ``(cx, cy, h, w, theta)``; canonical rows
 come back unchanged. box_rows gives the long-edge rows of either record
-type. One rotated-IoU kernel is behind rotated_iou_pairs (K pairs of
-rows, aligned or by index) and rotated_iou_matrix (all pairs of two
-sets); it clips each edge of either box to the other, as the range of
-its parameter that lies inside, and sums the inside pieces by Green's
-theorem; rows it cannot compute raise InvalidGeometryError there.
+type. One rotated-IoU kernel, clipping each edge of either box to the
+other and summing the inside pieces by Green's theorem, is behind
+rotated_iou_pairs (K pairs, aligned or by index) and rotated_iou_matrix
+(all pairs of two sets); each checks a row argument once, an empty list
+as zero rows, and raises InvalidGeometryError for rows it cannot take.
 """
 
 from __future__ import annotations
@@ -356,6 +356,7 @@ def box_rows(boxes):
 
 def _check_rows(rows):
     rows = np.asarray(rows, dtype=float)
+    rows = rows.reshape(0, 5) if rows.shape == (0,) else rows  # an empty list is zero rows
     if rows.ndim != 2 or rows.shape[1] != 5:
         raise InvalidGeometryError(f"expected (N, 5) box rows, got shape {rows.shape}")
     if not (np.isfinite(rows).all() and rows[:, 2:4].min(initial=np.inf) > 0):
@@ -364,7 +365,7 @@ def _check_rows(rows):
 
 
 def _kernel_rows(rows, name="box row {}"):
-    """_check_rows, then rotated_iou_pairs' bounds; the first row outside them raises, named name.format(index)."""
+    """_check_rows, then the IoU kernel's bounds; the first row outside them raises, named name.format(index)."""
     rows = _check_rows(rows)
     short, long = np.minimum(rows[:, 2], rows[:, 3]), np.maximum(rows[:, 2], rows[:, 3])
     bad = (short < 1e-8 * long) | (short < 1e-150) | (long > 1e150)
@@ -408,9 +409,10 @@ def rotated_iou_pairs(a, b, i=None, j=None):
     depend on coordinate scale or translation, nor on the other pairs of
     the call. Pairs whose circumcircles do not meet are 0 without further
     work; the others go through the kernel PAIR_CHUNK pairs at a time.
-    A row of a or b with a short side below 1e-8 of the long one (REL_EPS
-    of the pair's size would swallow it) or a side outside [1e-150, 1e150] raises."""
-    a, b = (_kernel_rows(a),) * 2 if b is a else (_kernel_rows(a), _kernel_rows(b))
+    a and b are each checked once, whole: a row with a short side below
+    1e-8 of the long one (REL_EPS of the pair's size would swallow it) or
+    a side outside [1e-150, 1e150] raises, whether a pair reads it or not."""
+    a, b = _kernel_rows(a), _kernel_rows(b)
     if i is None and j is None:
         if a.shape != b.shape:
             raise InvalidGeometryError(f"pair lists differ in shape: {a.shape} and {b.shape}")
@@ -424,12 +426,11 @@ def rotated_iou_pairs(a, b, i=None, j=None):
 
 
 def rotated_iou_matrix(a, b):
-    """Exact IoU of every pair of two sets of oriented boxes, given as
-    (N, 5) and (M, 5) box rows; returns the (N, M) matrix, whose entry
-    (i, j) is rotated_iou_pairs of a[i] and b[j], from one call over the
-    index pairs."""
-    n, m = len(a), len(b)
-    return rotated_iou_pairs(a, b, *np.divmod(np.arange(n * m), m)).reshape(n, m)
+    """Exact IoU (N, M) of every pair of oriented boxes of (N, 5) and (M, 5) box rows a
+    and b, each checked once as rotated_iou_pairs checks them: entry (i, j) is the IoU
+    of a[i] and b[j], from one kernel call over the index pairs."""
+    a, b = _kernel_rows(a), _kernel_rows(b)
+    return _iou_pairs(a, b, *np.divmod(np.arange(len(a) * len(b)), len(b))).reshape(len(a), len(b))
 
 
 def rotated_iou(a, b):

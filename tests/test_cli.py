@@ -62,6 +62,12 @@ class TestEncodeDecode:
         decoded = run_json(capsys, "decode", "--scores", scores)
         assert decoded["theta"] == pytest.approx(37.5)
 
+    def test_scores_file_with_byte_order_mark(self, tmp_path, capsys):
+        scores = tmp_path / "scores.txt"
+        scores.write_text("0.1,0.9,0.2\n", encoding="utf-8-sig")
+        argv = ("decode", "--omega", "30", "--range", "90", "--r", "1", "--scores")
+        assert run_json(capsys, *argv, f"@{scores}") == run_json(capsys, *argv, "0.1,0.9,0.2")
+
     def test_out_of_range_theta_is_data_error(self, capsys):
         code, _ = run(capsys, "encode", "--theta", "170")
         assert code == 2
@@ -219,6 +225,20 @@ class TestNmsAndEval(object):
         assert code == 0 and json.loads(out)["ap12"] == {"ship": 0.5}
         assert [r.getMessage() for r in caplog.records] == [
             "a: line 2: skipping unknown category 'tank'", "b: line 2: skipping unknown category 'tank'"]
+
+    @pytest.mark.parametrize("bom_in", [("ann",), ("dets",), ("ann", "dets")])
+    def test_byte_order_mark_is_not_read_as_data(self, tmp_path, capsys, bom_in):
+        # a UTF-8 byte-order mark, as some editors write one, before a file's first line
+        encoding = {name: "utf-8-sig" if name in bom_in else "utf-8" for name in ("ann", "dets")}
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        (ann / "P1.txt").write_text("0 0 4 0 4 2 0 2 ship 0\n20 0 24 0 24 2 20 2 ship 0\n", encoding=encoding["ann"])
+        dets = tmp_path / "dets.txt"
+        dets.write_text("P1 ship 0.9 2 1 4 2 0\nP1 ship 0.8 22 1 4 2 0\n", encoding=encoding["dets"])
+        report = run_json(capsys, "eval", "--dets", str(dets), "--ann-dir", str(ann), "--classes", "ship")
+        assert (report["ap07"], report["ap12"]) == ({"ship": 1.0}, {"ship": 1.0})
+        kept = run_json(capsys, "nms", "--dets", str(dets), "--classes", "ship")["kept"]
+        assert [d["image_id"] for d in kept] == ["P1", "P1"]
 
     def test_eval_pipeline(self, tmp_path, capsys):
         ann = tmp_path / "ann"

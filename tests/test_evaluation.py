@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cslkit import evaluation
+from cslkit import evaluation, rotgeom
 from cslkit.cli import main
 from cslkit.evaluation import (
     AnnotationParseError,
@@ -295,6 +295,7 @@ class TestBatchedNms:
 
     def test_no_groups(self):
         assert batched_rotated_nms(np.empty((0, 5)), [], []).tolist() == []
+        assert batched_rotated_nms([], [], []).tolist() == []  # an empty list is zero rows
 
     def test_kernel_calls_follow_overlap_chains(self, monkeypatch):
         calls = []
@@ -323,7 +324,7 @@ class TestBatchedNms:
         rank = np.empty(8000, dtype=int)
         rank[order] = np.arange(8000)
         i, j = evaluation._candidate_pairs(rows, np.zeros(8000, dtype=int))
-        over = evaluation.rotated_iou_pairs(rows, rows, i, j) > 0.1
+        over = rotgeom.rotated_iou_pairs(rows, rows, i, j) > 0.1
         is_kept = np.isin(np.arange(8000), kept)
         assert not (over & is_kept[i] & is_kept[j]).any()
         # each pair as (lower-ranked, higher-ranked)
@@ -499,12 +500,38 @@ class TestOneCallMatching:
     def test_one_call_for_any_number_of_images(self, monkeypatch, images):
         dets, gts = _crowded_scene(np.random.default_rng(images), images=images)
         calls = []
-        real = evaluation.rotated_iou_pairs
+        real = evaluation._iou_pairs
         # the pairs go in as indices into the detection and gt rows
-        monkeypatch.setattr(evaluation, "rotated_iou_pairs", lambda a, b, i, j: calls.append(len(i)) or real(a, b, i, j))
+        monkeypatch.setattr(evaluation, "_iou_pairs", lambda a, b, i, j: calls.append(len(i)) or real(a, b, i, j))
         evaluate(dets, gts, ["ship", "plane", "harbor"])
         same = sum(d.image_id == g.image_id and d.class_id == g.class_id for d in dets for g in gts)
         assert calls == [same]
+
+    def test_rows_checked_once_and_pairs_not_rechecked(self, monkeypatch):
+        """Each public call checks each of its row arguments once
+        (_kernel_rows); the paths that build their own index pairs hand
+        them to the kernel, not back through rotated_iou_pairs."""
+        dets, gts = _crowded_scene(np.random.default_rng(4))
+        names = ["ship", "plane", "harbor"]
+        a, b = box_rows([d.box for d in dets]), box_rows([g.box for g in gts])
+        scores = np.array([d.score for d in dets])
+        # the expected results, from rotated_iou_pairs and the oracles, before any patch
+        want_iou = rotgeom.rotated_iou_pairs(a, b, *np.divmod(np.arange(len(a) * len(b)), len(b))).reshape(len(a), -1)
+        want_report = loop_evaluate(det_columns(dets), gt_columns(gts), names).to_json()
+        want_kept = [dets[k] for k in lockstep_batched_rotated_nms(a, scores, np.zeros(len(dets), dtype=int), 0.3)]
+        checked = []
+        real = rotgeom._kernel_rows
+        for module in (rotgeom, evaluation):
+            monkeypatch.setattr(module, "_kernel_rows", lambda rows, *args: checked.append(len(rows)) or real(rows, *args))
+        assert rotgeom.rotated_iou_pairs(a, a, [0], [1]).shape == (1,) and checked == [len(a), len(a)]
+        monkeypatch.setattr(rotgeom, "rotated_iou_pairs", None)  # no path may call it
+        for run, want, rows in ((lambda: rotgeom.rotated_iou_matrix(a, b), want_iou, [a, b]),
+                                (lambda: evaluate(dets, gts, names).to_json(), want_report, [a, b]),
+                                (lambda: rotated_nms(dets, 0.3), want_kept, [a])):
+            checked.clear()
+            got = run()
+            assert got == want if isinstance(want, (str, list)) else np.array_equal(got, want)
+            assert checked == [len(r) for r in rows]
 
     @pytest.mark.parametrize("seed", range(2))
     def test_multi_image_matches_per_class_reference(self, seed):

@@ -803,7 +803,8 @@ class TestIouMatrixKernel:
         assert rotated_iou(b90, _shifted(b180, 1.0, 0.0)) == pytest.approx(clipped_iou(b90, _shifted(b180, 1.0, 0.0)), abs=1e-12)
 
     def test_empty(self):
-        assert rotated_iou_matrix(np.zeros((0, 5)), box_rows([_box(0, 0, 2, 1, 0)])).shape == (0, 1)
+        for empty in (np.zeros((0, 5)), []):
+            assert rotated_iou_matrix(empty, box_rows([_box(0, 0, 2, 1, 0)])).shape == (0, 1)
 
     @pytest.mark.parametrize("theta", [0.0, 30.0, -45.0, 89.0])
     def test_explicit_cases(self, theta):
@@ -914,7 +915,8 @@ class TestIouPairs:
         assert got[5] == got[6] == 0.0  # pruned without the kernel
 
     def test_empty(self):
-        assert rotated_iou_pairs(np.zeros((0, 5)), np.zeros((0, 5))).shape == (0,)
+        for empty in (np.zeros((0, 5)), []):
+            assert rotated_iou_pairs(empty, empty).shape == (0,)
 
     def test_rejects_bad_input(self):
         rows = np.array([[0.0, 0.0, 4.0, 2.0, 10.0]] * 3)
@@ -922,6 +924,10 @@ class TestIouPairs:
             rotated_iou_pairs(rows, rows[:2])
         with pytest.raises(InvalidGeometryError):
             rotated_iou_pairs(rows[:, :4], rows[:, :4])
+        # only an empty sequence, shape (0,), reads as zero rows
+        for shape in ((3,), (0, 4)):
+            with pytest.raises(InvalidGeometryError, match=re.escape(f"expected (N, 5) box rows, got shape {shape}")):
+                rotated_iou_pairs(np.ones(shape), np.ones(shape))
         bad = rows.copy()
         bad[1, 3] = math.nan
         with pytest.raises(InvalidGeometryError):

@@ -357,6 +357,7 @@ class TestAnchorSet:
         assert anchors.rows.shape == (len(anchors), 5) and anchors.bboxes.shape == (len(anchors), 4)
         empty = generate_anchors(AnchorGridSpec(image_size=64, strides=()), mode)
         assert tuple(empty) == () and empty.rows.shape == (0, 5) and empty.bboxes.shape == (0, 4)
+        assert aligned_bboxes([]).shape == (0, 4)  # an empty list is zero rows
 
     def test_immutable(self):
         anchors = generate_anchors(AnchorGridSpec(image_size=32, strides=(16,)))
