@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -41,12 +42,7 @@ def _add_codec_args(p):
 
 
 def _codec_cfg(args):
-    return CslCodecConfig(
-        window_kind=args.kind,
-        radius_r=args.radius,
-        omega=args.omega,
-        angle_range=f"range{args.angle_range}",
-    )
+    return CslCodecConfig(args.kind, args.radius, args.omega, f"range{args.angle_range}")
 
 
 def _parse_box(text):
@@ -65,12 +61,12 @@ def _parse_gt(text):
 
 
 def _emit(args, payload_json, rows, header):
-    """payload_json for --format json, (header, rows) for csv."""
+    """payload_json for --format json, (header, rows) for csv; rows may be a generator, consumed as written."""
     with open(args.output, "w", newline="") if args.output else contextlib.nullcontext(sys.stdout) as out:
         if args.format == "json":
             out.write(json.dumps(payload_json, indent=2) + "\n")
         else:
-            csv.writer(out, lineterminator="\n").writerows([header, *rows])
+            csv.writer(out, lineterminator="\n").writerows(itertools.chain([header], rows))
 
 
 def build_parser():
@@ -197,15 +193,13 @@ def _class_table(names, option="--classes"):
 def _cmd_nms(args):
     table = _class_table(args.classes)
     image_ids, class_ids, scores, rows = evaluation.parse_detections(Path(args.dets).read_text(encoding="utf-8-sig"), table)
-    keys = list(zip(image_ids, class_ids))
-    rank = {key: g for g, key in enumerate(sorted(set(keys)))}  # kept detections come out by (image, class)
-    kept = evaluation.batched_rotated_nms(rows, scores, [rank[key] for key in keys], args.iou_thresh)
-    out = [(image_ids[k], class_ids[k], *v) for k, v in zip(kept.tolist(), np.column_stack([scores, rows])[kept].tolist())]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kept": [{"image_id": image_id, "class_id": cid, "score": score, "box": box} for image_id, cid, score, *box in out],
-    }
-    _emit(args, payload, out, ("image_id", "class_id", "score", "cx", "cy", "h", "w", "theta"))
+    rank = {key: g for g, key in enumerate(sorted(set(zip(image_ids, class_ids))))}  # kept come out by (image, class)
+    kept = evaluation.batched_rotated_nms(rows, scores, [rank[key] for key in zip(image_ids, class_ids)], args.iou_thresh)
+    payload = {"schema_version": SCHEMA_VERSION, "kept": [  # one dict per kept detection, from the kept columns
+        {"image_id": image_ids[k], "class_id": class_ids[k], "score": score, "box": box}
+        for k, score, box in zip(kept.tolist(), scores[kept].tolist(), rows[kept].tolist())]}
+    csv_rows = ((d["image_id"], d["class_id"], d["score"], *d["box"]) for d in payload["kept"])
+    _emit(args, payload, csv_rows, ("image_id", "class_id", "score", "cx", "cy", "h", "w", "theta"))
 
 
 def _cmd_eval(args):

@@ -8,9 +8,10 @@ convention), or a quad form "image_id class score x1 y1 ... x4 y4".
 
 Detection files parse into columns (image ids, class ids, scores and
 (N, 5) long-edge rows), annotation files into the same with difficult
-flags for scores; a reader converts all its numbers in one call, searched
-line by line only to name a bad line, and reduces all its boxes in one,
-rows the IoU kernel takes: a box it rejects is reported at its line.
+flags for scores. A reader keeps flat lists of tokens and line numbers, no
+container per line; it converts all its numbers in one call, searched only
+to name a bad line, and reduces all its boxes in one, to rows the IoU
+kernel takes: a box it rejects is reported at its line.
 NMS checks its rows once and runs all groups on sort-and-sweep candidate
 pairs, one IoU kernel call per round of free detections; evaluate_columns
 checks its rows once, matches the same-image, same-class pairs of all
@@ -287,38 +288,37 @@ def evaluate_columns(dets, gts, class_names, iou_thresh=0.5):
     return EvalReport(ap07=ap07, ap12=ap12, map07=map07, map12=map12, pr_curves=curves)
 
 
-def _is_number(tok):
+def _float_error(tok):
+    """float's message for a token it rejects, else None."""
     try:
         float(tok)
-        return True
-    except ValueError:
-        return False
+    except ValueError as exc:
+        return str(exc)
 
 
-def _numbers(token_lists, width, where, error):
-    """The numbers (K, width) of K lists of width tokens, in one conversion,
-    and error; or, if float rejects a token, those of the lists before its
-    own and float's AnnotationParseError at that list's (line, source)."""
+def _numbers(tokens, width, error, where):
+    """The numbers (K, width) of K rows of width tokens, one flat list, in
+    one conversion, and error; or, if float rejects a token, those of the
+    rows before its own and float's AnnotationParseError at where(row)."""
     try:
-        return np.array(token_lists, dtype=float).reshape(-1, width), error
-    except ValueError:  # numpy reads a token as float does, so one list has a token float rejects: name it
-        for k, tokens in enumerate(token_lists):
-            try:
-                list(map(float, tokens))
-            except ValueError as exc:
-                return np.array(token_lists[:k], dtype=float).reshape(-1, width), AnnotationParseError(str(exc), *where[k])
+        return np.array(tokens, dtype=float).reshape(-1, width), error
+    except ValueError:  # numpy reads a token as float does, so float rejects a token: name its row
+        for k, message in enumerate(map(_float_error, tokens)):
+            if message:
+                k //= width
+                return np.array(tokens[:k * width], dtype=float).reshape(-1, width), AnnotationParseError(message, *where(k))
         raise  # numpy failed on no token that float rejects
 
 
 def _reader_rows(boxes, where):
     """Long-edge rows of boxes (K, 5) or quads (K, 8) within the IoU kernel's bounds; the first box that the
-    reduction or the kernel rejects raises AnnotationParseError at its (line, source) in where."""
+    reduction or the kernel rejects raises AnnotationParseError at where(box), its (line, source)."""
     try:
         rows = min_area_rects(boxes.reshape(-1, 4, 2)) if boxes.shape[1] == 8 else canonicalize180_rows(boxes)
         return _kernel_rows(rows, "box")
     except InvalidGeometryError as exc:
         _reader_rows(boxes[:exc.index], where)  # a box before it that the kernel rejects comes first
-        raise AnnotationParseError(str(exc), *where[exc.index]) from exc
+        raise AnnotationParseError(str(exc), *where(exc.index)) from exc
 
 
 def ingest_dota(text, image_id, class_table, strict=False):
@@ -338,49 +338,55 @@ def dota_files_columns(files, class_table, strict=False):
     categories raise in strict mode and are skipped otherwise, with a
     warning naming the image id and line. Of several bad lines, the first
     in the first file with any is reported, its fault in the parsing or in
-    the geometry, with the file's position as the error's source.
+    the geometry, with the file's position as the error's source. The
+    lines leave flat lists of tokens, ints and flags, no container each.
     """
-    quads, where, labels, parse_error = [], [], [], None  # labels: of the lines whose layout passed
+    quads, line_nos, sources, image_ids, categories, difficult, parse_error = [], [], [], [], [], [], None
     try:
         for source, (image_id, text) in enumerate(files):
             body_started = False
             for line_no, raw in enumerate(text.splitlines(), start=1):
                 tokens = raw.split()
-                if not tokens or not (body_started or _is_number(tokens[0])):
+                if not tokens or not body_started and _float_error(tokens[0]):
                     continue  # blank, or a header / metadata line
                 body_started = True
                 if len(tokens) != 10:
                     raise AnnotationParseError(f"expected 8 coordinates, category and difficult flag, got "
                                                f"{len(tokens)} tokens", line_no)
-                quads.append(tokens[:8])  # its numbers are checked before its flag and category
-                where.append((line_no, source))
+                quads += tokens[:8]  # its numbers are checked before its flag and category
+                line_nos.append(line_no)
+                sources.append(source)
                 if tokens[9] not in ("0", "1"):
                     raise AnnotationParseError(f"difficult flag must be 0 or 1, got {tokens[9]!r}", line_no)
                 if strict and tokens[8] not in class_table:
                     raise AnnotationParseError(f"unknown category {tokens[8]!r}", line_no)
-                labels.append((image_id, tokens[8], tokens[9] == "1"))
+                image_ids.append(image_id)  # the labels, of the lines whose layout passed
+                categories.append(tokens[8])
+                difficult.append(tokens[9] == "1")
     except AnnotationParseError as exc:
         exc.source, parse_error = source, exc
-    numbers, parse_error = _numbers(quads, 8, where, parse_error)
-    for (image_id, category, _), (line_no, _) in zip(labels[:len(numbers)], where):
+    numbers, parse_error = _numbers(quads, 8, parse_error, lambda k: (line_nos[k], sources[k]))
+    for image_id, category, line_no in zip(image_ids[:len(numbers)], categories, line_nos):
         if category not in class_table:
             log.warning("%s: line %d: skipping unknown category %r", image_id, line_no, category)
-    kept = [k for k, (_, category, _) in enumerate(labels[:len(numbers)]) if category in class_table]
-    rows = _reader_rows(numbers[kept], [where[k] for k in kept])  # raised after the geometry of the lines before it
+    kept = [k for k, category in enumerate(categories[:len(numbers)]) if category in class_table]
+    rows = _reader_rows(numbers[kept], lambda k: (line_nos[kept[k]], sources[kept[k]]))  # before the parse fault
     if parse_error is not None:
         raise parse_error
-    return [labels[k][0] for k in kept], [class_table[labels[k][1]] for k in kept], [labels[k][2] for k in kept], rows
+    return [image_ids[k] for k in kept], [class_table[categories[k]] for k in kept], [difficult[k] for k in kept], rows
 
 
 def parse_detections(text, class_table, quad_form=False):
     """Parse a detection file (see the module docstring for the line
     formats) into columns: image ids and class ids (lists, so any int
     fits), scores (N,) and long-edge box rows (N, 5), all boxes reduced
-    in one canonicalize180_rows or min_area_rects call. Of several bad
-    lines the first is reported; on one line a bad box before a bad
-    score."""
+    in one canonicalize180_rows or min_area_rects call; the lines leave
+    flat lists of tokens and ints, no container each, and each distinct
+    class token is checked once. Of several bad lines the first is
+    reported; on one line a bad class before a bad number, a bad box
+    before a bad score."""
     want = 11 if quad_form else 8
-    lines, where, parse_error = [], [], None
+    image_ids, classes, nums, line_nos, parse_error = [], [], [], [], None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
@@ -388,19 +394,24 @@ def parse_detections(text, class_table, quad_form=False):
         if len(tokens) != want:
             parse_error = AnnotationParseError(f"expected {want} tokens, got {len(tokens)}", line_no)
             break
-        if tokens[1] not in class_table and not tokens[1].removeprefix("-").isdecimal():  # an optional "-", then decimal digits
-            parse_error = AnnotationParseError(f"unknown class {tokens[1]!r}", line_no)
-            break
-        lines.append(tokens)
-        where.append((line_no, None))
-    numbers, parse_error = _numbers([t[2:] for t in lines], want - 2, where, parse_error)  # the score, then the box
-    class_ids = [class_table[t[1]] if t[1] in class_table else int(t[1]) for t in lines[:len(numbers)]]
+        image_ids.append(tokens[0])
+        classes.append(tokens[1])
+        nums += tokens[2:]  # the score, then the box
+        line_nos.append(line_no)
+    # a class outside the table must be an optional "-", then decimal digits; its first line ends the lines read
+    unknown = [c for c in dict.fromkeys(classes) if c not in class_table and not c.removeprefix("-").isdecimal()]
+    if unknown:
+        k = classes.index(unknown[0])
+        parse_error = AnnotationParseError(f"unknown class {unknown[0]!r}", line_nos[k])
+        del nums[k * (want - 2):]  # only the lines before it are read
+    numbers, parse_error = _numbers(nums, want - 2, parse_error, lambda k: (line_nos[k], None))
+    ids = {c: class_table[c] if c in class_table else int(c) for c in dict.fromkeys(classes[:len(numbers)])}
     scores = numbers[:, 0]
     bad = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))  # NaN fails both comparisons
     n = bad[0] + 1 if bad.size else len(scores)  # the boxes up to the first bad score
-    rows = _reader_rows(numbers[:n, 1:], where)
+    rows = _reader_rows(numbers[:n, 1:], lambda k: (line_nos[k], None))
     if bad.size:
-        raise AnnotationParseError(f"score {scores[n - 1].item()} outside [0, 1]", *where[n - 1])
+        raise AnnotationParseError(f"score {scores[n - 1].item()} outside [0, 1]", line_nos[n - 1])
     if parse_error is not None:
         raise parse_error
-    return [t[0] for t in lines[:len(scores)]], class_ids, scores, rows
+    return image_ids[:len(scores)], [ids[c] for c in classes[:len(scores)]], scores, rows

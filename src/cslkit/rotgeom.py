@@ -170,13 +170,6 @@ def to_quad(box):
     return order_corners(QuadBox(tuple(map(tuple, _corners(box_rows([box]))[..., 0].T))))
 
 
-def _gap_and_extent(pts):
-    """Smallest and largest Chebyshev distance (K,) between two vertices
-    of each of K quads (K, 4, 2); the largest is the quad's extent."""
-    gap = np.abs(pts[:, _PAIRS[0]] - pts[:, _PAIRS[1]]).max(axis=2)
-    return gap.min(axis=1), gap.max(axis=1)
-
-
 def _by_angle(pts):
     """Points (N, 2), N >= 1, sorted counter-clockwise by angle about their centroid."""
     rel = pts - pts.mean(axis=0)
@@ -193,8 +186,8 @@ def order_corners(quad):
         raise InvalidGeometryError(f"expected 4 vertices, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise InvalidGeometryError("non-finite vertex coordinates")
-    gap, extent = _gap_and_extent(pts[None])
-    if gap[0] <= EPS * extent[0]:
+    gap = np.abs(pts[_PAIRS[0]] - pts[_PAIRS[1]]).max(axis=1)  # the Chebyshev distance of each vertex pair
+    if gap.min() <= EPS * gap.max():  # the largest is the quad's extent
         raise InvalidGeometryError("duplicate vertices")
     pts = _by_angle(pts)
     start = min(range(4), key=lambda i: (pts[i, 1], pts[i, 0]))
@@ -298,13 +291,14 @@ def min_area_rects(quads):
     if pts.ndim != 3 or pts.shape[1:] != (4, 2):
         raise InvalidGeometryError(f"expected (K, 4, 2) quads, got shape {pts.shape}")
     finite = np.isfinite(pts).all(axis=(1, 2))
-    pts = np.where(finite[:, None, None], pts, 0.0)
-    gap, extent = _gap_and_extent(pts)
-    duplicate = gap <= EPS * extent
-    # vertices (2, 4, K) sorted by x then y: each pair's vector (2, 6, K)
-    # points right, or up when vertical, whatever the input order
-    p = np.take_along_axis(pts, np.lexsort((pts[..., 1], pts[..., 0]))[..., None], axis=1).T
+    pts = np.where(finite[:, None, None], pts, 0.0).T
+    # vertices sorted by x then y, contiguous (2, 4, K): each pair's vector (2, 6, K) points right, or up when
+    # vertical, whatever the input order; its largest Chebyshev length is the quad's extent, the smallest its gap
+    p = np.take_along_axis(pts, np.lexsort((pts[1], pts[0]), axis=0)[None], axis=1)
     d = p[:, _PAIRS[1]] - p[:, _PAIRS[0]]
+    gap = np.abs(d).max(axis=0)
+    extent = gap.max(axis=0)
+    duplicate = gap.min(axis=0) <= EPS * extent
     # triangles 012, 013, 023, 123 by the two pairs at their first vertex
     area = 0.25 * np.abs(_cross(d[:, [0, 0, 1, 3]], d[:, [1, 2, 2, 4]])).sum(axis=0)
     bad = ~finite | duplicate | (area <= EPS * extent**2)
@@ -315,16 +309,16 @@ def min_area_rects(quads):
         raise InvalidGeometryError(reason, index=k)
     phi = np.arctan2(d[1], d[0])
     c, s = np.cos(phi), np.sin(phi)
-    x, y = p[..., None, :]
-    along = np.stack([x * c + y * s, y * c - x * s])  # (2, 4, 6, K), along and across each pair
-    hi, lo = along.max(axis=1), along.min(axis=1)
+    x, y = p[:, :, None]
+    along = x * c + y * s, y * c - x * s  # along and across each pair, (4, 6, K) each: one pass per reduction
+    hi, lo = np.array([a.max(axis=0) for a in along]), np.array([a.min(axis=0) for a in along])
     e1, e2 = hi - lo
     mx, my = (hi + lo) / 2.0
     rects = np.stack([mx * c - my * s, mx * s + my * c, e1, e2, np.degrees(phi)], axis=-1)
     rects = canonicalize180_rows(rects.reshape(-1, 5)).reshape(rects.shape)
     size = e1 * e2
     tie = size <= size.min(axis=0) * (1.0 + 1e-12)
-    best = rects[np.argmin(np.where(tie, rects[..., 4], np.inf), axis=0), np.arange(len(pts))]
+    best = rects[np.argmin(np.where(tie, rects[..., 4], np.inf), axis=0), np.arange(p.shape[2])]
     best[(best[:, 2] <= best[:, 3] * (1.0 + 1e-12)) & (best[:, 4] >= 0.0), 4] -= 90.0  # a square tie
     return best
 
@@ -418,8 +412,8 @@ def rotated_iou_pairs(a, b, i=None, j=None):
             raise InvalidGeometryError(f"pair lists differ in shape: {a.shape} and {b.shape}")
         i = j = np.arange(len(a))
     i, j = np.asarray(i), np.asarray(j)
-    if not (i.ndim == j.ndim == 1 and len(i) == len(j) and i.dtype.kind in "iu" and j.dtype.kind in "iu"
-            and (not len(i) or min(i.min(), j.min()) >= 0 and i.max() < len(a) and j.max() < len(b))):
+    if not (i.ndim == j.ndim == 1 and len(i) == len(j) and (not len(i) or i.dtype.kind in "iu" and j.dtype.kind in "iu"
+            and min(i.min(), j.min()) >= 0 and i.max() < len(a) and j.max() < len(b))):  # an empty list reads as float64
         raise InvalidGeometryError(f"need index arrays i and j, 1-D integers of one length within [0, {len(a)}) and "
                                    f"[0, {len(b)}), got {i.dtype}{i.shape} and {j.dtype}{j.shape}")
     return _iou_pairs(a, b, i, j)

@@ -3,16 +3,18 @@ rasterization IoU, closed-form IoU of concentric congruent rectangles,
 a scalar Sutherland-Hodgman clipper and the rotated IoU built on it,
 the batched sorted-candidate IoU (the library's kernel before the edge
 clipper), vertex-set comparison, brute-force minimum rectangle, central
-finite differences, a per-quad rotating-calipers loop, a per-anchor
-loop over the multi-task loss, the per-class sort-and-loop AP of
-evaluate, the exact scalar long-edge reduction with the per-anchor grid
-loop built on it, the gt-by-gt forced-anchor loop of assignment, the
-lockstep batched NMS (the library's NMS before free sets), and the
-detection and DOTA readers with one float call per token (the library's
-readers before their one conversion per read). Deliberately avoid the
-library's own clipping / calipers / loss / AP / canonicalization code
-paths; the readers reduce their boxes with the library's calls, as they
-are oracles of the parsing only."""
+finite differences, a per-quad rotating-calipers loop, the batched
+calipers on strided vertices (the library's min_area_rects before its
+contiguous vertices), a per-anchor loop over the multi-task loss, the
+per-class sort-and-loop AP of evaluate, the exact scalar long-edge
+reduction with the per-anchor grid loop built on it, the gt-by-gt
+forced-anchor loop of assignment, the lockstep batched NMS (the
+library's NMS before free sets), and the detection and DOTA readers
+with one float call per token (the library's readers before their one
+conversion per read). Deliberately avoid the library's own clipping /
+calipers / loss / AP / canonicalization code paths; the readers and the
+strided calipers reduce their boxes with the library's calls, as they
+are oracles of the parsing and of the vertex handling only."""
 
 import logging
 import math
@@ -358,6 +360,52 @@ def calipers_box180(pts):
     best_area = min(a for a, _ in candidates)
     ties = [b for a, b in candidates if a <= best_area * (1.0 + 1e-12)]
     return min(ties, key=lambda b: b.theta)
+
+
+_VERTEX_PAIRS = np.triu_indices(4, 1)
+
+
+def strided_min_area_rects(quads):
+    """min_area_rects as it was before its vertices were sorted into one
+    contiguous array: the gap and extent from the input's vertex pairs,
+    the vertices sorted as a strided transposed view, and all
+    projections stacked into one (2, 4, 6, K) array before their
+    reductions. The library's kernels give the same bits, errors
+    included (message and index); it reduces its candidates with the
+    library's canonicalize180_rows, as it is an oracle of the vertex
+    handling only."""
+    pts = np.asarray(quads, dtype=float)
+    if pts.ndim != 3 or pts.shape[1:] != (4, 2):
+        raise InvalidGeometryError(f"expected (K, 4, 2) quads, got shape {pts.shape}")
+    finite = np.isfinite(pts).all(axis=(1, 2))
+    pts = np.where(finite[:, None, None], pts, 0.0)
+    pair_gap = np.abs(pts[:, _VERTEX_PAIRS[0]] - pts[:, _VERTEX_PAIRS[1]]).max(axis=2)
+    gap, extent = pair_gap.min(axis=1), pair_gap.max(axis=1)
+    duplicate = gap <= EPS * extent
+    p = np.take_along_axis(pts, np.lexsort((pts[..., 1], pts[..., 0]))[..., None], axis=1).T
+    d = p[:, _VERTEX_PAIRS[1]] - p[:, _VERTEX_PAIRS[0]]
+    u, v = d[:, [0, 0, 1, 3]], d[:, [1, 2, 2, 4]]
+    area = 0.25 * np.abs(u[0] * v[1] - u[1] * v[0]).sum(axis=0)
+    bad = ~finite | duplicate | (area <= EPS * extent**2)
+    if bad.any():
+        k = int(np.argmax(bad))
+        reason = ("non-finite vertex coordinates" if not finite[k] else "duplicate vertices" if duplicate[k]
+                  else "degenerate quadrilateral (zero area)")
+        raise InvalidGeometryError(reason, index=k)
+    phi = np.arctan2(d[1], d[0])
+    c, s = np.cos(phi), np.sin(phi)
+    x, y = p[..., None, :]
+    along = np.stack([x * c + y * s, y * c - x * s])
+    hi, lo = along.max(axis=1), along.min(axis=1)
+    e1, e2 = hi - lo
+    mx, my = (hi + lo) / 2.0
+    rects = np.stack([mx * c - my * s, mx * s + my * c, e1, e2, np.degrees(phi)], axis=-1)
+    rects = canonicalize180_rows(rects.reshape(-1, 5)).reshape(rects.shape)
+    size = e1 * e2
+    tie = size <= size.min(axis=0) * (1.0 + 1e-12)
+    best = rects[np.argmin(np.where(tie, rects[..., 4], np.inf), axis=0), np.arange(len(pts))]
+    best[(best[:, 2] <= best[:, 3] * (1.0 + 1e-12)) & (best[:, 4] >= 0.0), 4] -= 90.0
+    return best
 
 
 def central_diff(f, x, h=1e-6):

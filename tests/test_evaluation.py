@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import logging
@@ -1017,6 +1018,20 @@ class TestParseDetections:
                 parse_detections(text, CLASSES, quad_form=quad_form)
             assert str(exc.value) == error
 
+    @pytest.mark.parametrize("lines, line_no, error", [
+        (["im1 car 0.5 1 2 8 3 35", "im1 ship 0.5 1 2"], 1, "unknown class 'car'"),
+        (["im1 ship 0.5 1 2", "im1 car 0.5 1 2 8 3 35"], 1, "expected 8 tokens, got 5"),
+        (["im1 ship 0.5 1 2 8 3 35", "im1 ship 0.5 1 x 8 3 35", "im1 car 0.5 1 2 8 3 35"], 2,
+         "could not convert string to float: 'x'"),
+        (["im1 car 0.5 1 x 8 3 35", "im1 ship 0.5 1 y 8 3 35"], 1, "unknown class 'car'"),
+        (["im1 ship 0.5 1 2 8 3 35", "im1 -1x 0.5 1 2 8 3 35", "im1 car 0.5 1 2 8 3 35"], 2, "unknown class '-1x'"),
+    ])
+    def test_two_faults_first_line_wins(self, lines, line_no, error):
+        # each distinct class token is checked once, after the lines are split; the first bad line still wins
+        with pytest.raises(AnnotationParseError) as exc:
+            parse_detections("\n".join(lines) + "\n", CLASSES)
+        assert (str(exc.value), exc.value.line_no, exc.value.source) == (f"line {line_no}: {error}", line_no, None)
+
 
 # float's accepted and rejected forms of a number: the readers convert with numpy and ask float only to name a bad line
 ACCEPTED_TOKENS = ["1_0", "Infinity", "+nan", "-iNF", "1e400", "1.0e-400", "-0", "\u0661e\u0662"]  # the last: 1e2 in Arabic-Indic
@@ -1157,3 +1172,56 @@ class TestReadersAgainstLoopReaders:
                             seen["warnings"] += 1
         kinds = {"columns", "could not convert", "tokens", "difficult flag", "", "unknown" if strict else "warnings"}
         assert set(seen) == kinds, seen
+
+
+def _collections(read, *args):
+    """The cyclic collections that read(*args) runs, counted through
+    gc.callbacks with CPython's default thresholds pinned, then restored."""
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(700, 10, 10)
+    gc.callbacks.append(count)
+    try:
+        read(*args)
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    return len(starts)
+
+
+class TestReadersKeepNoContainerPerLine:
+    """The readers keep flat lists of strings and ints, no container per
+    line, so the cyclic collector hardly runs however long the file; a
+    reader that keeps one per line, as the loop oracles do, runs it
+    dozens of times on the same file."""
+
+    def test_parse_detections(self):
+        assert gc.isenabled()
+        rng = np.random.default_rng(2605)
+        boxes = np.column_stack([rng.uniform(0, 1024, (50_000, 2)), rng.uniform(10, 80, 50_000),
+                                 rng.uniform(5, 10, 50_000), rng.uniform(-90, 90, 50_000)]).round(1)
+        text = "".join(f"P{k % 458:04d} {('ship', 'plane', '3')[k % 3]} {k / 50_000:.4f} {cx} {cy} {h} {w} {t}\n"
+                       for k, (cx, cy, h, w, t) in enumerate(boxes.tolist()))
+        assert len(parse_detections(text, CLASSES)[0]) == 50_000
+        assert _collections(parse_detections, text, CLASSES) <= 2
+        assert _collections(loop_parse_detections, text, CLASSES) > 50  # the count sees containers kept per line
+
+    def test_dota_files_columns(self):
+        assert gc.isenabled()
+        rng = np.random.default_rng(2606)
+        files = []
+        for f in range(400):  # 400 files of 60 lines, 24,000 lines
+            quads = np.array([to_quad(canonicalize180(*rng.uniform(0, 1024, 2), *rng.uniform(10, 80, 2), 30.0)).as_array()
+                              for _ in range(2)]).round(1)
+            lines = (" ".join(map(str, quads[k % 2].ravel().tolist())) + f" {('ship', 'plane')[k % 2]} {k % 5 == 0:d}"
+                     for k in range(60))
+            files.append((f"P{f:04d}", "imagesource:GoogleEarth\ngsd:0.1\n" + "\n".join(lines) + "\n"))
+        assert len(dota_files_columns(files, CLASSES)[0]) == 24_000
+        assert _collections(dota_files_columns, files, CLASSES) <= 2
+        assert _collections(loop_dota_files_columns, files, CLASSES) > 50

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from dataclasses import astuple
@@ -40,6 +41,7 @@ from oracles import (
     scalar_canonicalize180,
     shoelace_area,
     sorted_candidate_iou_matrix,
+    strided_min_area_rects,
     vertex_set_equal,
 )
 
@@ -743,6 +745,68 @@ class TestMinAreaRects:
                 min_area_rects(np.ones(shape))
 
 
+def _seeded_rects(rng, count):
+    """Seeded rectangles (count, 4, 2) on a 1024 px tile, as DOTA
+    annotates them: long sides 10-80, short sides 5-30, any angle."""
+    t = rng.uniform(0, math.pi, (count, 1))
+    along = rng.uniform(5, 40, (count, 1)) * np.hstack([np.cos(t), np.sin(t)])
+    across = rng.uniform(2.5, 15, (count, 1)) * np.hstack([-np.sin(t), np.cos(t)])
+    corners = np.stack([along + across, across - along, -along - across, along - across], axis=1)
+    return rng.uniform(0, 1024, (count, 1, 2)) + corners
+
+
+class TestMinAreaRectsAgainstStrided:
+    """min_area_rects against its form on strided vertices in the oracles:
+    the same rows to the last bit, or the same error, message and index."""
+
+    @staticmethod
+    def _outcome(reduce, quads):
+        try:
+            rows = reduce(quads)
+        except InvalidGeometryError as exc:
+            return str(exc), exc.index
+        return rows.shape, rows.tobytes()
+
+    def _assert_same(self, quads, kind):
+        assert self._outcome(min_area_rects, quads) == self._outcome(strided_min_area_rects, quads), kind
+
+    def test_rectangles_in_every_vertex_order(self):
+        rng = np.random.default_rng(2601)
+        orders = list(itertools.permutations(range(4)))
+        rects = _seeded_rects(rng, 300)
+        for kind, quads in {"float": rects, "one decimal": np.round(rects, 1), "integer": np.round(rects),
+                            "integer rectangle": _integer_rects(rng, 300, False),
+                            "integer square": _integer_rects(rng, 100, True)}.items():
+            batch = quads[:, orders].reshape(-1, 4, 2)  # each quad's 24 vertex orders in turn
+            assert self._outcome(min_area_rects, batch)[0] == (len(batch), 5), kind
+            self._assert_same(batch, kind)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_general_quads(self, scale):
+        rng = np.random.default_rng(2602)
+        for kind, quads in _quad_families(rng, 200).items():
+            quads = quads * scale + rng.uniform(-10, 10, 2) * scale
+            self._assert_same(np.concatenate([_orders(q) for q in quads]), kind)
+
+    def test_near_duplicate_and_near_degenerate(self):
+        rng = np.random.default_rng(2603)
+        rects = _seeded_rects(rng, 100)
+        extent = np.abs(rects[:, :, None] - rects[:, None]).max(axis=(1, 2, 3))
+        near = {}
+        for step in (0.5, 0.999, 1.001, 2.0):  # a vertex moved to about EPS of the extent from its neighbour
+            quads = rects.copy()
+            quads[:, 1] = quads[:, 0] + step * EPS * extent[:, None] * rng.choice([-1.0, 1.0], (100, 2))
+            near[f"duplicate {step}"] = quads
+        for ratio in (0.5, 0.999, 1.001, 2.0):  # a hull area about EPS of the squared extent
+            near[f"thin {ratio}"] = _thin_quads(rng, 30, ratio) * 300.0 + rng.uniform(0, 1024, 2)
+        good = _seeded_rects(rng, 4)
+        for kind, quads in near.items():
+            for quad in quads:
+                for order in _orders(quad)[::3]:
+                    self._assert_same(order[None], kind)  # alone
+                    self._assert_same(np.concatenate([good[:2], [order], good[2:], [order]]), kind)  # at index 2
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", range(5))
@@ -917,6 +981,16 @@ class TestIouPairs:
     def test_empty(self):
         for empty in (np.zeros((0, 5)), []):
             assert rotated_iou_pairs(empty, empty).shape == (0,)
+
+    def test_empty_index_lists(self):
+        # np.asarray([]) is float64; a zero-length index reads as integers
+        rows = np.array([[0.0, 0.0, 4.0, 2.0, 10.0]] * 2)
+        for empty in ([], np.zeros(0)):
+            assert rotated_iou_pairs(rows, rows[:1], empty, empty).shape == (0,)
+        assert rotated_iou_pairs([], [], [], []).shape == (0,)
+        with pytest.raises(InvalidGeometryError, match=re.escape("need index arrays i and j, 1-D integers of one length "
+                                                                 "within [0, 2) and [0, 1), got float64(1,) and int64(1,)")):
+            rotated_iou_pairs(rows, rows[:1], [0.0], np.zeros(1, dtype=np.int64))
 
     def test_rejects_bad_input(self):
         rows = np.array([[0.0, 0.0, 4.0, 2.0, 10.0]] * 3)
