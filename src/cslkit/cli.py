@@ -49,8 +49,7 @@ def _parse_box(text):
     parts = [float(t) for t in text.split()]
     if len(parts) != 5:
         raise InvalidGeometryError(f"box literal needs 5 numbers 'cx cy h w theta', got {len(parts)}")
-    cx, cy, h, w, theta = parts
-    return canonicalize180(cx, cy, h, w, theta)
+    return canonicalize180(*parts)  # cx, cy, h, w, theta
 
 
 def _parse_gt(text):
@@ -76,43 +75,49 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     sub = p.add_subparsers(dest="command", required=True)
 
-    w = sub.add_parser("window", help="window-function curve over all bins")
+    def command(name, run, help):
+        """A subcommand's parser; its parsed args carry run, the function that runs it."""
+        parser = sub.add_parser(name, help=help)
+        parser.set_defaults(run=run)
+        return parser
+
+    w = command("window", _cmd_window, "window-function curve over all bins")
     _add_codec_args(w)
 
-    e = sub.add_parser("encode", help="encode an angle as a circular smooth label")
+    e = command("encode", _cmd_encode, "encode an angle as a circular smooth label")
     _add_codec_args(e)
     e.add_argument("--theta", type=float, required=True)
 
-    d = sub.add_parser("decode", help="decode a score vector to an angle")
+    d = command("decode", _cmd_decode, "decode a score vector to an angle")
     _add_codec_args(d)
     d.add_argument("--scores", required=True, help="comma-separated scores or @file")
 
-    i = sub.add_parser("iou", help="rotated IoU of two boxes 'cx cy h w theta'")
+    i = command("iou", _cmd_iou, "rotated IoU of two boxes 'cx cy h w theta'")
     i.add_argument("--a", required=True)
     i.add_argument("--b", required=True)
 
-    q = sub.add_parser("quant-error", help="angle discretization error stats")
+    q = command("quant-error", _cmd_quant_error, "angle discretization error stats")
     q.add_argument("--omega", type=float, default=1.0)
     q.add_argument("--samples", type=int, default=1_000_000)
     q.add_argument("--range", type=int, default=180, choices=(90, 180), dest="angle_range")
 
-    b = sub.add_parser("boundary-report", help="boundary-discontinuity loss sweep")
+    b = command("boundary-report", _cmd_boundary_report, "boundary-discontinuity loss sweep")
     b.add_argument("--scenario", required=True, choices=("deg90", "deg180", "quad"))
     b.add_argument("--eps", type=float, nargs="+", default=[0.5, 0.25, 0.1, 0.05, 0.01])
 
-    t = sub.add_parser("targets", help="anchor generation and gt assignment dump")
+    t = command("targets", _cmd_targets, "anchor generation and gt assignment dump")
     t.add_argument("--image-size", type=int, required=True)
     t.add_argument("--strides", type=int, nargs="+", default=[8])
     t.add_argument("--base-scale", type=float, default=4.0)
     t.add_argument("--mode", choices=("horizontal", "rotated"), default="horizontal")
     t.add_argument("--gt", action="append", default=[], help="'cx cy h w theta class_id', repeatable")
 
-    n = sub.add_parser("nms", help="rotated non-maximum suppression")
+    n = command("nms", _cmd_nms, "rotated non-maximum suppression")
     n.add_argument("--dets", required=True, help="detection file")
     n.add_argument("--iou-thresh", type=float, default=0.1)
     n.add_argument("--classes", nargs="+", default=[])
 
-    v = sub.add_parser("eval", help="rotated-detection mAP evaluation")
+    v = command("eval", _cmd_eval, "rotated-detection mAP evaluation")
     v.add_argument("--dets", required=True, help="detection file")
     v.add_argument("--ann-dir", required=True, help="directory of DOTA annotation files, one per image")
     v.add_argument("--classes", nargs="+", required=True)
@@ -233,19 +238,6 @@ def _cmd_eval(args):
     _emit(args, payload, rows, ("class", "ap07", "ap12"))
 
 
-_COMMANDS = {
-    "window": _cmd_window,
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "iou": _cmd_iou,
-    "quant-error": _cmd_quant_error,
-    "boundary-report": _cmd_boundary_report,
-    "targets": _cmd_targets,
-    "nms": _cmd_nms,
-    "eval": _cmd_eval,
-}
-
-
 @functools.cache
 def _shared_parser():
     """The parser every main call reuses, built on the first call:
@@ -262,7 +254,7 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        _COMMANDS[args.command](args)
+        args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ error is at most omega/2 and averages omega/4 for uniform angles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,13 +55,7 @@ class CslCodecConfig:
         return int(round(self.range_span / self.omega))
 
     def to_dict(self):
-        return {
-            "window_kind": self.window_kind,
-            "radius_r": self.radius_r,
-            "omega": self.omega,
-            "angle_range": self.angle_range,
-            "bin_count": self.bin_count,
-        }
+        return {**asdict(self), "bin_count": self.bin_count}
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,10 @@ def window_value(cfg, delta_bins):
     or 0-d delta_bins). Satisfies the periodicity, symmetry, maximum and
     monotonicity axioms; r = 0 degenerates every kind to the pulse window."""
     t, r = cfg.bin_count, cfg.radius_r
-    d = np.abs(np.asarray(delta_bins, dtype=float)) % t
+    d = np.asarray(delta_bins, dtype=float)
+    if not np.isfinite(d).all():
+        raise ValueError(f"non-finite delta_bins: {d[~np.isfinite(d)][0]}")
+    d = np.abs(d) % t
     d = np.minimum(d, t - d)  # the distance to bin 0 on the ring of t bins
     if cfg.window_kind == "pulse" or r == 0:
         out = np.where(d <= 0.0, 1.0, 0.0)

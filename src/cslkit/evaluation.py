@@ -85,14 +85,8 @@ class EvalReport:
         return float(np.mean(vals)) if vals else 0.0
 
     def to_dict(self):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "ap07": self.ap07,
-            "ap12": self.ap12,
-            "map07": self.map07,
-            "map12": self.map12,
-            "pr_curves": {c: {"recall": list(r), "precision": list(p)} for c, (r, p) in self.pr_curves.items()},
-        }
+        curves = {c: {"recall": list(r), "precision": list(p)} for c, (r, p) in self.pr_curves.items()}
+        return {"schema_version": SCHEMA_VERSION, **vars(self), "pr_curves": curves}
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)

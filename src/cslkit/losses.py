@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -111,9 +111,8 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _sigmoid_ce(logits, targets):
+def _sigmoid_ce(z, targets):
     # stable: max(z,0) - z*t + log(1 + exp(-|z|))
-    z = logits
     return np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
 
 
@@ -225,14 +224,7 @@ class DiscontinuityReport:
         return self.loss_actual / self.loss_ideal if self.loss_ideal > 0 else math.inf
 
     def to_dict(self):
-        return {
-            "scenario": self.scenario,
-            "epsilon_deg": self.epsilon_deg,
-            "loss_ideal": self.loss_ideal,
-            "loss_actual": self.loss_actual,
-            "loss_csl": self.loss_csl,
-            "ratio": self.ratio,
-        }
+        return {**asdict(self), "ratio": self.ratio}
 
     def to_json(self):
         return json.dumps(self.to_dict())

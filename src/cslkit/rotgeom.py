@@ -148,21 +148,19 @@ def canonicalize180(cx, cy, a, b, theta_free):
     return OrientedBox180(*canonicalize180_rows([[cx, cy, a, b, theta_free]]).tolist()[0])
 
 
-# signs of the (a, b) half-sides at each corner, counter-clockwise
-_CORNER_SIGNS = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
+# signs (2, 4, 1) of the a and b half-sides at each corner, counter-clockwise from (+a, +b)
+_CORNER_SIGNS = np.array([(1.0, -1.0, -1.0, 1.0), (1.0, 1.0, -1.0, -1.0)])[:, :, None]
 _PAIRS = np.triu_indices(4, 1)  # the six vertex pairs of a quad
 
 
-def _corners(rows, center=None):
+def _corners(rows):
     """Corners (2, 4, N), coordinates first, of (N, 5) rows (cx, cy, a, b,
-    theta of side a) moved to centers (2, N) if given, counter-clockwise
-    from the (+a, +b) corner."""
-    center = rows[:, :2].T if center is None else center
+    theta of side a), counter-clockwise from the (+a, +b) corner."""
     t = np.radians(rows[:, 4])
     c, s = np.cos(t), np.sin(t)
     along = rows[:, 2] / 2.0 * np.array([c, s])  # np.array: np.stack's (2, N) at a quarter of the call cost
     across = rows[:, 3] / 2.0 * np.array([-s, c])
-    return center[:, None] + _CORNER_SIGNS[:, :1] * along[:, None] + _CORNER_SIGNS[:, 1:] * across[:, None]
+    return rows[:, :2].T[:, None] + _CORNER_SIGNS[0] * along[:, None] + _CORNER_SIGNS[1] * across[:, None]
 
 
 def to_quad(box):
@@ -208,9 +206,9 @@ def _cross(u, v):
 def _clip_edges(p, q, tol):
     """Clip each edge of K pairs of convex counter-clockwise polygons, p
     (2, n, K) and q (2, m, K) with the coordinates first, to the other
-    polygon (Cyrus-Beck / Liang-Barsky). Returns each edge's direction
-    (2, n + m, K), p's first, and the range lo, hi (n + m, K) of its
-    parameter, vertex + t direction, that lies inside the other polygon,
+    polygon (Cyrus-Beck / Liang-Barsky). Returns each edge's vertex and
+    direction (2, n + m, K), p's first, and the range lo, hi (n + m, K)
+    of its parameter, vertex + t direction, inside the other polygon,
     clipped to [0, 1]: empty unless lo < hi. The inside pieces bound the
     intersection counter-clockwise, so its area is half the sum of
     (hi - lo) cross(vertex, direction) (Green's theorem).
@@ -237,7 +235,7 @@ def _clip_edges(p, q, tol):
         # edge j inside p's edge i where u * den - un >= 0
         lo = np.concatenate([np.where(entering, t, 0.0).max(axis=1), np.where(entering, 0.0, u).max(axis=0)])
         hi = np.concatenate([np.where(entering, 1.0, t).min(axis=1), np.where(entering, u, 1.0).min(axis=0)])
-    return np.concatenate([d, g], axis=1), lo.clip(0.0, 1.0), hi.clip(0.0, 1.0)
+    return np.concatenate([p, q], axis=1), np.concatenate([d, g], axis=1), lo.clip(0.0, 1.0), hi.clip(0.0, 1.0)
 
 
 def convex_intersection(p, q):
@@ -261,11 +259,11 @@ def convex_intersection(p, q):
     tol = REL_EPS * max(np.ptp(p, axis=0).max(), np.ptp(q, axis=0).max())
     if any((np.abs(np.roll(poly, -1, axis=0) - poly).max(axis=1) <= tol).any() for poly in (p, q)):
         raise InvalidGeometryError("duplicate vertices")
-    direction, lo, hi = (x[..., 0].T for x in _clip_edges(p.T[..., None], q.T[..., None], tol))
+    vertex, direction, lo, hi = (x[..., 0].T for x in _clip_edges(p.T[..., None], q.T[..., None], tol))
     keep = (hi - lo) * np.abs(direction).max(axis=1) > tol  # shorter pieces are point contacts
     if not keep.any():
         return np.empty((0, 2))
-    starts = _by_angle((np.concatenate([p, q]) + lo[:, None] * direction)[keep])
+    starts = _by_angle((vertex + lo[:, None] * direction)[keep])
     # a start within tol of the one before it, cyclically, merges into that one; a lone cluster keeps one
     apart = np.abs(starts - np.roll(starts, 1, axis=0)).max(axis=1) > tol
     apart[0] |= not apart.any()
@@ -309,12 +307,12 @@ def min_area_rects(quads):
         raise InvalidGeometryError(reason, index=k)
     phi = np.arctan2(d[1], d[0])
     c, s = np.cos(phi), np.sin(phi)
-    x, y = p[:, :, None]
+    x, y = (p - p[:, :1])[:, :, None]  # about the first vertex: no cancellation from the coordinates' size
     along = x * c + y * s, y * c - x * s  # along and across each pair, (4, 6, K) each: one pass per reduction
     hi, lo = np.array([a.max(axis=0) for a in along]), np.array([a.min(axis=0) for a in along])
     e1, e2 = hi - lo
     mx, my = (hi + lo) / 2.0
-    rects = np.stack([mx * c - my * s, mx * s + my * c, e1, e2, np.degrees(phi)], axis=-1)
+    rects = np.stack([mx * c - my * s + p[0, 0], mx * s + my * c + p[1, 0], e1, e2, np.degrees(phi)], axis=-1)
     rects = canonicalize180_rows(rects.reshape(-1, 5)).reshape(rects.shape)
     size = e1 * e2
     tie = size <= size.min(axis=0) * (1.0 + 1e-12)
@@ -372,20 +370,25 @@ def _kernel_rows(rows, name="box row {}"):
 
 def _iou_pairs(a, b, i, j):
     """IoU (K,) of the K pairs a[i], b[j] of checked box rows, clipped
-    in a frame centred on the a box, both boxes' edge terms from one
-    corner array; see rotated_iou_pairs."""
+    in a frame centred on and turned to the a box, where its corners are
+    exact and need no trig; see rotated_iou_pairs."""
     out = np.zeros(len(i))
     for start in range(0, len(i), PAIR_CHUNK):
         pa, pb = a.take(i[start : start + PAIR_CHUNK], axis=0), b.take(j[start : start + PAIR_CHUNK], axis=0)
         offset = pb[:, :2] - pa[:, :2]
-        reach = np.hypot(pa[:, 2], pa[:, 3]) / 2.0 + np.hypot(pb[:, 2], pb[:, 3]) / 2.0
+        reach = (np.hypot(pa[:, 2], pa[:, 3]) + np.hypot(pb[:, 2], pb[:, 3])) / 2.0
         near = np.flatnonzero(np.hypot(offset[:, 0], offset[:, 1]) <= reach)
         if not len(near):
             continue
-        pa, pb, offset = pa.take(near, axis=0), pb.take(near, axis=0), offset.take(near, axis=0).T
-        corners = np.concatenate([_corners(pa, np.zeros(offset.shape)), _corners(pb, offset)], axis=1)
-        direction, lo, hi = _clip_edges(corners[:, :4], corners[:, 4:], REL_EPS * reach[near])
-        inter = np.maximum(0.5 * (np.where(lo < hi, hi - lo, 0.0) * _cross(corners, direction)).sum(axis=0), 0.0)
+        pa, pb, (x, y) = pa.take(near, axis=0), pb.take(near, axis=0), offset.take(near, axis=0).T
+        t = np.radians(np.array([pa[:, 4], pb[:, 4] - pa[:, 4]]))  # theta_a, and theta_b in a's frame
+        (ca, c), (sa, s) = np.cos(t), np.sin(t)
+        p = _CORNER_SIGNS * (pa[:, 2:4].T / 2.0)[:, None]  # a's corners, exact
+        along, across = pb[:, 2] / 2.0 * np.array([c, s]), pb[:, 3] / 2.0 * np.array([-s, c])
+        center = np.array([x * ca + y * sa, y * ca - x * sa])  # b's centre: the offset turned by -theta_a
+        q = center[:, None] + _CORNER_SIGNS[0] * along[:, None] + _CORNER_SIGNS[1] * across[:, None]
+        vertex, direction, lo, hi = _clip_edges(p, q, REL_EPS * reach[near])
+        inter = np.maximum(0.5 * (np.where(lo < hi, hi - lo, 0.0) * _cross(vertex, direction)).sum(axis=0), 0.0)
         out[start + near] = (inter / (pa[:, 2] * pa[:, 3] + pb[:, 2] * pb[:, 3] - inter)).clip(0.0, 1.0)
     return out
 
@@ -398,10 +401,11 @@ def rotated_iou_pairs(a, b, i=None, j=None):
     indices raise InvalidGeometryError. Only the indices are expanded,
     not the rows.
 
-    Each pair is computed in a frame centred on its box from ``a``, with
-    a tolerance relative to the pair's size, so the result does not
-    depend on coordinate scale or translation, nor on the other pairs of
-    the call. Pairs whose circumcircles do not meet are 0 without further
+    Each pair is computed in a frame centred on and turned to its box
+    from ``a``, where that box's corners are exact (its IoU with itself
+    is 1), with a tolerance relative to the pair's size: the result does
+    not depend on scale or translation, nor on the other pairs of the
+    call. Pairs whose circumcircles do not meet are 0 without further
     work; the others go through the kernel PAIR_CHUNK pairs at a time.
     a and b are each checked once, whole: a row with a short side below
     1e-8 of the long one (REL_EPS of the pair's size would swallow it) or
@@ -453,8 +457,29 @@ def aligned_iou(a, b):
 
 def aligned_iou_matrix(a, b):
     """Closed-form IoU of every pair of (N, 4) and (M, 4) axis-aligned
-    (xmin, ymin, xmax, ymax) boxes; returns the (N, M) matrix."""
-    a, b = np.asarray(a, dtype=float)[:, None], np.asarray(b, dtype=float)[None]
+    (xmin, ymin, xmax, ymax) boxes; returns the (N, M) matrix. An empty
+    list is zero boxes; the first box of a or b without finite
+    coordinates, xmin < xmax and ymin < ymax raises InvalidGeometryError
+    with its index."""
+    return _aligned_iou(_aligned_rows(a), _aligned_rows(b))
+
+
+def _aligned_rows(boxes):
+    boxes = np.asarray(boxes, dtype=float)
+    boxes = boxes.reshape(0, 4) if boxes.shape == (0,) else boxes  # an empty list is zero boxes
+    if boxes.ndim != 2 or boxes.shape[1] != 4:
+        raise InvalidGeometryError(f"expected (N, 4) boxes (xmin, ymin, xmax, ymax), got shape {boxes.shape}")
+    bad = ~(np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > boxes[:, :2]).all(axis=1))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvalidGeometryError(f"box {k} {boxes[k].tolist()} needs finite xmin < xmax and ymin < ymax", index=k)
+    return boxes
+
+
+def _aligned_iou(a, b):
+    """aligned_iou_matrix without its checks; a pair whose union is not above 0 (as
+    assign_targets gives for a small row far from the origin) is 0."""
+    a, b = a[:, None], b[None]
     side = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
     inter = np.where(side > 0.0, side, 0.0).prod(axis=-1)
     union = (a[..., 2:] - a[..., :2]).prod(axis=-1) + (b[..., 2:] - b[..., :2]).prod(axis=-1) - inter

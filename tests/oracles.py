@@ -373,7 +373,8 @@ def strided_min_area_rects(quads):
     reductions. The library's kernels give the same bits, errors
     included (message and index); it reduces its candidates with the
     library's canonicalize180_rows, as it is an oracle of the vertex
-    handling only."""
+    handling only, and projects about the first sorted vertex as the
+    library does."""
     pts = np.asarray(quads, dtype=float)
     if pts.ndim != 3 or pts.shape[1:] != (4, 2):
         raise InvalidGeometryError(f"expected (K, 4, 2) quads, got shape {pts.shape}")
@@ -394,12 +395,12 @@ def strided_min_area_rects(quads):
         raise InvalidGeometryError(reason, index=k)
     phi = np.arctan2(d[1], d[0])
     c, s = np.cos(phi), np.sin(phi)
-    x, y = p[..., None, :]
+    x, y = (p - p[:, :1])[..., None, :]  # about the first sorted vertex
     along = np.stack([x * c + y * s, y * c - x * s])
     hi, lo = along.max(axis=1), along.min(axis=1)
     e1, e2 = hi - lo
     mx, my = (hi + lo) / 2.0
-    rects = np.stack([mx * c - my * s, mx * s + my * c, e1, e2, np.degrees(phi)], axis=-1)
+    rects = np.stack([mx * c - my * s + p[0, 0], mx * s + my * c + p[1, 0], e1, e2, np.degrees(phi)], axis=-1)
     rects = canonicalize180_rows(rects.reshape(-1, 5)).reshape(rects.shape)
     size = e1 * e2
     tie = size <= size.min(axis=0) * (1.0 + 1e-12)

@@ -110,6 +110,14 @@ class TestWindowValue:
         cfg = CslCodecConfig(kind, 44.9, 2.0)
         assert window_value(cfg, 869.9221883733005) == window_value(cfg, np.array([869.9221883733005]))[0]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_finite_delta_rejected(self, kind, bad):
+        # NaN used to read as 0.0 and inf to warn in the remainder
+        for delta in (bad, np.array([0.0, 1.0, bad])):
+            with pytest.raises(ValueError, match=f"^non-finite delta_bins: {bad}$"):
+                window_value(CslCodecConfig(kind, 6.0), delta)
+
     def test_triangle_midpoint(self):
         cfg = CslCodecConfig("triangle", 6.0)
         assert window_value(cfg, 3.0) == pytest.approx(0.5)

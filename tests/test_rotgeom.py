@@ -17,6 +17,7 @@ from cslkit.rotgeom import (
     QuadBox,
     aligned_bbox,
     aligned_iou,
+    aligned_iou_matrix,
     box_rows,
     canonicalize90,
     canonicalize180,
@@ -491,6 +492,28 @@ def _aligned_iou_boxes(a, b):
     return aligned_iou(aligned_bbox(a), aligned_bbox(b))
 
 
+class TestAlignedIou:
+    @pytest.mark.parametrize("bad, index", [
+        ((math.nan, 0.0, 1.0, 1.0), 0), ((0.0, 0.0, math.inf, 1.0), 0), ((-math.inf, 0.0, 1.0, 1.0), 0),
+        ((2.0, 2.0, 1.0, 1.0), 0),  # inverted
+        ((0.0, 0.0, 0.0, 1.0), 0), ((0.0, 0.0, 1.0, 0.0), 0), ((1.0, 1.0, 1.0 + 1e-200, 2.0), 0),  # zero area
+        ((0.0, 0.0, 1.0), None),  # three numbers
+    ])
+    def test_bad_boxes_rejected_with_their_index(self, bad, index):
+        good = (0.0, 0.0, 1.0, 1.0)
+        for boxes in ([bad], [good, good, bad]) if len(bad) == 4 else ([bad],):
+            for a, b in ((boxes, [good]), ([good], boxes)):
+                with pytest.raises(InvalidGeometryError) as exc:
+                    aligned_iou_matrix(a, b)
+                assert exc.value.index == (None if index is None else index + len(boxes) - 1)
+        with pytest.raises(InvalidGeometryError):
+            aligned_iou(bad, good)
+
+    def test_empty_list_is_zero_boxes(self):
+        assert aligned_iou_matrix([], [(0.0, 0.0, 1.0, 1.0)]).shape == (0, 1)
+        assert aligned_iou_matrix([(0.0, 0.0, 1.0, 1.0)] * 2, []).shape == (2, 0)
+
+
 class TestQuadToBox180:
     def test_round_trip(self):
         b = canonicalize180(1, 2, 5, 3, 40)
@@ -743,6 +766,31 @@ class TestMinAreaRects:
         for shape in ((4, 2), (1, 3, 2), (1, 4, 3)):
             with pytest.raises(InvalidGeometryError, match="quads"):
                 min_area_rects(np.ones(shape))
+
+    def test_integer_rectangle_sides_within_a_few_ulp(self):
+        # projected about a vertex, a side carries no cancellation from the size of the coordinates
+        quads, sides = _pythagorean_rects(np.random.default_rng(2701), 20000)
+        assert quads.max() > 3500
+        got = min_area_rects(quads)[:, 2:4]
+        assert (np.abs(got - sides) <= 8 * np.spacing(sides.astype(float))).all()
+
+
+def _pythagorean_rects(rng, count):
+    """Seeded rectangles (count, 4, 2) with integer corners up to about
+    4500 and integer sides (count, 2), long side first, aspects up to 4:
+    sides along multiples of a primitive Pythagorean direction (a, b) / c
+    and its normal, in a random vertex order."""
+    triples = np.array([(m * m - n * n, 2 * m * n, m * m + n * n) for m in range(2, 9) for n in range(1, m)
+                        if (m - n) % 2 and math.gcd(m, n) == 1])
+    a, b, c = triples[rng.integers(len(triples), size=count)].T
+    swap = rng.integers(2, size=count).astype(bool)
+    a, b = np.where(swap, b, a) * rng.choice([-1, 1], count), np.where(swap, a, b) * rng.choice([-1, 1], count)
+    k1 = rng.integers(1, 1500 // c + 1)
+    k2 = np.maximum(1, np.round(k1 * rng.uniform(0.25, 1.0, count))).astype(int)
+    u, v = np.column_stack([a, b]) * k1[:, None], np.column_stack([-b, a]) * k2[:, None]
+    quads = rng.integers(0, 2500, (count, 1, 2)) + np.stack([0 * u, u, u + v, v], axis=1)
+    order = rng.permuted(np.tile(np.arange(4), (count, 1)), axis=1)
+    return np.take_along_axis(quads, order[..., None], axis=1).astype(float), np.column_stack([k1 * c, k2 * c])
 
 
 def _seeded_rects(rng, count):
@@ -1091,6 +1139,32 @@ class TestEdgeClipKernel:
             b = np.array([[cx, cy, long, short, delta]])
             assert rotated_iou_matrix(a, b)[0, 0] == pytest.approx(want, abs=1e-12)
             assert rotated_iou_matrix(b, a)[0, 0] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("phi", [17.3, -61.7, 44.0])
+    @pytest.mark.parametrize("long, short", [(9.0, 1.0), (100.0, 0.1), (1000.0, 1.0), (1000.0, 1e-3)])
+    @pytest.mark.parametrize("fraction", [1e-6, 1e-4, 1e-3, 0.1, 0.5, 0.9, 1.0])
+    def test_turned_sliver_closed_form(self, phi, long, short, fraction):
+        # test_sliver_closed_form with both boxes turned by phi: in the frame of the first box the
+        # second's angle is the representable (phi + delta) - phi, where the closed form is taken
+        delta = math.degrees(2 * math.atan(short / long)) * fraction
+        turned = phi + delta if (phi + delta) - phi <= delta else math.nextafter(phi + delta, phi)  # within the range
+        want = concentric_rect_iou(long, short, turned - phi)
+        for cx, cy in ((0.0, 0.0), (123.0, -45.0), (1e6, -1e6)):
+            a = np.array([[cx, cy, long, short, phi]])
+            b = np.array([[cx, cy, long, short, turned]])
+            assert rotated_iou_matrix(a, b)[0, 0] == pytest.approx(want, abs=1e-12)
+            assert rotated_iou_matrix(b, a)[0, 0] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("aspect", [1e-8, 1e-6, 1e-4, 1e-2, 1.0])
+    def test_self_iou_is_exactly_one(self, aspect):
+        # in the frame of the first box both boxes' corners are the same exact half-sides
+        rng = np.random.default_rng(2702)
+        long = 10.0 ** rng.uniform(-3.0, 6.0, 300)
+        rows = np.column_stack([rng.uniform(-1e6, 1e6, (300, 2)), long, long * aspect, rng.uniform(-180.0, 180.0, 300)])
+        rows[::2, 2:4] = rows[::2, 3:1:-1]  # the long side second
+        assert (rotated_iou_pairs(rows, rows) == 1.0).all()
+        assert (rotated_iou_pairs(rows, rows.copy(), [7, 8], [7, 8]) == 1.0).all()
+        assert (np.diag(rotated_iou_matrix(rows, rows)) == 1.0).all()
 
     def test_one_box_in_both_parameterizations(self):
         a = np.array([[0.0, 0.0, 4.0, 2.0, 30.0]])
