@@ -9,6 +9,7 @@ error is at most omega/2 and averages omega/4 for uniform angles.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 
@@ -86,10 +87,15 @@ def _bins(thetas, cfg):
     return np.minimum(np.floor((thetas - lo) / cfg.omega).astype(int), cfg.bin_count - 1)
 
 
+@functools.lru_cache(maxsize=8)
+def _window(cfg):
+    """Read-only (T + 1, T) view of the window row of bin 0 twice over, 2T floats: row k is it rotated to bin T - k."""
+    return np.lib.stride_tricks.sliding_window_view(np.tile(window_value(cfg, np.arange(cfg.bin_count)), 2), cfg.bin_count)
+
+
 def _window_rows(bins, cfg):
-    """(N, T) labels: row n is the window row of bin 0 rotated to bins[n]."""
-    ring = np.arange(cfg.bin_count)
-    return window_value(cfg, ring)[(ring[None, :] - bins[:, None]) % len(ring)]
+    """(N, T) labels: row n is the window row of bin 0 rotated to bins[n], gathered from the cached window."""
+    return _window(cfg)[cfg.bin_count - bins]
 
 
 def angle_to_bin(theta, cfg):

@@ -44,6 +44,16 @@ class InvalidGeometryError(ValueError):
         self.index = index
 
 
+def _float_rows(rows, width):
+    """rows as floats; a ragged list raises InvalidGeometryError at its first row not width values long."""
+    try:
+        return np.asarray(rows, dtype=float)
+    except ValueError:  # numpy's "inhomogeneous shape"; with no such row, its own error is raised
+        for k in (k for k, row in enumerate(rows) if not (hasattr(row, "__len__") and len(row) == width)):
+            raise InvalidGeometryError(f"row {k} is not a sequence of {width} values", index=k) from None
+        raise
+
+
 def _require_finite(**fields):
     for name, value in fields.items():
         if not math.isfinite(value):
@@ -117,9 +127,9 @@ def canonicalize180_rows(rows):
     in [-90, 90). A row with b > a swaps its sides and adds 90 to theta;
     the angle is reduced exactly and rounded once, so canonical rows come
     back unchanged. A square tie (a == b) resolves to theta in [-90, 0).
-    The first bad row raises InvalidGeometryError with its index: a side
-    not above 0 first, else the first non-finite field of its result."""
-    rows = np.asarray(rows, dtype=float)
+    The first bad row raises InvalidGeometryError with its index: a row not
+    5 values long, a side not above 0, else the first non-finite field of its result."""
+    rows = _float_rows(rows, 5)
     if rows.ndim != 2 or rows.shape[1] != 5:
         raise InvalidGeometryError(f"expected (N, 5) rows, got shape {rows.shape}")
     cx, cy, a, b, theta = rows.T
@@ -221,16 +231,18 @@ def _clip_edges(p, q, tol):
     di, gj = d[:, :, None], g[:, None]  # (2, n, 1, K), (2, 1, m, K)
     w = q[:, None] - p[:, :, None]
     den, tn, un = _cross(di, gj), _cross(w, gj), _cross(w, di)
+    del w  # the largest temporary, (2, n, m, K), is not needed past here
     collinear = np.maximum(np.abs(tn), np.abs(tn - den)) <= tol * np.hypot(g[0], g[1])
     # collinear pairs become parallel ones (den = 0): p's edge inside only
     # if they run the same way, q's edge outside; + 0.0 turns -0.0 into
     # 0.0, so parallel edges' t and u are +-inf by their side
-    den = np.where(collinear, 0.0, den) + 0.0
-    tn = np.where(collinear, (di * gj).sum(axis=0), tn)
-    un = np.where(collinear, 1.0, un)
+    if collinear.any():
+        den = np.where(collinear, 0.0, den)
+        tn, un = np.where(collinear, (di * gj).sum(axis=0), tn), np.where(collinear, 1.0, un)
+    den += 0.0
     entering = den < 0.0  # p's edge enters q, and q's edge leaves p, across the pair
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t, u = tn / den, un / den
+        t, u = np.divide(tn, den, out=tn), np.divide(un, den, out=un)
         # p's edge i lies inside q's edge j where tn - t * den >= 0, q's
         # edge j inside p's edge i where u * den - un >= 0
         lo = np.concatenate([np.where(entering, t, 0.0).max(axis=1), np.where(entering, 0.0, u).max(axis=0)])
@@ -347,7 +359,7 @@ def box_rows(boxes):
 
 
 def _check_rows(rows):
-    rows = np.asarray(rows, dtype=float)
+    rows = _float_rows(rows, 5)
     rows = rows.reshape(0, 5) if rows.shape == (0,) else rows  # an empty list is zero rows
     if rows.ndim != 2 or rows.shape[1] != 5:
         raise InvalidGeometryError(f"expected (N, 5) box rows, got shape {rows.shape}")
@@ -373,21 +385,24 @@ def _iou_pairs(a, b, i, j):
     in a frame centred on and turned to the a box, where its corners are
     exact and need no trig; see rotated_iou_pairs."""
     out = np.zeros(len(i))
+    diag_a, diag_b = np.hypot(a[:, 2], a[:, 3]), np.hypot(b[:, 2], b[:, 3])  # circumcircle diameters, one per row
     for start in range(0, len(i), PAIR_CHUNK):
-        pa, pb = a.take(i[start : start + PAIR_CHUNK], axis=0), b.take(j[start : start + PAIR_CHUNK], axis=0)
+        ic, jc = i[start : start + PAIR_CHUNK], j[start : start + PAIR_CHUNK]
+        pa, pb, reach = a.take(ic, axis=0), b.take(jc, axis=0), (diag_a.take(ic) + diag_b.take(jc)) / 2.0
         offset = pb[:, :2] - pa[:, :2]
-        reach = (np.hypot(pa[:, 2], pa[:, 3]) + np.hypot(pb[:, 2], pb[:, 3])) / 2.0
         near = np.flatnonzero(np.hypot(offset[:, 0], offset[:, 1]) <= reach)
         if not len(near):
             continue
-        pa, pb, (x, y) = pa.take(near, axis=0), pb.take(near, axis=0), offset.take(near, axis=0).T
+        if len(near) < len(ic):  # else every pair is near, and the takes would copy the chunk
+            pa, pb, offset, reach = pa.take(near, axis=0), pb.take(near, axis=0), offset.take(near, axis=0), reach[near]
+        x, y = offset.T
         t = np.radians(np.array([pa[:, 4], pb[:, 4] - pa[:, 4]]))  # theta_a, and theta_b in a's frame
         (ca, c), (sa, s) = np.cos(t), np.sin(t)
         p = _CORNER_SIGNS * (pa[:, 2:4].T / 2.0)[:, None]  # a's corners, exact
         along, across = pb[:, 2] / 2.0 * np.array([c, s]), pb[:, 3] / 2.0 * np.array([-s, c])
         center = np.array([x * ca + y * sa, y * ca - x * sa])  # b's centre: the offset turned by -theta_a
         q = center[:, None] + _CORNER_SIGNS[0] * along[:, None] + _CORNER_SIGNS[1] * across[:, None]
-        vertex, direction, lo, hi = _clip_edges(p, q, REL_EPS * reach[near])
+        vertex, direction, lo, hi = _clip_edges(p, q, REL_EPS * reach)
         inter = np.maximum(0.5 * (np.where(lo < hi, hi - lo, 0.0) * _cross(vertex, direction)).sum(axis=0), 0.0)
         out[start + near] = (inter / (pa[:, 2] * pa[:, 3] + pb[:, 2] * pb[:, 3] - inter)).clip(0.0, 1.0)
     return out
@@ -425,10 +440,10 @@ def rotated_iou_pairs(a, b, i=None, j=None):
 
 def rotated_iou_matrix(a, b):
     """Exact IoU (N, M) of every pair of oriented boxes of (N, 5) and (M, 5) box rows a
-    and b, each checked once as rotated_iou_pairs checks them: entry (i, j) is the IoU
-    of a[i] and b[j], from one kernel call over the index pairs."""
+    and b, each checked once as rotated_iou_pairs checks them: entry (i, j) is the IoU of
+    a[i] and b[j], from one kernel call over the pairs b-major, so the matrix's .T is contiguous."""
     a, b = _kernel_rows(a), _kernel_rows(b)
-    return _iou_pairs(a, b, *np.divmod(np.arange(len(a) * len(b)), len(b))).reshape(len(a), len(b))
+    return _iou_pairs(a, b, *np.divmod(np.arange(len(a) * len(b)), len(a))[::-1]).reshape(len(b), len(a)).T
 
 
 def rotated_iou(a, b):
@@ -458,14 +473,14 @@ def aligned_iou(a, b):
 def aligned_iou_matrix(a, b):
     """Closed-form IoU of every pair of (N, 4) and (M, 4) axis-aligned
     (xmin, ymin, xmax, ymax) boxes; returns the (N, M) matrix. An empty
-    list is zero boxes; the first box of a or b without finite
-    coordinates, xmin < xmax and ymin < ymax raises InvalidGeometryError
-    with its index."""
+    list is zero boxes; the first box of a or b not 4 values long, or
+    without finite coordinates, xmin < xmax and ymin < ymax, raises
+    InvalidGeometryError with its index."""
     return _aligned_iou(_aligned_rows(a), _aligned_rows(b))
 
 
 def _aligned_rows(boxes):
-    boxes = np.asarray(boxes, dtype=float)
+    boxes = _float_rows(boxes, 4)
     boxes = boxes.reshape(0, 4) if boxes.shape == (0,) else boxes  # an empty list is zero boxes
     if boxes.ndim != 2 or boxes.shape[1] != 4:
         raise InvalidGeometryError(f"expected (N, 4) boxes (xmin, ymin, xmax, ymax), got shape {boxes.shape}")
@@ -477,11 +492,14 @@ def _aligned_rows(boxes):
 
 
 def _aligned_iou(a, b):
-    """aligned_iou_matrix without its checks; a pair whose union is not above 0 (as
-    assign_targets gives for a small row far from the origin) is 0."""
-    a, b = a[:, None], b[None]
-    side = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
-    inter = np.where(side > 0.0, side, 0.0).prod(axis=-1)
-    union = (a[..., 2:] - a[..., :2]).prod(axis=-1) + (b[..., 2:] - b[..., :2]).prod(axis=-1) - inter
+    """aligned_iou_matrix without its checks, from the (N, M) x and y overlaps; a pair whose
+    union is not above 0 (as assign_targets gives for a small row far from the origin) is 0."""
+    inter = np.ones((len(a), len(b)))
+    for k in (0, 1):  # times the x, then the y overlap; about three (N, M) arrays live at a time
+        side = np.minimum.outer(a[:, k + 2], b[:, k + 2])
+        side -= np.maximum.outer(a[:, k], b[:, k])
+        inter *= np.where(side > 0.0, side, 0.0)
+    union = np.add.outer((a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1]), (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]), out=side)
+    union -= inter
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(union > 0, inter / union, 0.0)
+        return np.where(union > 0, np.divide(inter, union, out=inter), 0.0)

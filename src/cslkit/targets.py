@@ -155,18 +155,19 @@ def assign_targets(anchors, gts, cfg, csl_cfg):
     gt_classes = [g[1] for g in gts]
     n, m = len(rows), len(gt_rows)
     labels, matched, max_iou = np.zeros(n, dtype=int), np.full(n, -1), np.zeros(n)
-    if m:
-        iou = rotated_iou_matrix(rows, gt_rows) if cfg.anchor_mode == "rotated" else _aligned_iou(bboxes, aligned_bboxes(gt_rows))
-        matched = np.argmax(iou, axis=1)  # ties -> first gt index
-        max_iou = iou[np.arange(n), matched]
+    if m:  # the IoU gt-major, (M, N) and contiguous; a rotated pair keeps its anchor as the kernel's frame
+        iou = rotated_iou_matrix(rows, gt_rows).T if cfg.anchor_mode == "rotated" else _aligned_iou(aligned_bboxes(gt_rows), bboxes)
+        matched = (iou == iou.max(axis=0)).argmax(axis=0)  # ties -> first gt; its axis-0 argmax copies bools, not IoUs
+        max_iou = iou[matched, np.arange(n)]
         labels = np.where(max_iou >= cfg.fg_iou, 1, np.where(max_iou < cfg.bg_iou, 0, -1))
-        best = iou.max(axis=0)
+        best = iou.max(axis=1)
+        tie = iou >= (best * (1 - 1e-12))[:, None]  # each gt's best anchors, within 1e-12 relative
         forced = np.zeros(n, dtype=bool)
         for j in np.argsort(-best, kind="stable").tolist():
-            ties = np.flatnonzero(iou[:, j] >= best[j] * (1 - 1e-12))
-            may = ties[(labels[ties] != 1) | (iou[ties, j] > max_iou[ties])]  # not foreground, or at a lower IoU
+            ties = np.flatnonzero(tie[j])
+            may = ties[(labels[ties] != 1) | (iou[j, ties] > max_iou[ties])]  # not foreground, or at a lower IoU
             for i in np.concatenate([may[~forced[may]], may])[:1].tolist():  # the first free one, else the first
-                labels[i], matched[i], max_iou[i], forced[i] = 1, j, iou[i, j], True
+                labels[i], matched[i], max_iou[i], forced[i] = 1, j, iou[j, i], True
         matched = np.where(labels == 1, matched, -1)
     fg = np.flatnonzero(labels == 1)
     fg_gts = matched[fg]

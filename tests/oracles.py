@@ -9,12 +9,17 @@ contiguous vertices), a per-anchor loop over the multi-task loss, the
 per-class sort-and-loop AP of evaluate, the exact scalar long-edge
 reduction with the per-anchor grid loop built on it, the gt-by-gt
 forced-anchor loop of assignment, the lockstep batched NMS (the
-library's NMS before free sets), and the detection and DOTA readers
+library's NMS before free sets), the detection and DOTA readers
 with one float call per token (the library's readers before their one
-conversion per read). Deliberately avoid the library's own clipping /
+conversion per read), and the training-target path before its cached
+window and gt-major IoU: circular labels from a modulo index table,
+axis-aligned IoU on (N, M, 2) arrays, and the anchor-major assignment
+built on both. Deliberately avoid the library's own clipping /
 calipers / loss / AP / canonicalization code paths; the readers and the
 strided calipers reduce their boxes with the library's calls, as they
-are oracles of the parsing and of the vertex handling only."""
+are oracles of the parsing and of the vertex handling only, and the
+anchor-major assignment takes its rotated IoU, bins and offsets from
+the library, as it is an oracle of the matrix layout and the tie pass."""
 
 import logging
 import math
@@ -23,9 +28,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from cslkit.csl_codec import _bins, window_value
 from cslkit.evaluation import AnnotationParseError, EvalReport, _check_iou_thresh, _hits
-from cslkit.rotgeom import (EPS, REL_EPS, InvalidGeometryError, OrientedBox180, canonicalize180_rows, min_area_rects,
-                            rotated_iou_pairs, to_quad)
+from cslkit.losses import encode_regression_rows
+from cslkit.rotgeom import (EPS, REL_EPS, InvalidGeometryError, OrientedBox180, aligned_bboxes, box_rows,
+                            canonicalize180_rows, min_area_rects, rotated_iou_matrix, rotated_iou_pairs, to_quad)
+from cslkit.targets import AnchorSet, AssignmentResult
 
 log = logging.getLogger("cslkit.evaluation")  # the library reader's logger, so that the warning records compare equal
 
@@ -565,6 +573,57 @@ def loop_assign_targets(iou, fg_iou=0.5, bg_iou=0.4):
             matched[best] = j
             max_iou[best] = iou[best, j]
     return labels, np.where(labels == 1, matched, -1), max_iou
+
+
+def modulo_window_rows(bins, cfg):
+    """(N, T) labels: the window row of bin 0 gathered through an (N, T)
+    table of (k - bins[n]) % T, rebuilt on every call."""
+    ring = np.arange(cfg.bin_count)
+    return window_value(cfg, ring)[(ring[None, :] - bins[:, None]) % len(ring)]
+
+
+def stacked_aligned_iou(a, b):
+    """Axis-aligned IoU (N, M) of checked (N, 4) and (M, 4) boxes on
+    (N, M, 2) overlap and side arrays reduced over their last axis."""
+    a, b = a[:, None], b[None]
+    side = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
+    inter = np.where(side > 0.0, side, 0.0).prod(axis=-1)
+    union = (a[..., 2:] - a[..., :2]).prod(axis=-1) + (b[..., 2:] - b[..., :2]).prod(axis=-1) - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(union > 0, inter / union, 0.0)
+
+
+def anchor_major_assign_targets(anchors, gts, cfg, csl_cfg):
+    """assign_targets on the anchor-major (N, M) IoU matrix, each gt's ties
+    read from its column, with stacked_aligned_iou and modulo_window_rows."""
+    anchors = anchors if isinstance(anchors, AnchorSet) else AnchorSet(box_rows(anchors))
+    rows, bboxes = anchors.rows, anchors.bboxes
+    gt_rows = box_rows([g[0] for g in gts])
+    gt_classes = [g[1] for g in gts]
+    n, m = len(rows), len(gt_rows)
+    labels, matched, max_iou = np.zeros(n, dtype=int), np.full(n, -1), np.zeros(n)
+    if m:
+        iou = (rotated_iou_matrix(rows, gt_rows) if cfg.anchor_mode == "rotated"
+               else stacked_aligned_iou(bboxes, aligned_bboxes(gt_rows)))
+        matched = np.argmax(iou, axis=1)
+        max_iou = iou[np.arange(n), matched]
+        labels = np.where(max_iou >= cfg.fg_iou, 1, np.where(max_iou < cfg.bg_iou, 0, -1))
+        best = iou.max(axis=0)
+        forced = np.zeros(n, dtype=bool)
+        for j in np.argsort(-best, kind="stable").tolist():
+            ties = np.flatnonzero(iou[:, j] >= best[j] * (1 - 1e-12))
+            may = ties[(labels[ties] != 1) | (iou[ties, j] > max_iou[ties])]
+            for i in np.concatenate([may[~forced[may]], may])[:1].tolist():
+                labels[i], matched[i], max_iou[i], forced[i] = 1, j, iou[i, j], True
+        matched = np.where(labels == 1, matched, -1)
+    fg = np.flatnonzero(labels == 1)
+    fg_gts = matched[fg]
+    offsets = encode_regression_rows(gt_rows[fg_gts], rows[fg])
+    used = np.unique(fg_gts)
+    bins = _bins(gt_rows[used, 4], csl_cfg)[np.searchsorted(used, fg_gts)]
+    class_ids = {i: gt_classes[j] for i, j in zip(fg.tolist(), fg_gts.tolist())}
+    return AssignmentResult(labels=labels, matched_gt=matched, max_iou=max_iou, class_ids=class_ids, offsets=offsets,
+                            bins=bins, csl_values=modulo_window_rows(bins, csl_cfg))
 
 
 def lockstep_batched_rotated_nms(rows, scores, groups, iou_thresh=0.1):

@@ -1,11 +1,14 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cslkit.csl_codec import (
     CslCodecConfig,
+    _window,
+    _window_rows,
     angle_to_bin,
     decode,
     decode_batch,
@@ -16,6 +19,7 @@ from cslkit.csl_codec import (
     window_curve,
     window_value,
 )
+from oracles import modulo_window_rows
 
 GAUSS6 = CslCodecConfig("gaussian", 6.0)
 KINDS = ("pulse", "rectangular", "triangle", "gaussian")
@@ -308,3 +312,48 @@ def test_window_curve_center_peak():
     assert len(curve) == 180
     assert curve[90][1] == 1.0
     assert [v for _, v in curve] == encode(0.5, GAUSS6).values.tolist()  # the label of an angle in bin 90
+
+
+class TestCachedWindow:
+    """Labels gathered from the window cached per config are those of a
+    modulo index table rebuilt on every call, bit for bit."""
+
+    @pytest.mark.parametrize("cfg", [
+        CslCodecConfig("gaussian", 6.0, 1.0, "range180"),
+        CslCodecConfig("pulse", 0.0),
+        CslCodecConfig("triangle", 4.0, 0.5, "range90"),
+        CslCodecConfig("rectangular", 3.0, 2.0),
+    ])
+    def test_every_bin_equals_the_modulo_table(self, cfg):
+        bins = np.arange(cfg.bin_count)
+        for rows in (bins, bins[::-1], np.array([], dtype=int)):
+            got, want = _window_rows(rows, cfg), modulo_window_rows(rows, cfg)
+            assert got.shape == want.shape == (len(rows), cfg.bin_count)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_window_is_read_only_and_labels_are_copies(self):
+        window = _window(GAUSS6)
+        assert window.shape == (GAUSS6.bin_count + 1, GAUSS6.bin_count) and not window.flags.writeable
+        with pytest.raises(ValueError):
+            window[0, 0] = 2.0
+        labels = encode_batch([0.0, 45.0], GAUSS6)
+        labels[:] = 2.0  # the caller owns its labels; the cache is untouched
+        assert encode_batch([0.0], GAUSS6).tobytes() == modulo_window_rows(np.array([90]), GAUSS6).tobytes()
+
+    def test_configs_that_differ_in_radius_get_their_own_rows(self):
+        narrow, wide = CslCodecConfig("gaussian", 4.0), CslCodecConfig("gaussian", 6.0)
+        bins = np.array([0, 17, 179])
+        assert _window_rows(bins, narrow).tobytes() != _window_rows(bins, wide).tobytes()
+        for cfg in (narrow, wide, narrow):
+            assert _window_rows(bins, cfg).tobytes() == modulo_window_rows(bins, cfg).tobytes()
+
+    def test_fine_bins_build_no_square_table(self):
+        cfg = CslCodecConfig("gaussian", 6.0, 0.01)  # T = 18000: a (T, T) table would take 2.6 GB
+        tracemalloc.start()
+        try:
+            labels = encode_batch([-90.0, 0.0, 89.995], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert labels.tobytes() == modulo_window_rows(np.array([0, 9000, 17999]), cfg).tobytes()

@@ -15,7 +15,9 @@ from cslkit.rotgeom import (
     OrientedBox90,
     OrientedBox180,
     QuadBox,
+    _aligned_iou,
     aligned_bbox,
+    aligned_bboxes,
     aligned_iou,
     aligned_iou_matrix,
     box_rows,
@@ -42,6 +44,7 @@ from oracles import (
     scalar_canonicalize180,
     shoelace_area,
     sorted_candidate_iou_matrix,
+    stacked_aligned_iou,
     strided_min_area_rects,
     vertex_set_equal,
 )
@@ -853,6 +856,79 @@ class TestMinAreaRectsAgainstStrided:
                 for order in _orders(quad)[::3]:
                     self._assert_same(order[None], kind)  # alone
                     self._assert_same(np.concatenate([good[:2], [order], good[2:], [order]]), kind)  # at index 2
+
+
+class TestPerAxisAlignedIou:
+    """The IoU from (N, M) x and y overlaps equals the one from (N, M, 2)
+    arrays, bit for bit, in both orders of its arguments."""
+
+    @staticmethod
+    def _assert_same_bits(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        for x, y in ((a, b), (b, a)):
+            got, want = _aligned_iou(x, y), stacked_aligned_iou(x, y)
+            assert got.shape == want.shape == (len(x), len(y))
+            assert got.tobytes() == want.tobytes()
+        assert _aligned_iou(a, b).tobytes() == np.ascontiguousarray(stacked_aligned_iou(b, a).T).tobytes()
+
+    def test_named_cases(self):
+        base = (0.0, 0.0, 4.0, 2.0)
+        others = [
+            (4.0, 0.0, 6.0, 2.0), (0.0, 2.0, 4.0, 3.0), (4.0, 2.0, 5.0, 3.0),  # touching along a side, at a corner
+            (1.0, 0.5, 2.0, 1.5), (-1.0, -1.0, 5.0, 3.0),  # nested either way
+            base,  # identical
+            (5.0, 0.0, 6.0, 2.0), (0.0, -3.0, 4.0, -1.0), (10.0, 10.0, 11.0, 12.0),  # disjoint
+            (3.0, 1.0, 5.0, 4.0),  # overlapping
+        ]
+        self._assert_same_bits([base], others)
+        self._assert_same_bits(others, others)
+
+    def test_far_from_origin_row_of_zero_area(self):
+        far = aligned_bboxes([(1e17, 0.0, 2.0, 1.0, -90.0)])  # its x range rounds to nothing
+        assert far[0, 0] == far[0, 2]
+        self._assert_same_bits(np.concatenate([far, far]), [(0.0, 0.0, 1.0, 1.0), tuple(far[0, :2]) + (1e17 + 16, 1.0)])
+        self._assert_same_bits(far, far)
+        assert _aligned_iou(far, far).tolist() == [[0.0]]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_boxes(self, seed):
+        rng = np.random.default_rng(seed)
+        lo = rng.integers(0, 20, (2, 60, 2)) / 2.0 * 10.0 ** rng.integers(-3, 4)  # many exact touches and ties
+        boxes = np.concatenate([lo, lo + rng.integers(1, 8, lo.shape) / 2.0 * 10.0 ** rng.integers(-3, 4)], axis=2)
+        self._assert_same_bits(boxes[0], boxes[1])
+
+
+class TestRaggedRows:
+    """A row list whose rows differ in length raises InvalidGeometryError
+    naming its first row of the wrong length, not numpy's shape error."""
+
+    ROW5, ROW4 = (0.0, 0.0, 2.0, 1.0, 10.0), (0.0, 0.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("call, width", [
+        (lambda rows, good: rotated_iou_matrix(rows, [good]), 5),
+        (lambda rows, good: rotated_iou_matrix([good], rows), 5),
+        (lambda rows, good: rotated_iou_pairs(rows, rows), 5),
+        (lambda rows, good: canonicalize180_rows(rows), 5),
+        (lambda rows, good: aligned_bboxes(rows), 5),
+        (lambda rows, good: aligned_iou_matrix(rows, [good]), 4),
+        (lambda rows, good: aligned_iou_matrix([good], rows), 4),
+    ])
+    @pytest.mark.parametrize("ragged, index", [
+        (lambda good: [good, good[:-1]], 1),
+        (lambda good: [good, good, good + (1.0,), good[:-1]], 2),
+        (lambda good: [good[:2], good], 0),
+        (lambda good: [good, 3.0], 1),
+    ])
+    def test_first_row_of_another_length_is_named(self, call, width, ragged, index):
+        good = self.ROW5 if width == 5 else self.ROW4
+        with pytest.raises(InvalidGeometryError, match=rf"^row {index} is not a sequence of {width} values$") as exc:
+            call(ragged(good), good)
+        assert exc.value.index == index
+
+    def test_other_conversion_errors_are_numpy_s(self):
+        with pytest.raises(ValueError, match="could not convert") as exc:
+            rotated_iou_matrix([self.ROW5, ("a",) * 5], [self.ROW5])
+        assert not isinstance(exc.value, InvalidGeometryError)
 
 
 class TestNonFinite:

@@ -13,7 +13,7 @@ from cslkit.losses import RegressionTarget, encode_regression
 from cslkit.targets import AnchorGridSpec, AnchorSet, AssignmentConfig, assign_targets, generate_anchors
 from cslkit.rotgeom import (OrientedBox90, OrientedBox180, aligned_bbox, aligned_bboxes, aligned_iou, aligned_iou_matrix, box_rows,
                             canonicalize90, canonicalize180, rotated_iou_matrix, to_quad)
-from oracles import clipped_iou, loop_assign_targets, loop_generate_anchors
+from oracles import anchor_major_assign_targets, clipped_iou, loop_assign_targets, loop_generate_anchors
 
 CSL_CFG = CslCodecConfig("gaussian", 6.0)
 
@@ -508,3 +508,57 @@ class TestOneForcedAnchorPerGt:
             b = assign_targets(anchors, [(boxes[j], j) for j in order], cfg, CSL_CFG)
             assert np.array_equal(a.labels, b.labels)
             assert np.array_equal(a.matched_gt, np.where(b.matched_gt >= 0, order[b.matched_gt], -1))
+
+
+def _assert_same_targets(got, want):
+    for name in ("labels", "matched_gt", "max_iou", "offsets", "bins", "csl_values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.class_ids == want.class_ids
+
+
+class TestGtMajorAssignment:
+    """The assignment on the gt-major (M, N) IoU, with each gt's ties read
+    from one tie mask, gives the targets of the anchor-major one, bit for
+    bit: labels, matched gts, IoUs, offsets, bins and circular labels."""
+
+    @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
+    @pytest.mark.parametrize("spec", [AnchorGridSpec(image_size=32, strides=(8, 16)),
+                                      AnchorGridSpec(image_size=64, strides=(16, 32), base_scale=2.5)])
+    def test_seeded_scenes(self, spec, mode):
+        anchors = generate_anchors(spec, mode)
+        cfg = AssignmentConfig(anchor_mode=mode)
+        rng = np.random.default_rng([spec.image_size, mode == "rotated"])
+        for _ in range(40):
+            boxes = [canonicalize180(*rng.uniform(0, spec.image_size, 2), *rng.uniform(1, spec.image_size / 2, 2),
+                                     rng.uniform(-90, 90)) for _ in range(rng.integers(1, 7))]
+            gts = [(box, int(rng.integers(0, 5))) for box in boxes]
+            _assert_same_targets(assign_targets(anchors, gts, cfg, CSL_CFG),
+                                 anchor_major_assign_targets(anchors, gts, cfg, CSL_CFG))
+
+    @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
+    def test_tied_best_anchors(self, mode):
+        anchors = generate_anchors(AnchorGridSpec(image_size=32, strides=(8,), base_scale=2.0), mode)
+        cfg = AssignmentConfig(anchor_mode=mode)
+        rng = np.random.default_rng(5)
+        ties = 0
+        for _ in range(60):
+            boxes = [canonicalize180(*rng.uniform(0, 32, 2), *rng.uniform(1, 6, 2), rng.uniform(-90, 90))
+                     for _ in range(rng.integers(1, 4))]  # small gts tie over equal-area anchors
+            large = canonicalize180(*rng.uniform(8, 24, 2), *rng.uniform(8, 20, 2), rng.uniform(-90, 90))
+            boxes += [large, large]  # congruent gts tie at every anchor, above the thresholds too
+            gts = [(box, j) for j, box in enumerate(boxes)]
+            _assert_same_targets(assign_targets(anchors, gts, cfg, CSL_CFG),
+                                 anchor_major_assign_targets(anchors, gts, cfg, CSL_CFG))
+            iou = _iou(anchors, boxes, mode)
+            ties += int((iou >= iou.max(axis=0) * (1 - 1e-12)).sum(axis=0).max() > 1)
+        assert ties >= 30
+
+    @pytest.mark.parametrize("mode", ["horizontal", "rotated"])
+    def test_gt_that_overlaps_no_anchor_forces_anchor_zero(self, mode):
+        anchors = generate_anchors(AnchorGridSpec(image_size=64, strides=(8, 16)), mode)
+        cfg = AssignmentConfig(anchor_mode=mode)
+        gts = [(canonicalize180(20.0, 24.0, 12.0, 6.0, 30.0), 1), (canonicalize180(5000.0, 5000.0, 8.0, 4.0, 0.0), 2)]
+        got = assign_targets(anchors, gts, cfg, CSL_CFG)
+        _assert_same_targets(got, anchor_major_assign_targets(anchors, gts, cfg, CSL_CFG))
+        assert (got.labels[0], got.matched_gt[0], got.max_iou[0], got.class_ids[0]) == (1, 1, 0.0, 2)
