@@ -2,7 +2,9 @@
 
 Subcommands: window, encode, decode, iou, quant-error, boundary-report,
 targets, nms, eval. Output is JSON (default) or CSV via --format, the
-latter through the csv module; JSON payloads carry a schema_version field.
+latter through the csv module; JSON payloads carry a schema_version field
+and are the bytes json.dumps(payload, indent=2) writes, which nms and eval
+format straight from their columns.
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
@@ -60,10 +62,11 @@ def _parse_gt(text):
 
 
 def _emit(args, payload_json, rows, header):
-    """payload_json for --format json, (header, rows) for csv; rows may be a generator, consumed as written."""
+    """payload_json, a dict to json.dumps or a function that returns the JSON text, for --format json; (header, rows)
+    for csv; rows may be a generator, consumed as written. Only the chosen format's text is built."""
     with open(args.output, "w", newline="") if args.output else contextlib.nullcontext(sys.stdout) as out:
         if args.format == "json":
-            out.write(json.dumps(payload_json, indent=2) + "\n")
+            out.write((payload_json() if callable(payload_json) else json.dumps(payload_json, indent=2)) + "\n")
         else:
             csv.writer(out, lineterminator="\n").writerows(itertools.chain([header], rows))
 
@@ -195,16 +198,28 @@ def _class_table(names, option="--classes"):
     return {name: i for i, name in enumerate(names)}
 
 
+# one kept detection of the nms payload, as json.dumps(..., indent=2) writes it: %r is float.__repr__ for the
+# finite floats of the kept columns
+_KEPT_JSON = ('{\n      "image_id": %s,\n      "class_id": %d,\n      "score": %r,\n      "box": [\n        %r,\n'
+              '        %r,\n        %r,\n        %r,\n        %r\n      ]\n    }')
+
+
 def _cmd_nms(args):
     table = _class_table(args.classes)
     image_ids, class_ids, scores, rows = evaluation.parse_detections(Path(args.dets).read_text(encoding="utf-8-sig"), table)
     rank = {key: g for g, key in enumerate(sorted(set(zip(image_ids, class_ids))))}  # kept come out by (image, class)
     kept = evaluation.batched_rotated_nms(rows, scores, [rank[key] for key in zip(image_ids, class_ids)], args.iou_thresh)
-    payload = {"schema_version": SCHEMA_VERSION, "kept": [  # one dict per kept detection, from the kept columns
-        {"image_id": image_ids[k], "class_id": class_ids[k], "score": score, "box": box}
-        for k, score, box in zip(kept.tolist(), scores[kept].tolist(), rows[kept].tolist())]}
-    csv_rows = ((d["image_id"], d["class_id"], d["score"], *d["box"]) for d in payload["kept"])
-    _emit(args, payload, csv_rows, ("image_id", "class_id", "score", "cx", "cy", "h", "w", "theta"))
+    # the kept columns: image ids, class ids, scores, cx, cy, h, w and theta; no container per kept detection
+    at = kept.tolist()
+    ids, classes = [image_ids[k] for k in at], [class_ids[k] for k in at]
+    columns = (classes, scores[kept].tolist(), *rows[kept].T.tolist())
+
+    def json_text():
+        kept_json = list(map(_KEPT_JSON.__mod__, zip(map(evaluation._quote, ids), *columns)))
+        return evaluation._json_object([("schema_version", SCHEMA_VERSION),
+                                        ("kept", evaluation._json_block("[]", kept_json, 2))], 0)
+
+    _emit(args, json_text, zip(ids, *columns), ("image_id", "class_id", "score", "cx", "cy", "h", "w", "theta"))
 
 
 def _cmd_eval(args):
@@ -229,13 +244,10 @@ def _cmd_eval(args):
     if read_error is not None:
         raise read_error
     report = evaluation.evaluate_columns(dets, gts, args.classes, iou_thresh=args.iou_thresh)
-    payload = report.to_dict()
-    if args.subset:
-        payload["subset_map07"] = report.subset_map(args.subset, "voc07")
-        payload["subset_map12"] = report.subset_map(args.subset, "voc12")
+    subset = [(f"subset_map{k}", report.subset_map(args.subset, f"voc{k}")) for k in ("07", "12") if args.subset]
     rows = [(c, report.ap07[c], report.ap12[c]) for c in args.classes]
     rows.append(("mAP", report.map07, report.map12))
-    _emit(args, payload, rows, ("class", "ap07", "ap12"))
+    _emit(args, lambda: evaluation._report_json(report, subset), rows, ("class", "ap07", "ap12"))
 
 
 @functools.cache

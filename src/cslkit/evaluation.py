@@ -36,6 +36,7 @@ log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1  # of EvalReport.to_dict and every cslkit JSON payload
 
+_quote = json.encoder.encode_basestring_ascii  # json's string encoder: a quoted name, non-ASCII as \uXXXX
 _VOC07_RECALLS = np.linspace(0.0, 1.0, 11) - 1e-12  # slack: a recall that rounds just below a point still reaches it
 
 
@@ -89,7 +90,39 @@ class EvalReport:
         return {"schema_version": SCHEMA_VERSION, **vars(self), "pr_curves": curves}
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
+        return _report_json(self)
+
+
+def _json_block(brackets, items, indent):
+    """The text json.dumps(..., indent=2) gives a list or dict (brackets "[]" or "{}") opened indent spaces deep,
+    from the list of its rendered items."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * indent
+    return f"{brackets[0]}{pad}  {(',' + pad + '  ').join(items)}{pad}{brackets[1]}"
+
+
+def _json_object(pairs, indent):
+    """_json_block of a dict, from (name, rendered value) pairs."""
+    return _json_block("{}", [f"{_quote(name)}: {value}" for name, value in pairs], indent)
+
+
+def _report_json(report, extra=()):
+    """json.dumps(report.to_dict() with the (name, value) pairs of extra appended, indent=2) of a report of floats,
+    as evaluate_columns gives, formatted once from its values: names through json's string encoder, each value
+    through float.__repr__, and each curve joined once."""
+    def floats(values, indent):
+        return _json_block("[]", list(map(float.__repr__, values)), indent)
+
+    def aps(values):
+        return _json_object(zip(values, map(float.__repr__, values.values())), 2)
+
+    curves = [(name, _json_object([("recall", floats(r, 6)), ("precision", floats(p, 6))], 4))
+              for name, (r, p) in report.pr_curves.items()]
+    return _json_object([("schema_version", SCHEMA_VERSION), ("ap07", aps(report.ap07)), ("ap12", aps(report.ap12)),
+                         ("map07", float.__repr__(report.map07)), ("map12", float.__repr__(report.map12)),
+                         ("pr_curves", _json_object(curves, 2)),
+                         *((name, float.__repr__(value)) for name, value in extra)], 0)
 
 
 def _check_iou_thresh(iou_thresh):

@@ -455,7 +455,12 @@ def rotated_iou(a, b):
 def aligned_bboxes(rows):
     """Axis-aligned enclosing boxes (N, 4) (xmin, ymin, xmax, ymax) of
     (N, 5) box rows."""
-    pts = _corners(_check_rows(rows))
+    return _aligned_bboxes(_check_rows(rows))
+
+
+def _aligned_bboxes(rows):
+    """aligned_bboxes of checked rows, such as box_rows builds from records."""
+    pts = _corners(rows)
     return np.concatenate([pts.min(axis=1), pts.max(axis=1)]).T
 
 

@@ -10,7 +10,8 @@ import numpy as np
 
 from .csl_codec import CslLabel, _bins, _window_rows
 from .losses import RegressionTarget, encode_regression_rows
-from .rotgeom import OrientedBox180, _aligned_iou, aligned_bboxes, box_rows, canonicalize180_rows, rotated_iou_matrix
+from .rotgeom import (OrientedBox180, _aligned_bboxes, _aligned_iou, aligned_bboxes, box_rows, canonicalize180_rows,
+                      rotated_iou_matrix)
 
 DEFAULT_RATIOS = (1.0, 1 / 2, 2.0, 1 / 4, 4.0, 1 / 6, 6.0)
 DEFAULT_ANGLES = (-90.0, -75.0, -60.0, -45.0, -30.0, -15.0)
@@ -156,17 +157,26 @@ def assign_targets(anchors, gts, cfg, csl_cfg):
     n, m = len(rows), len(gt_rows)
     labels, matched, max_iou = np.zeros(n, dtype=int), np.full(n, -1), np.zeros(n)
     if m:  # the IoU gt-major, (M, N) and contiguous; a rotated pair keeps its anchor as the kernel's frame
-        iou = rotated_iou_matrix(rows, gt_rows).T if cfg.anchor_mode == "rotated" else _aligned_iou(aligned_bboxes(gt_rows), bboxes)
+        iou = rotated_iou_matrix(rows, gt_rows).T if cfg.anchor_mode == "rotated" else _aligned_iou(_aligned_bboxes(gt_rows), bboxes)
         matched = (iou == iou.max(axis=0)).argmax(axis=0)  # ties -> first gt; its axis-0 argmax copies bools, not IoUs
         max_iou = iou[matched, np.arange(n)]
         labels = np.where(max_iou >= cfg.fg_iou, 1, np.where(max_iou < cfg.bg_iou, 0, -1))
         best = iou.max(axis=1)
-        tie = iou >= (best * (1 - 1e-12))[:, None]  # each gt's best anchors, within 1e-12 relative
+        # each gt's best anchors (within 1e-12 relative) less the foreground ones, whose IoU is already their best:
+        # no gt may take one of those unless it was forced; gt by gt, in anchor order
+        gt, anchor = np.divmod(np.flatnonzero(iou >= (best * (1 - 1e-12))[:, None]), n)
+        may = np.flatnonzero(labels[anchor] != 1)
+        gt, anchor = gt[may], anchor[may]
+        bounds = np.searchsorted(gt, np.arange(m + 1)).tolist()
         forced = np.zeros(n, dtype=bool)
         for j in np.argsort(-best, kind="stable").tolist():
-            ties = np.flatnonzero(tie[j])
-            may = ties[(labels[ties] != 1) | (iou[j, ties] > max_iou[ties])]  # not foreground, or at a lower IoU
-            for i in np.concatenate([may[~forced[may]], may])[:1].tolist():  # the first free one, else the first
+            span = range(bounds[j], bounds[j + 1])
+            # the first free one, found past at most m - 1 forced ones; else the first forced at a lower IoU
+            k = next((k for k in span if not forced[anchor[k]]), None)
+            if k is None:
+                k = next((k for k in span if iou[j, anchor[k]] > max_iou[anchor[k]]), None)
+            if k is not None:
+                i = anchor[k]
                 labels[i], matched[i], max_iou[i], forced[i] = 1, j, iou[j, i], True
         matched = np.where(labels == 1, matched, -1)
     fg = np.flatnonzero(labels == 1)

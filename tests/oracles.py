@@ -14,7 +14,9 @@ with one float call per token (the library's readers before their one
 conversion per read), and the training-target path before its cached
 window and gt-major IoU: circular labels from a modulo index table,
 axis-aligned IoU on (N, M, 2) arrays, and the anchor-major assignment
-built on both. Deliberately avoid the library's own clipping /
+built on both, and the dict payloads of `cslkit nms` and `cslkit eval`
+that json.dumps(..., indent=2) wrote before the CLI formatted them from
+its columns. Deliberately avoid the library's own clipping /
 calipers / loss / AP / canonicalization code paths; the readers and the
 strided calipers reduce their boxes with the library's calls, as they
 are oracles of the parsing and of the vertex handling only, and the
@@ -29,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from cslkit.csl_codec import _bins, window_value
-from cslkit.evaluation import AnnotationParseError, EvalReport, _check_iou_thresh, _hits
+from cslkit.evaluation import SCHEMA_VERSION, AnnotationParseError, EvalReport, _check_iou_thresh, _hits
 from cslkit.losses import encode_regression_rows
 from cslkit.rotgeom import (EPS, REL_EPS, InvalidGeometryError, OrientedBox180, aligned_bboxes, box_rows,
                             canonicalize180_rows, min_area_rects, rotated_iou_matrix, rotated_iou_pairs, to_quad)
@@ -749,3 +751,23 @@ def loop_parse_detections(text, class_table, quad_form=False):
     if parse_error is not None:
         raise parse_error
     return image_ids, class_ids, scores, rows
+
+
+def dict_nms_payload(image_ids, class_ids, scores, rows, kept):
+    """The JSON payload of `cslkit nms` as one dict, with its box list, per
+    kept detection, from the columns of parse_detections and the kept
+    positions of batched_rotated_nms; its CSV rows are read back from the
+    dicts as (image_id, class_id, score, *box)."""
+    return {"schema_version": SCHEMA_VERSION, "kept": [
+        {"image_id": image_ids[k], "class_id": class_ids[k], "score": score, "box": box}
+        for k, score, box in zip(kept.tolist(), scores[kept].tolist(), rows[kept].tolist())]}
+
+
+def dict_eval_payload(report, subset=()):
+    """The JSON payload of `cslkit eval`: the report's to_dict, then the
+    subset mAPs if a subset is given."""
+    payload = report.to_dict()
+    if subset:
+        payload["subset_map07"] = report.subset_map(subset, "voc07")
+        payload["subset_map12"] = report.subset_map(subset, "voc12")
+    return payload

@@ -1,3 +1,6 @@
+import csv
+import importlib
+import io
 import json
 import shlex
 from collections import Counter
@@ -10,6 +13,7 @@ from cslkit import evaluation, targets
 from cslkit.cli import build_parser, main
 from cslkit.evaluation import DetectionRecord, GroundTruthRecord
 from cslkit.rotgeom import OrientedBox180, canonicalize180, to_quad
+from oracles import dict_eval_payload, dict_nms_payload, loop_evaluate
 
 
 def run(capsys, *argv):
@@ -531,6 +535,127 @@ class TestEvalGolden:
 
     def test_json(self, tmp_path, capsys):
         assert run(capsys, *self._argv(tmp_path)) == (0, json.dumps(GOLDEN_PAYLOAD, indent=2) + "\n")
+
+
+# edge cases of the JSON writers: image ids and class names with a quote, a
+# backslash, a comma, a bracket, a space (a --classes name only, as tokens
+# split on spaces) and non-ASCII text, which json writes as \\uXXXX; a
+# 30-digit and a negative class token; -0.0 and exponent-form floats
+EDGE_CLASSES = ('q"a', "b\\s", "c,d", "[e", "f g", "h\u00e9\u4e2d")
+EDGE_NMS_DETS = ('im"1 q"a 0.9 2 1 4 2 0\nim"1 c,d 0.5 22 1 4 2 -0.0\nh\u00e9\u4e2d h\u00e9\u4e2d 1e-07 2 1 4 2 0\n'
+                 "x\\y 123456789012345678901234567890 0.3 1e+16 2 4 2 0\n[z -7 0.25 -0.0 1 4 2 1e-07\n"
+                 "[z -7 0.2 -0.0 1 4 2 1e-07\nP,1 b\\s 1.0 3 4 5 2 -90\n")
+EDGE_ANN = {'im"1.txt': "0 0 4 0 4 2 0 2 q\"a 0\n20 0 24 0 24 2 20 2 c,d 0\n",
+            "h\u00e9\u4e2d.txt": "imagesource:x\n0 0 4 0 4 2 0 2 h\u00e9\u4e2d 0\n0 9 4 9 4 11 0 11 [e 1\n"}
+EDGE_EVAL_DETS = ('im"1 q"a 0.9 2 1 4 2 0\nim"1 c,d 0.5 22 1 4 2 -0.0\nh\u00e9\u4e2d h\u00e9\u4e2d 1e-07 2 1 4 2 0\n'
+                  'h\u00e9\u4e2d q"a 0.4 2 1 4 2 0\nh\u00e9\u4e2d [e 0.3 2 10 4 2 0\n')
+
+
+@pytest.fixture
+def bench_fixtures(monkeypatch):
+    """The seeded input generators of perfbench/fixtures.py."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("fixtures")
+
+
+class TestJsonFromColumns:
+    """cslkit nms and cslkit eval format their JSON once per result from the
+    columns: byte for byte what json.dumps(..., indent=2) writes of the dict
+    payloads of tests/oracles.py, to stdout and to --output; the nms CSV
+    rows are those read back from the dicts."""
+
+    NMS_HEADER = ("image_id", "class_id", "score", "cx", "cy", "h", "w", "theta")
+
+    @staticmethod
+    def _outputs(capsys, tmp_path, fmt, argv):
+        """The text of one run to stdout, checked equal to that of the same run with --output."""
+        code, out = run(capsys, "--format", fmt, *argv)
+        assert code == 0
+        path = tmp_path / f"out.{fmt}"
+        assert main(["--format", fmt, "--output", str(path), *argv]) == 0
+        with open(path, newline="") as f:
+            assert f.read() == out
+        return out
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The last result of each library call the two commands make."""
+        seen = {}
+        for name in ("parse_detections", "batched_rotated_nms", "evaluate_columns"):
+            real = getattr(evaluation, name)
+            monkeypatch.setattr(evaluation, name, lambda *args, real=real, name=name, **kwargs:
+                                seen.__setitem__(name, real(*args, **kwargs)) or seen[name])
+        return seen
+
+    def _check_nms(self, capsys, tmp_path, monkeypatch, dets_text, classes, thresh="0.1"):
+        dets = tmp_path / "dets.txt"
+        dets.write_text(dets_text, encoding="utf-8")
+        argv = ("nms", "--dets", str(dets), "--iou-thresh", thresh, "--classes", *classes)
+        seen = self._spy(monkeypatch)
+        got = self._outputs(capsys, tmp_path, "json", argv)
+        payload = dict_nms_payload(*seen["parse_detections"], seen["batched_rotated_nms"])
+        assert got == json.dumps(payload, indent=2) + "\n"
+        want_csv = io.StringIO()
+        csv.writer(want_csv, lineterminator="\n").writerows(
+            [self.NMS_HEADER, *((d["image_id"], d["class_id"], d["score"], *d["box"]) for d in payload["kept"])])
+        assert self._outputs(capsys, tmp_path, "csv", argv) == want_csv.getvalue()
+        return payload
+
+    def _check_eval(self, capsys, tmp_path, monkeypatch, argv, subset=()):
+        seen = self._spy(monkeypatch)
+        got = self._outputs(capsys, tmp_path, "json", (*argv, *(("--subset", *subset) if subset else ())))
+        report = seen["evaluate_columns"]
+        assert got == json.dumps(dict_eval_payload(report, subset), indent=2) + "\n"
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+        return report
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_nms_files(self, capsys, tmp_path, monkeypatch, bench_fixtures, seed):
+        case = bench_fixtures.nms_file(np.random.default_rng(2901 + seed), tmp_path / "case")
+        for thresh in ("0.1", "0.7"):
+            payload = self._check_nms(capsys, tmp_path, monkeypatch, Path(case["dets"]).read_text(),
+                                      bench_fixtures.CLASSES, thresh)
+            assert len(payload["kept"]) >= len(case["kept"])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_eval_shards(self, capsys, tmp_path, monkeypatch, bench_fixtures, seed):
+        case = bench_fixtures.eval_shard(np.random.default_rng(2911 + seed), tmp_path / "case")
+        argv = ("eval", "--dets", case["dets"], "--ann-dir", case["ann_dir"], "--classes", *bench_fixtures.CLASSES)
+        for subset in ((), ("ship", "plane")):
+            report = self._check_eval(capsys, tmp_path, monkeypatch, argv, subset)
+            assert report.ap12 == pytest.approx(case["ap12"], abs=1e-9)
+
+    def test_edge_case_nms(self, capsys, tmp_path, monkeypatch):
+        payload = self._check_nms(capsys, tmp_path, monkeypatch, EDGE_NMS_DETS, EDGE_CLASSES, "0.5")
+        text = json.dumps(payload, indent=2)
+        for piece in ('"im\\"1"', '"x\\\\y"', '"P,1"', '"[z"', '"h\\u00e9\\u4e2d"', "123456789012345678901234567890,",
+                      '"class_id": -7', "-0.0", "1e-07", "1e+16"):
+            assert piece in text, piece
+        assert len(payload["kept"]) == 6  # the two [z detections are one
+
+    def test_empty_kept_list(self, capsys, tmp_path, monkeypatch):
+        payload = self._check_nms(capsys, tmp_path, monkeypatch, "", ("ship",))
+        assert payload == {"schema_version": 1, "kept": []}
+
+    @pytest.mark.parametrize("subset", [(), ('q"a', "c,d", "f g")])
+    def test_edge_case_eval(self, capsys, tmp_path, monkeypatch, subset):
+        ann = tmp_path / "ann"
+        ann.mkdir()
+        for name, text in EDGE_ANN.items():
+            (ann / name).write_text(text, encoding="utf-8")
+        (tmp_path / "dets.txt").write_text(EDGE_EVAL_DETS, encoding="utf-8")
+        argv = ("eval", "--dets", str(tmp_path / "dets.txt"), "--ann-dir", str(ann), "--classes", *EDGE_CLASSES)
+        report = self._check_eval(capsys, tmp_path, monkeypatch, argv, subset)
+        assert report.pr_curves["f g"] == ([], [])  # a class with an empty curve
+        assert report.ap12["h\u00e9\u4e2d"] == 1.0 and report.ap12["[e"] == 0.0
+
+    def test_report_of_numpy_floats(self):
+        """A report whose values are numpy floats, as the loop oracle builds them, writes as json.dumps does."""
+        dets = (["a", "a", "b"], [0, 1, 0], np.array([0.9, 0.8, 0.7]), np.array([[0, 0, 4, 2, 0.0]] * 3))
+        gts = (["a", "b"], [0, 1], [False, False], np.array([[0, 0, 4, 2, 0.0]] * 2))
+        report = loop_evaluate(dets, gts, ["x", "y", "z"])
+        assert any(isinstance(v, np.float64) for v in report.ap07.values())
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
 
 
 class TestClassIds:

@@ -1225,3 +1225,23 @@ class TestReadersKeepNoContainerPerLine:
         assert len(dota_files_columns(files, CLASSES)[0]) == 24_000
         assert _collections(dota_files_columns, files, CLASSES) <= 2
         assert _collections(loop_dota_files_columns, files, CLASSES) > 50
+
+
+class TestNmsOutputKeepsNoContainerPerDetection:
+    """cslkit nms formats its JSON and CSV from the kept columns, with no
+    dict, box list or tuple kept per detection, so the cyclic collector
+    hardly runs on its output either."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fifty_thousand_detections(self, tmp_path, fmt):
+        assert gc.isenabled()
+        rng = np.random.default_rng(2607)
+        boxes = np.column_stack([rng.uniform(0, 1024, (50_000, 2)), rng.uniform(10, 80, 50_000),
+                                 rng.uniform(5, 10, 50_000), rng.uniform(-90, 90, 50_000)]).round(1)
+        dets = tmp_path / "dets.txt"
+        dets.write_text("".join(f"P{k % 458:04d} {('ship', 'plane', '3')[k % 3]} {k / 50_000:.4f} {cx} {cy} {h} {w} {t}\n"
+                                for k, (cx, cy, h, w, t) in enumerate(boxes.tolist())))
+        out = tmp_path / f"kept.{fmt}"
+        argv = ["--format", fmt, "--output", str(out), "nms", "--dets", str(dets), "--classes", "ship", "plane"]
+        assert _collections(main, argv) <= 5
+        assert out.read_text().count("\n") > (40_000 if fmt == "csv" else 400_000)  # most detections are kept

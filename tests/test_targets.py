@@ -542,11 +542,13 @@ class TestGtMajorAssignment:
         cfg = AssignmentConfig(anchor_mode=mode)
         rng = np.random.default_rng(5)
         ties = 0
-        for _ in range(60):
+        for k in range(60):
             boxes = [canonicalize180(*rng.uniform(0, 32, 2), *rng.uniform(1, 6, 2), rng.uniform(-90, 90))
                      for _ in range(rng.integers(1, 4))]  # small gts tie over equal-area anchors
             large = canonicalize180(*rng.uniform(8, 24, 2), *rng.uniform(8, 20, 2), rng.uniform(-90, 90))
-            boxes += [large, large]  # congruent gts tie at every anchor, above the thresholds too
+            # congruent gts tie at every anchor, above the thresholds too; of 5 copies, later ones scan past the
+            # anchors earlier ones were forced onto
+            boxes += [large] * (2 if k % 2 else 5)
             gts = [(box, j) for j, box in enumerate(boxes)]
             _assert_same_targets(assign_targets(anchors, gts, cfg, CSL_CFG),
                                  anchor_major_assign_targets(anchors, gts, cfg, CSL_CFG))
@@ -562,3 +564,16 @@ class TestGtMajorAssignment:
         got = assign_targets(anchors, gts, cfg, CSL_CFG)
         _assert_same_targets(got, anchor_major_assign_targets(anchors, gts, cfg, CSL_CFG))
         assert (got.labels[0], got.matched_gt[0], got.max_iou[0], got.class_ids[0]) == (1, 1, 0.0, 2)
+
+    def test_later_gt_takes_an_anchor_forced_at_a_lower_iou(self):
+        # anchor 0 ties with gt 0's best (anchor 1) only within 1e-12, so gt 0, the first by best IoU, is forced onto
+        # it below its best; gt 1, a hair smaller, overlaps only anchor 0, at a higher IoU than gt 0's, and takes it
+        anchors = AnchorSet(np.array([[15.0, 15.0, 20.0, 10.0, 0.0], [150.0, 15.0, 20.0 * (1 + 1e-13), 10.0, 0.0]]))
+        gts = [(OrientedBox180(100.0, 50.0, 200.0, 100.0, 0.0), 3),
+               (OrientedBox180(0.0, 50.0, 200.0 * (1 - 5e-14), 100.0, 0.0), 4)]
+        iou = aligned_iou_matrix(anchors.bboxes, aligned_bboxes(box_rows([g[0] for g in gts])))
+        assert iou[1, 0] > iou[0, 1] > iou[0, 0] >= iou[1, 0] * (1 - 1e-12) and iou[1, 1] == 0.0
+        cfg = AssignmentConfig()
+        got = assign_targets(anchors, gts, cfg, CSL_CFG)
+        _assert_same_targets(got, anchor_major_assign_targets(anchors, gts, cfg, CSL_CFG))
+        assert got.labels.tolist() == [1, 0] and got.matched_gt.tolist() == [1, -1] and got.max_iou[0] == iou[0, 1]
