@@ -207,9 +207,8 @@ _KEPT_JSON = ('{\n      "image_id": %s,\n      "class_id": %d,\n      "score": %
 def _cmd_nms(args):
     table = _class_table(args.classes)
     image_ids, class_ids, scores, rows = evaluation.parse_detections(Path(args.dets).read_text(encoding="utf-8-sig"), table)
-    rank = {key: g for g, key in enumerate(sorted(set(zip(image_ids, class_ids))))}  # kept come out by (image, class)
-    kept = evaluation.batched_rotated_nms(rows, scores, [rank[key] for key in zip(image_ids, class_ids)], args.iou_thresh)
-    # the kept columns: image ids, class ids, scores, cx, cy, h, w and theta; no container per kept detection
+    kept = evaluation.batched_rotated_nms(rows, scores, evaluation._key_ids(image_ids, class_ids), args.iou_thresh)
+    # kept by (image, class); its columns: image ids, class ids, scores, cx, cy, h, w and theta; no container each
     at = kept.tolist()
     ids, classes = [image_ids[k] for k in at], [class_ids[k] for k in at]
     columns = (classes, scores[kept].tolist(), *rows[kept].T.tolist())

@@ -229,18 +229,25 @@ def _columns(records, *fields):
     return tuple(box_rows([r.box for r in records]) if f == "box" else [getattr(r, f) for r in records] for f in fields)
 
 
+def _key_ids(image_ids, class_ids):
+    """Integer ids of (image id, class id) columns in the order the pairs
+    sort: the image's rank among the distinct image ids times the number
+    of distinct class ids, plus the class's rank; no tuple per pair."""
+    images, classes = ({v: k for k, v in enumerate(sorted(set(ids)))} for ids in (image_ids, class_ids))
+    return (np.fromiter(map(images.__getitem__, image_ids), int, len(image_ids)) * len(classes)
+            + np.fromiter(map(classes.__getitem__, class_ids), int, len(class_ids)))
+
+
 def _hits(dets, gts, iou_thresh):
     """Each detection's match, the first gt of its image and class with
     the strictly largest IoU, as a gt index if that IoU is above 0 and at
     least iou_thresh, else -1. The (detection, gt) pairs of the same image
     and class, all images' at once, go straight to one IoU kernel call."""
     (det_ids, det_class, _, det_rows), (gt_ids, gt_class, _, gt_rows) = dets, gts
-    keys = {}
-    gt_key = np.array([keys.setdefault(key, len(keys)) for key in zip(gt_ids, gt_class)], dtype=int)
-    det_key = np.array([keys.get(key, -1) for key in zip(det_ids, det_class)], dtype=int)
-    # gts per key, in gts order within a key; key -1 (no gt) has none
+    gt_key, det_key = np.split(_key_ids([*gt_ids, *det_ids], [*gt_class, *det_class]), [len(gt_ids)])
+    # gts per key, in gts order within a key; a detection's key with no gt counts none
     by_key = np.argsort(gt_key, kind="stable")
-    count = np.append(np.bincount(gt_key, minlength=len(keys)), 0)
+    count = np.bincount(gt_key, minlength=det_key.max(initial=-1) + 1)
     first = np.cumsum(count) - count
     n = count[det_key]
     seg = np.cumsum(n) - n  # where each detection's pairs start

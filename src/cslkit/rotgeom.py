@@ -318,7 +318,7 @@ def min_area_rects(quads):
                   else "degenerate quadrilateral (zero area)")
         raise InvalidGeometryError(reason, index=k)
     phi = np.arctan2(d[1], d[0])
-    c, s = np.cos(phi), np.sin(phi)
+    c, s = np.where(d[0] == 0.0, 0.0, np.cos(phi)), np.sin(phi)  # a vertical pair's cosine exactly 0, not 6e-17
     x, y = (p - p[:, :1])[:, :, None]  # about the first vertex: no cancellation from the coordinates' size
     along = x * c + y * s, y * c - x * s  # along and across each pair, (4, 6, K) each: one pass per reduction
     hi, lo = np.array([a.max(axis=0) for a in along]), np.array([a.min(axis=0) for a in along])
@@ -455,12 +455,7 @@ def rotated_iou(a, b):
 def aligned_bboxes(rows):
     """Axis-aligned enclosing boxes (N, 4) (xmin, ymin, xmax, ymax) of
     (N, 5) box rows."""
-    return _aligned_bboxes(_check_rows(rows))
-
-
-def _aligned_bboxes(rows):
-    """aligned_bboxes of checked rows, such as box_rows builds from records."""
-    pts = _corners(rows)
+    pts = _corners(_check_rows(rows))
     return np.concatenate([pts.min(axis=1), pts.max(axis=1)]).T
 
 

@@ -10,8 +10,7 @@ import numpy as np
 
 from .csl_codec import CslLabel, _bins, _window_rows
 from .losses import RegressionTarget, encode_regression_rows
-from .rotgeom import (OrientedBox180, _aligned_bboxes, _aligned_iou, aligned_bboxes, box_rows, canonicalize180_rows,
-                      rotated_iou_matrix)
+from .rotgeom import OrientedBox180, _aligned_iou, aligned_bboxes, box_rows, canonicalize180_rows, rotated_iou_matrix
 
 DEFAULT_RATIOS = (1.0, 1 / 2, 2.0, 1 / 4, 4.0, 1 / 6, 6.0)
 DEFAULT_ANGLES = (-90.0, -75.0, -60.0, -45.0, -30.0, -15.0)
@@ -157,7 +156,7 @@ def assign_targets(anchors, gts, cfg, csl_cfg):
     n, m = len(rows), len(gt_rows)
     labels, matched, max_iou = np.zeros(n, dtype=int), np.full(n, -1), np.zeros(n)
     if m:  # the IoU gt-major, (M, N) and contiguous; a rotated pair keeps its anchor as the kernel's frame
-        iou = rotated_iou_matrix(rows, gt_rows).T if cfg.anchor_mode == "rotated" else _aligned_iou(_aligned_bboxes(gt_rows), bboxes)
+        iou = rotated_iou_matrix(rows, gt_rows).T if cfg.anchor_mode == "rotated" else _aligned_iou(aligned_bboxes(gt_rows), bboxes)
         matched = (iou == iou.max(axis=0)).argmax(axis=0)  # ties -> first gt; its axis-0 argmax copies bools, not IoUs
         max_iou = iou[matched, np.arange(n)]
         labels = np.where(max_iou >= cfg.fg_iou, 1, np.where(max_iou < cfg.bg_iou, 0, -1))

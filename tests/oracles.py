@@ -16,7 +16,8 @@ window and gt-major IoU: circular labels from a modulo index table,
 axis-aligned IoU on (N, M, 2) arrays, and the anchor-major assignment
 built on both, and the dict payloads of `cslkit nms` and `cslkit eval`
 that json.dumps(..., indent=2) wrote before the CLI formatted them from
-its columns. Deliberately avoid the library's own clipping /
+its columns, and an evaluator by the VOC/DOTA devkit's rules on polygon
+IoU. Deliberately avoid the library's own clipping /
 calipers / loss / AP / canonicalization code paths; the readers and the
 strided calipers reduce their boxes with the library's calls, as they
 are oracles of the parsing and of the vertex handling only, and the
@@ -404,7 +405,7 @@ def strided_min_area_rects(quads):
                   else "degenerate quadrilateral (zero area)")
         raise InvalidGeometryError(reason, index=k)
     phi = np.arctan2(d[1], d[0])
-    c, s = np.cos(phi), np.sin(phi)
+    c, s = np.where(d[0] == 0.0, 0.0, np.cos(phi)), np.sin(phi)
     x, y = (p - p[:, :1])[..., None, :]  # about the first sorted vertex
     along = np.stack([x * c + y * s, y * c - x * s])
     hi, lo = along.max(axis=1), along.min(axis=1)
@@ -512,6 +513,78 @@ def loop_evaluate(dets, gts, class_names, iou_thresh=0.5):
     map07 = float(np.mean(list(ap07.values()))) if ap07 else 0.0
     map12 = float(np.mean(list(ap12.values()))) if ap12 else 0.0
     return EvalReport(ap07=ap07, ap12=ap12, map07=map07, map12=map12, pr_curves=curves)
+
+
+def polygon_iou(p, q):
+    """IoU of two convex polygons (K, 2) of either winding, by the scalar
+    clipper and the shoelace formula."""
+    p, q = (v if _signed_area(v) >= 0.0 else v[::-1] for v in (np.asarray(p, dtype=float), np.asarray(q, dtype=float)))
+    inter = shoelace_area(clip_convex(p, q))
+    union = shoelace_area(p) + shoelace_area(q) - inter
+    return inter / union if union > 0.0 else 0.0
+
+
+def _signed_area(poly):
+    x, y = poly.T
+    return np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))
+
+
+def devkit_evaluate(dets, gts, class_names, ovthresh=0.5):
+    """Per-class AP and mAP by the rules of the devkits' voc_eval (PASCAL
+    VOC; DOTA task 1), written from the published algorithm. dets are
+    (image ids, class ids, scores, polygons (N, 4, 2)), gts (image ids,
+    class ids, difficult flags, polygons (M, 4, 2)). Per class, the
+    detections are ranked by a stable sort of -score (the devkit's
+    unstable np.argsort leaves the order of ties open, and input order
+    is one it may give); each is matched to the first gt of its
+    image with the largest polygon IoU, and is a TP if that ovmax >
+    ovthresh and the gt is neither difficult nor taken, nothing if the gt
+    is difficult, else an FP. VOC07 sums, point by point, p / 11 of the
+    best precision at recall >= each point of np.arange(0., 1.1, 0.1);
+    VOC12 is the area under the monotonized curve. The devkit divides by
+    zero for a class with detections but no non-difficult gt, so such a
+    class raises ValueError here."""
+    (det_img, det_cls, scores, det_poly), (gt_img, gt_cls, difficult, gt_poly) = dets, gts
+    ap07, ap12 = {}, {}
+    for cid, name in enumerate(class_names):
+        gi = [g for g, c in enumerate(gt_cls) if c == cid]
+        npos = sum(not difficult[g] for g in gi)
+        di = [d for d, c in enumerate(det_cls) if c == cid]
+        if di and not npos:
+            raise ValueError(f"class {name!r} has detections but no non-difficult gt")
+        di = [di[k] for k in np.argsort(-np.array([scores[d] for d in di], dtype=float), kind="stable")]
+        taken, tp, fp = set(), np.zeros(len(di)), np.zeros(len(di))
+        for rank, d in enumerate(di):
+            ovmax, jmax = -np.inf, None
+            for g in gi:
+                if gt_img[g] == det_img[d]:
+                    ov = polygon_iou(det_poly[d], gt_poly[g])
+                    if ov > ovmax:
+                        ovmax, jmax = ov, g
+            if ovmax > ovthresh:
+                if not difficult[jmax]:
+                    if jmax not in taken:
+                        tp[rank] = 1.0
+                        taken.add(jmax)
+                    else:
+                        fp[rank] = 1.0
+            else:
+                fp[rank] = 1.0
+        tp, fp = np.cumsum(tp), np.cumsum(fp)
+        rec = tp / float(npos)
+        prec = tp / np.maximum(tp + fp, np.finfo(np.float64).eps)
+        ap = 0.0
+        for t in np.arange(0.0, 1.1, 0.1):
+            ap = ap + (np.max(prec[rec >= t]) if np.sum(rec >= t) else 0.0) / 11.0
+        ap07[name] = float(ap)
+        mrec, mpre = np.concatenate(([0.0], rec, [1.0])), np.concatenate(([0.0], prec, [0.0]))
+        for i in range(mpre.size - 1, 0, -1):
+            mpre[i - 1] = max(mpre[i - 1], mpre[i])
+        i = np.flatnonzero(mrec[1:] != mrec[:-1])
+        ap12[name] = float(np.sum((mrec[i + 1] - mrec[i]) * mpre[i + 1]))
+    map07 = float(np.mean(list(ap07.values()))) if ap07 else 0.0
+    map12 = float(np.mean(list(ap12.values()))) if ap12 else 0.0
+    return EvalReport(ap07=ap07, ap12=ap12, map07=map07, map12=map12)
 
 
 def scalar_canonicalize180(cx, cy, a, b, theta_free):

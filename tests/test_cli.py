@@ -279,6 +279,19 @@ class TestNmsAndEval(object):
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert [[d["image_id"], str(d["class_id"]), str(d["score"]), *map(str, d["box"])] for d in payload["kept"]] == rows
 
+    def test_nms_groups_sort_by_image_then_class_id(self, tmp_path, capsys):
+        # group ids rank image ids as strings and class ids as integers, a negative and a 30-digit one too
+        rng = np.random.default_rng(3002)
+        images, classes = ["P10", "P2", "P1", "b", "a", "P9", "Q", "a0"], ["ship", "plane", "-3", "40", "9" * 30]
+        ids = {"ship": 0, "plane": 1}
+        dets = [(images[i], classes[c]) for i, c in zip(rng.integers(len(images), size=60), rng.integers(5, size=60))]
+        (tmp_path / "dets.txt").write_text("".join(f"{image} {cls} 0.5 {20 * k} 0 4 2 0\n" for k, (image, cls) in enumerate(dets)))
+        code, out = run(capsys, "--format", "csv", "nms", "--dets", str(tmp_path / "dets.txt"), "--classes", "ship", "plane")
+        got = [line.split(",")[:2] for line in out.splitlines()[1:]]
+        want = sorted((image, ids[cls] if cls in ids else int(cls), k) for k, (image, cls) in enumerate(dets))
+        assert code == 0 and got == [[image, str(cls)] for image, cls, _ in want]
+        assert [line.split(",")[3] for line in out.splitlines()[1:]] == [f"{20.0 * k}" for *_, k in want]
+
     @pytest.mark.parametrize("line", ["im1 ship 0.9 nan 0 4 2 0", "im1 ship 0.9 0 0 inf 2 0", "im1 ship 0.9 0 -inf 4 2 0"])
     def test_non_finite_detection_is_data_error(self, tmp_path, capsys, line):
         dets = tmp_path / "dets.txt"

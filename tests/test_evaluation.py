@@ -23,9 +23,10 @@ from cslkit.evaluation import (
     parse_detections,
     rotated_nms,
 )
-from cslkit.rotgeom import InvalidGeometryError, OrientedBox180, box_rows, canonicalize180, rotated_iou, to_quad
-from oracles import (clipped_iou, lockstep_batched_rotated_nms, loop_dota_files_columns, loop_evaluate,
-                     loop_parse_detections)
+from cslkit.rotgeom import (InvalidGeometryError, OrientedBox180, box_rows, canonicalize180, rotated_iou,
+                            rotated_iou_matrix, to_quad)
+from oracles import (clipped_iou, devkit_evaluate, lockstep_batched_rotated_nms, loop_dota_files_columns,
+                     loop_evaluate, loop_parse_detections)
 
 CLASSES = {"ship": 0, "plane": 1}
 
@@ -1245,3 +1246,173 @@ class TestNmsOutputKeepsNoContainerPerDetection:
         argv = ["--format", fmt, "--output", str(out), "nms", "--dets", str(dets), "--classes", "ship", "plane"]
         assert _collections(main, argv) <= 5
         assert out.read_text().count("\n") > (40_000 if fmt == "csv" else 400_000)  # most detections are kept
+
+
+def _with_devkit(files, det_text, names, thresh):
+    """evaluate_columns's report of annotation files, (image id, text)
+    pairs, and a detection file, and the devkit-rules oracle's on their
+    polygons: the annotation quads as written, each detection's box as a
+    quad."""
+    table = {name: k for k, name in enumerate(names)}
+    dets, gts = parse_detections(det_text, table), dota_files_columns(files, table)
+    gt_quads = [line.split()[:8] for _, text in files for line in text.splitlines()]
+    det_quads = [to_quad(OrientedBox180(*row)).as_array() for row in dets[3].tolist()]
+    polygons = (np.array(det_quads, dtype=float).reshape(-1, 4, 2), np.array(gt_quads, dtype=float).reshape(-1, 4, 2))
+    return (evaluate_columns(dets, gts, names, thresh),
+            devkit_evaluate((*dets[:3], polygons[0]), (*gts[:3], polygons[1]), names, thresh))
+
+
+def _devkit_scene(rng, thresholds):
+    """Seeded annotation files and detection text on which the two rule
+    sets agree: rectangular quads, one gt per 100 px cell, distinct
+    scores, every class with a non-difficult gt and a count of them that
+    is no multiple of 5 (so no recall is 0.3, 0.6 or 0.7, the VOC07
+    points the devkit reads a hair higher), no same-key IoU within 1e-6
+    of a threshold and no detection with two near-best gts. Jittered
+    detections, duplicates, wrong classes and strays give TPs, FPs and
+    difficult matches."""
+    names = ["c0", "c1", "c2"]
+    while True:
+        files, gts, dets = [], [], []
+        for image in ("im0", "im1", "im2"):
+            lines = []
+            for cell in np.flatnonzero(rng.random(16) < 0.6):
+                box = canonicalize180(*(np.array(divmod(cell, 4)) * 100 + 50 + rng.uniform(-8, 8, 2)),
+                                      *rng.uniform(12, 50, 2), rng.uniform(-90, 90))
+                cls, hard = int(rng.integers(3)), bool(rng.random() < 0.15)
+                lines.append(" ".join(map(repr, to_quad(box).as_array().ravel().tolist())) + f" {names[cls]} {hard:d}")
+                gts.append((image, cls, hard, box))
+                for _ in range(int(rng.integers(0, 3))):
+                    jitter = canonicalize180(box.cx + rng.normal(0, 4), box.cy + rng.normal(0, 4),
+                                             box.h * rng.uniform(0.7, 1.3), box.w * rng.uniform(0.7, 1.3),
+                                             box.theta + rng.normal(0, 12))
+                    dets.append((image, cls if rng.random() < 0.85 else int(rng.integers(3)), jitter))
+            for _ in range(3):
+                stray = canonicalize180(*rng.uniform(20, 380, 2), *rng.uniform(10, 40, 2), rng.uniform(-90, 90))
+                dets.append((image, int(rng.integers(3)), stray))
+            files.append((image, "\n".join(lines) + "\n"))
+        n_pos = Counter(c for _, c, hard, _ in gts if not hard)
+        if len(n_pos) < 3 or any(n % 5 == 0 for n in n_pos.values()):
+            continue
+        iou = rotated_iou_matrix(box_rows([d[2] for d in dets]), box_rows([g[3] for g in gts]))
+        iou[~np.array([[d[:2] == g[:2] for g in gts] for d in dets]).reshape(iou.shape)] = 0.0
+        top = -np.sort(-iou, axis=1)[:, :2]  # each detection's two best same-key IoUs
+        near = any((np.abs(iou - t) < 1e-6).any() for t in thresholds)
+        if near or ((top[:, 0] > 0.0) & (top[:, 0] - top[:, 1] < 1e-6)).any():
+            continue
+        scores = rng.permutation(len(dets)) / len(dets) + 0.5 / len(dets)
+        text = "".join(f"{image} {names[cls]} {score!r} {b.cx!r} {b.cy!r} {b.h!r} {b.w!r} {b.theta!r}\n"
+                       for (image, cls, b), score in zip(dets, scores.tolist()))
+        return files, text, names
+
+
+class TestDevkitRules:
+    """evaluate_columns against the devkit-rules oracle: the same APs
+    where the README's evaluation contract says they agree, and one
+    pinned case for each difference it lists."""
+
+    THRESHOLDS = (0.3, 0.5, 0.7)
+
+    @staticmethod
+    def _aps(report):
+        return [*report.ap07.values(), *report.ap12.values(), report.map07, report.map12]
+
+    def test_agrees_on_rectangular_scenes(self):
+        seen = Counter()
+        for seed in range(12):
+            files, text, names = _devkit_scene(np.random.default_rng(3000 + seed), self.THRESHOLDS)
+            for thresh in self.THRESHOLDS:
+                got, want = _with_devkit(files, text, names, thresh)
+                assert self._aps(got) == pytest.approx(self._aps(want), rel=0.0, abs=1e-12)
+                seen["partial AP"] += any(0.0 < ap < 1.0 for ap in got.ap12.values())
+            seen["difficult"] += " 1\n" in "".join(t for _, t in files)
+        assert seen["partial AP"] > 10 and seen["difficult"] > 5
+
+    def test_threshold(self):
+        # a 4 x 2 annotation holding a 2 x 2 detection: IoU exactly 0.5 (the quad's short side comes back exactly 2),
+        # a match here (>=), none in the devkit (>)
+        files = [("im", "0 0 4 0 4 2 0 2 ship 0\n")]
+        for det in ("im ship 0.9 2 1 2 2 0\n", "im ship 0.9 1 1 2 2 0\n", "im ship 0.9 3 1 2 2 0\n"):
+            got, want = _with_devkit(files, det, ["ship"], 0.5)
+            assert self._aps(got) == [1.0] * 4 and self._aps(want) == [0.0] * 4
+            got, want = _with_devkit(files, det, ["ship"], 0.49)
+            assert self._aps(got) == [1.0] * 4 and self._aps(want) == pytest.approx([1.0] * 4, rel=0.0, abs=1e-12)
+
+    def test_ground_truth_geometry(self):
+        # a trapezoid of area 6 and the 4 x 2 detection of its minimum-area rectangle: IoU 1 here, 6 / 8 there
+        files, det = [("im", "0 0 4 0 3 2 1 2 ship 0\n")], "im ship 0.9 2 1 4 2 0\n"
+        for thresh, want_devkit in ((0.7, 1.0), (0.8, 0.0)):
+            got, want = _with_devkit(files, det, ["ship"], thresh)
+            assert self._aps(got) == [1.0] * 4
+            assert self._aps(want) == pytest.approx([want_devkit] * 4, rel=0.0, abs=1e-12)
+
+    def test_voc07_points(self):
+        # 3 of 10 gts found at precision 1: recall 3 / 10 reaches the point 0.3 here, not the devkit's
+        # np.arange(0., 1.1, 0.1)[3] = 0.30000000000000004
+        files = [("im", "".join(f"{x} 0 {x + 2} 0 {x + 2} 2 {x} 2 ship 0\n" for x in range(0, 30, 3)))]
+        det = "".join(f"im ship {0.9 - k / 10} {3 * k + 1} 1 2 2 0\n" for k in range(3))
+        got, want = _with_devkit(files, det, ["ship"], 0.5)
+        assert got.ap07["ship"] == 4 / 11 and want.ap07["ship"] == pytest.approx(3 / 11, rel=1e-15)
+        assert got.ap12["ship"] == want.ap12["ship"] == pytest.approx(0.3, rel=1e-15)
+
+    def test_score_ties(self):
+        # a tied miss and hit: here they rank in input order, AP 0.5 or 1.0 by the file's order; the devkit's
+        # unstable argsort may rank them either way, so either value is a devkit result for either file
+        files = [("im", "0 0 2 0 2 2 0 2 ship 0\n")]
+        miss, hit = "im ship 0.5 5 5 2 2 0\n", "im ship 0.5 1 1 2 2 0\n"
+        for text, want_ap in ((miss + hit, 0.5), (hit + miss, 1.0)):
+            got, in_order = _with_devkit(files, text, ["ship"], 0.5)
+            _, reversed_order = _with_devkit(files, "".join(reversed(text.splitlines(True))), ["ship"], 0.5)
+            assert self._aps(got) == [want_ap] * 4
+            assert self._aps(in_order) == pytest.approx([want_ap] * 4, rel=0.0, abs=1e-12)
+            assert self._aps(reversed_order) == pytest.approx([1.5 - want_ap] * 4, rel=0.0, abs=1e-12)
+
+    def test_no_positives(self):
+        # a class whose only gt is difficult: AP 0 here; the devkit divides by zero
+        files, det = [("im", "0 0 2 0 2 2 0 2 ship 1\n")], "im ship 0.9 1 1 2 2 0\n"
+        with pytest.raises(ValueError, match="no non-difficult gt"):
+            _with_devkit(files, det, ["ship"], 0.5)
+        assert self._aps(evaluate_columns(parse_detections(det, CLASSES), dota_files_columns(files, CLASSES), ["ship"])) == [0.0] * 4
+
+
+class TestKeysKeepNoTuple:
+    """cslkit nms and cslkit eval turn (image, class) keys into integer
+    ids, with no tuple per key, so thousands of keys hardly run the cyclic
+    collector."""
+
+    @staticmethod
+    def _inputs(tmp_path):
+        # 400 images x 15 classes: 6,000 keys, each with one gt and two detections
+        rng = np.random.default_rng(3001)
+        names = [f"c{k}" for k in range(15)]
+        (tmp_path / "ann").mkdir()
+        dets = []
+        for image in range(400):
+            centres = rng.uniform(40, 984, (15, 2)).round(1).tolist()
+            (tmp_path / "ann" / f"P{image:04d}.txt").write_text(
+                "".join(f"{x - 9} {y - 4} {x + 9} {y - 4} {x + 9} {y + 4} {x - 9} {y + 4} {name} 0\n"
+                        for (x, y), name in zip(centres, names)))
+            dets += [f"P{image:04d} {name} {0.6 + 0.4 * rng.random():.4f} {x} {y} 18 8 0\n"  # a hit, and
+                     f"P{image:04d} {name} {0.4 * rng.random():.4f} {x + 30} {y} 18 8 0\n"  # a miss scored lower
+                     for (x, y), name in zip(centres, names)]
+        (tmp_path / "dets.txt").write_text("".join(dets))
+        return names
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nms(self, tmp_path, fmt):
+        assert gc.isenabled()
+        names = self._inputs(tmp_path)
+        out = tmp_path / f"kept.{fmt}"
+        argv = ["--format", fmt, "--output", str(out), "nms", "--dets", str(tmp_path / "dets.txt"), "--classes", *names]
+        assert _collections(main, argv) <= 2
+        assert out.read_text().count("P0399") == 30  # both detections of every key are kept
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_eval(self, tmp_path, fmt):
+        assert gc.isenabled()
+        names = self._inputs(tmp_path)
+        out = tmp_path / f"ap.{fmt}"
+        argv = ["--format", fmt, "--output", str(out), "eval", "--dets", str(tmp_path / "dets.txt"),
+                "--ann-dir", str(tmp_path / "ann"), "--classes", *names]
+        assert _collections(main, argv) <= 2
+        assert out.read_text().count("1.0") >= 32  # every class ranks all its hits first: both APs 1.0

@@ -777,6 +777,14 @@ class TestMinAreaRects:
         got = min_area_rects(quads)[:, 2:4]
         assert (np.abs(got - sides) <= 8 * np.spacing(sides.astype(float))).all()
 
+    def test_axis_aligned_rectangles_exact(self):
+        # a vertical vertex pair projects with a cosine of exactly 0, not cos(pi / 2) = 6e-17, so the short side of
+        # an axis-aligned integer rectangle is not 1 ulp long
+        quads = np.array([[0, 0, 4, 0, 4, 2, 0, 2], [0, 0, 2, 0, 2, 4, 0, 4], [1, 1, 5, 1, 5, 3, 1, 3]], dtype=float)
+        want = [[2.0, 1.0, 4.0, 2.0, 0.0], [1.0, 2.0, 4.0, 2.0, -90.0], [3.0, 2.0, 4.0, 2.0, 0.0]]
+        for order in itertools.permutations(range(4)):
+            assert min_area_rects(quads.reshape(-1, 4, 2)[:, order]).tolist() == want
+
 
 def _pythagorean_rects(rng, count):
     """Seeded rectangles (count, 4, 2) with integer corners up to about
