@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -119,9 +120,12 @@ def window_value(cfg, delta_bins):
         out = np.where(d < r, 1.0, 0.0)
     elif cfg.window_kind == "triangle":
         out = np.maximum(0.0, 1.0 - d / r)
-    else:  # gaussian, sigma = r/3, truncated outside the radius
-        sigma = r / 3.0
-        out = np.where(d < r, np.exp(-(d * d) / (2.0 * sigma**2)), 0.0)  # d * d: a numpy scalar's d**2 can round apart
+    else:  # gaussian, sigma = r/3, truncated outside the radius; math.exp once per distinct distance inside it,
+        # correctly rounded wherever the C library's exp is, where numpy's exp rounds by the CPU's SIMD dispatch
+        sigma, near = r / 3.0, d < r
+        dist, at = np.unique(d[near], return_inverse=True)
+        out = np.zeros(d.shape)
+        out[near] = np.array([math.exp(-(x * x) / (2.0 * sigma**2)) for x in dist.tolist()])[at]
     return out if out.ndim else float(out)
 
 

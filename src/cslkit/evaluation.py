@@ -4,7 +4,8 @@ Annotation files follow the DOTA text layout: one object per line,
 "x1 y1 x2 y2 x3 y3 x4 y4 category difficult", with any leading metadata
 lines (first token non-numeric) skipped. Detection files carry one line
 per detection: "image_id class score cx cy h w theta" (long-edge box
-convention), or a quad form "image_id class score x1 y1 ... x4 y4".
+convention), or a quad form "image_id class score x1 y1 ... x4 y4"; a
+file's first non-blank line sets its form, 11 tokens for quads.
 
 Detection files parse into columns (image ids, class ids, scores and
 (N, 5) long-edge rows), annotation files into the same with difficult
@@ -410,28 +411,29 @@ def dota_files_columns(files, class_table, strict=False):
     return [image_ids[k] for k in kept], [class_table[categories[k]] for k in kept], [difficult[k] for k in kept], rows
 
 
-def parse_detections(text, class_table, quad_form=False):
+def parse_detections(text, class_table):
     """Parse a detection file (see the module docstring for the line
-    formats) into columns: image ids and class ids (lists, so any int
-    fits), scores (N,) and long-edge box rows (N, 5), all boxes reduced
-    in one canonicalize180_rows or min_area_rects call; the lines leave
-    flat lists of tokens and ints, no container each, and each distinct
-    class token is checked once. Of several bad lines the first is
-    reported; on one line a bad class before a bad number, a bad box
-    before a bad score."""
-    want = 11 if quad_form else 8
-    image_ids, classes, nums, line_nos, parse_error = [], [], [], [], None
+    formats; the first non-blank line sets the form) into columns: image
+    ids and class ids (lists, so any int fits), scores (N,) and long-edge
+    box rows (N, 5), all boxes reduced in one canonicalize180_rows or
+    min_area_rects call; the lines leave one flat list of tokens and a
+    list of line numbers, no container each, and each distinct class token
+    is checked once. Of several bad lines the first is reported; on one
+    line a bad class before a bad number, a bad box before a bad score."""
+    nums, line_nos, want, parse_error = [], [], 8, None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
             continue
+        if not line_nos:  # the first line sets the form: quads if it has 11 tokens, else boxes
+            want = 11 if len(tokens) == 11 else 8
         if len(tokens) != want:
             parse_error = AnnotationParseError(f"expected {want} tokens, got {len(tokens)}", line_no)
             break
-        image_ids.append(tokens[0])
-        classes.append(tokens[1])
-        nums += tokens[2:]  # the score, then the box
+        nums += tokens
         line_nos.append(line_no)
+    image_ids, classes = nums[::want], nums[1::want]
+    del nums[::want], nums[::want - 1]  # the score, then the box, of each line
     # a class outside the table must be an optional "-", then decimal digits; its first line ends the lines read
     unknown = [c for c in dict.fromkeys(classes) if c not in class_table and not c.removeprefix("-").isdecimal()]
     if unknown:

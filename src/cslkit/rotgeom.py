@@ -1,4 +1,4 @@
-"""Oriented-box representations, conversions and exact rotated IoU.
+"""Oriented-box representations, conversions and rotated IoU.
 
 Two five-parameter conventions are supported:
 
@@ -380,11 +380,12 @@ def _kernel_rows(rows, name="box row {}"):
     return rows
 
 
-def _iou_pairs(a, b, i, j):
-    """IoU (K,) of the K pairs a[i], b[j] of checked box rows, clipped
-    in a frame centred on and turned to the a box, where its corners are
-    exact and need no trig; see rotated_iou_pairs."""
-    out = np.zeros(len(i))
+def _near_pair_quads(a, b, i, j):
+    """The pairs a[i], b[j] of checked box rows whose circumcircles meet,
+    PAIR_CHUNK pairs at a time: their indices into i (L,), the sums of
+    their two box areas (L,), their quads p and q (2, 4, L), coordinates
+    first, in a frame centred on and turned to the a box, where its
+    corners are exact and need no trig, and their clip tolerance (L,)."""
     diag_a, diag_b = np.hypot(a[:, 2], a[:, 3]), np.hypot(b[:, 2], b[:, 3])  # circumcircle diameters, one per row
     for start in range(0, len(i), PAIR_CHUNK):
         ic, jc = i[start : start + PAIR_CHUNK], j[start : start + PAIR_CHUNK]
@@ -402,14 +403,30 @@ def _iou_pairs(a, b, i, j):
         along, across = pb[:, 2] / 2.0 * np.array([c, s]), pb[:, 3] / 2.0 * np.array([-s, c])
         center = np.array([x * ca + y * sa, y * ca - x * sa])  # b's centre: the offset turned by -theta_a
         q = center[:, None] + _CORNER_SIGNS[0] * along[:, None] + _CORNER_SIGNS[1] * across[:, None]
-        vertex, direction, lo, hi = _clip_edges(p, q, REL_EPS * reach)
-        inter = np.maximum(0.5 * (np.where(lo < hi, hi - lo, 0.0) * _cross(vertex, direction)).sum(axis=0), 0.0)
-        out[start + near] = (inter / (pa[:, 2] * pa[:, 3] + pb[:, 2] * pb[:, 3] - inter)).clip(0.0, 1.0)
+        yield start + near, pa[:, 2] * pa[:, 3] + pb[:, 2] * pb[:, 3], p, q, REL_EPS * reach
+
+
+def _clipped_areas(p, q, tol):
+    """Intersection areas (L,) of L pairs of convex counter-clockwise
+    polygons p (2, n, L) and q (2, m, L): the inside pieces of _clip_edges
+    summed by Green's theorem."""
+    vertex, direction, lo, hi = _clip_edges(p, q, tol)
+    return np.maximum(0.5 * (np.where(lo < hi, hi - lo, 0.0) * _cross(vertex, direction)).sum(axis=0), 0.0)
+
+
+def _iou_pairs(a, b, i, j):
+    """IoU (K,) of the K pairs a[i], b[j] of checked box rows: 0 unless
+    their circumcircles meet, else the clipped area of their quads from
+    _near_pair_quads over their union; see rotated_iou_pairs."""
+    out = np.zeros(len(i))
+    for near, areas, p, q, tol in _near_pair_quads(a, b, i, j):
+        inter = _clipped_areas(p, q, tol)
+        out[near] = (inter / (areas - inter)).clip(0.0, 1.0)
     return out
 
 
 def rotated_iou_pairs(a, b, i=None, j=None):
-    """Exact IoU (K,) of K pairs of oriented boxes, given as box rows (see
+    """IoU (K,) of K pairs of oriented boxes, given as box rows (see
     the module docstring): entry k is the IoU of a[i[k]] and b[j[k]] for
     1-D integer index arrays i and j of one length, within [0, len(a))
     and [0, len(b)), else of a[k] and b[k] for two (K, 5) arrays; other
@@ -439,7 +456,7 @@ def rotated_iou_pairs(a, b, i=None, j=None):
 
 
 def rotated_iou_matrix(a, b):
-    """Exact IoU (N, M) of every pair of oriented boxes of (N, 5) and (M, 5) box rows a
+    """IoU (N, M) of every pair of oriented boxes of (N, 5) and (M, 5) box rows a
     and b, each checked once as rotated_iou_pairs checks them: entry (i, j) is the IoU of
     a[i] and b[j], from one kernel call over the pairs b-major, so the matrix's .T is contiguous."""
     a, b = _kernel_rows(a), _kernel_rows(b)

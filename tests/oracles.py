@@ -1,6 +1,7 @@
 """Independent oracles used to freeze expected values: Monte-Carlo
 rasterization IoU, closed-form IoU of concentric congruent rectangles,
 a scalar Sutherland-Hodgman clipper and the rotated IoU built on it,
+the same clip in exact rational arithmetic for two float quads,
 the batched sorted-candidate IoU (the library's kernel before the edge
 clipper), vertex-set comparison, brute-force minimum rectangle, central
 finite differences, a per-quad rotating-calipers loop, the batched
@@ -212,6 +213,35 @@ def clipped_iou(a, b):
     inter = shoelace_area(clip_convex(to_quad(a).as_array(), to_quad(b).as_array()))
     union = a.h * a.w + b.h * b.w - inter
     return min(max(inter / union, 0.0), 1.0) if union > 0 else 0.0
+
+
+def _exact_area(poly):
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1]))) / 2
+
+
+def exact_quad_iou(p, q):
+    """Exact IoU, a Fraction, of two convex counter-clockwise polygons of
+    float vertices p and q, (n, 2) each: p clipped to each closed
+    half-plane of q (Sutherland-Hodgman) and the shoelace areas, all in
+    rational arithmetic. The vertices are first scaled by their common
+    power-of-two denominator, which leaves the IoU as it is, so every
+    number starts as an integer."""
+    p, q = ([Fraction(v) for v in np.asarray(poly, dtype=float).ravel().tolist()] for poly in (p, q))
+    scale = max(v.denominator for v in p + q)
+    p, q = ([(int(x * scale), int(y * scale)) for x, y in zip(poly[::2], poly[1::2])] for poly in (p, q))
+    inter = p
+    for (ax, ay), (bx, by) in zip(q, q[1:] + q[:1]):
+        sides = [(bx - ax) * (y - ay) - (by - ay) * (x - ax) for x, y in inter]  # >= 0: inside
+        clipped = []
+        for (u, su), (v, sv) in zip(zip(inter, sides), zip(inter[1:] + inter[:1], sides[1:] + sides[:1])):
+            if su >= 0:
+                clipped.append(u)
+            if su * sv < 0:  # the edge u -> v crosses the line
+                t = Fraction(su, su - sv)
+                clipped.append((u[0] + t * (v[0] - u[0]), u[1] + t * (v[1] - u[1])))
+        inter = clipped
+    overlap = _exact_area(inter) if len(inter) >= 3 else Fraction(0)
+    return overlap / (_exact_area(p) + _exact_area(q) - overlap)
 
 
 def _next_vertex(poly):

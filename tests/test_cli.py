@@ -2,7 +2,11 @@ import csv
 import importlib
 import io
 import json
+import math
+import os
 import shlex
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -740,3 +744,119 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert main(["iou", "--a", "0 0 9 1 0", "--b", "0 0 9 1 0", "--bogus"]) == 1
+
+
+def _as_quads(box_text):
+    """A box-form detection file with each box written as its to_quad corners, to six decimals."""
+    lines = []
+    for line in box_text.splitlines():
+        image_id, cls, score, *box = line.split()
+        corners = to_quad(canonicalize180(*map(float, box))).as_array().ravel()
+        lines.append(f"{image_id} {cls} {score} " + " ".join(f"{v:.6f}" for v in corners) + "\n")
+    return "".join(lines)
+
+
+class TestQuadDetectionFiles:
+    """cslkit nms and cslkit eval read a detection file whose first line has
+    11 tokens as quads: the bench fixtures written as corners give the same
+    kept detections, boxes within the corners' rounding, and the same
+    evaluation output as their box files."""
+
+    ROUNDING = 2e-6  # four times the 5e-7 of a corner written to six decimals
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_nms_keeps_the_same_detections(self, capsys, tmp_path, bench_fixtures, seed):
+        case = bench_fixtures.nms_file(np.random.default_rng(3121 + seed), tmp_path / "case")
+        quads = tmp_path / "quads.txt"
+        quads.write_text(_as_quads(Path(case["dets"]).read_text()))
+        classes = ("--classes", *bench_fixtures.CLASSES)
+        boxes, corners = (run_json(capsys, "nms", "--dets", str(path), *classes)["kept"] for path in (case["dets"], quads))
+        assert len(boxes) == len(case["kept"])
+        assert [(d["image_id"], d["class_id"], d["score"]) for d in corners] == \
+            [(d["image_id"], d["class_id"], d["score"]) for d in boxes]
+        for got, want in zip(corners, boxes):
+            assert got["box"][:4] == pytest.approx(want["box"][:4], rel=0, abs=self.ROUNDING)
+            turn = (got["box"][4] - want["box"][4] + 90.0) % 180.0 - 90.0  # theta wraps at +-90
+            assert abs(turn) <= math.degrees(2 * self.ROUNDING / want["box"][2])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_eval_gives_the_same_report(self, capsys, tmp_path, bench_fixtures, seed):
+        case = bench_fixtures.eval_shard(np.random.default_rng(3141 + seed), tmp_path / "case")
+        quads = tmp_path / "quads.txt"
+        quads.write_text(_as_quads(Path(case["dets"]).read_text()))
+        rest = ("--ann-dir", case["ann_dir"], "--classes", *bench_fixtures.CLASSES, "--subset", "ship", "plane")
+        for fmt in ("json", "csv"):
+            want = run(capsys, "--format", fmt, "eval", "--dets", case["dets"], *rest)
+            assert run(capsys, "--format", fmt, "eval", "--dets", str(quads), *rest) == want
+        assert run_json(capsys, "eval", "--dets", str(quads), *rest)["ap12"] == pytest.approx(case["ap12"], abs=1e-9)
+
+    def test_a_later_box_line_fails_at_its_line(self, capsys, tmp_path):
+        dets = tmp_path / "dets.txt"
+        dets.write_text("\nim1 ship 0.9 0 0 4 0 4 2 0 2\nim1 ship 0.8 2 1 4 2 0\n")
+        code = main(["nms", "--dets", str(dets), "--classes", "plane", "ship"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: line 3: expected 11 tokens, got 8\n")
+
+
+_RUN_ALL = """
+import contextlib, io, json, sys
+from cslkit.cli import main
+runs = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([argv, code, out.getvalue(), err.getvalue()])
+json.dump(runs, sys.stdout)
+"""
+
+
+def _dispatch_settings():
+    """NPY_DISABLE_CPU_FEATURES values that hold numpy to each SIMD target it
+    found beyond its baseline, from the highest down: the highest one, then
+    it and the next, and so on down to all of them, which leaves the
+    baseline."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    found = [feature for feature in __cpu_dispatch__ if __cpu_features__.get(feature)]  # lowest first
+    return [" ".join(found[k:]) for k in reversed(range(len(found)))]
+
+
+class TestOutputsDoNotDependOnSimdDispatch:
+    """Every command's stdout, stderr and exit code, in both formats, are
+    the same bytes whichever SIMD target numpy dispatches to: one child
+    process runs all the commands per setting."""
+
+    def test_every_command_under_every_dispatch_target(self, tmp_path, bench_fixtures):
+        settings = _dispatch_settings()
+        if not settings:
+            pytest.skip("numpy found no SIMD target beyond its baseline to disable")
+        argvs = [["window", "--kind", kind, "--r", "6"] for kind in ("pulse", "rectangular", "triangle", "gaussian")]
+        argvs += [["encode", "--theta", "37.2", "--kind", "gaussian", "--r", "6"],
+                  ["quant-error", "--omega", "1", "--samples", "20000"]]
+        argvs += [["boundary-report", "--scenario", scenario] for scenario in ("deg90", "deg180", "quad")]
+        gts = ["--gt", "20 20 12 5 30 0", "--gt", "40 44 9 6 -60 1"]
+        argvs += [["targets", "--image-size", "64", "--strides", "8", "16", *gts],
+                  ["targets", "--image-size", "32", "--strides", "16", "--mode", "rotated", *gts]]
+        for seed in range(6):
+            nms = bench_fixtures.nms_file(np.random.default_rng(3101 + seed), tmp_path / f"nms{seed}")
+            shard = bench_fixtures.eval_shard(np.random.default_rng(3111 + seed), tmp_path / f"eval{seed}")
+            argvs += [["nms", "--dets", nms["dets"], "--classes", *bench_fixtures.CLASSES],
+                      ["eval", "--dets", shard["dets"], "--ann-dir", shard["ann_dir"], "--classes",
+                       *bench_fixtures.CLASSES]]
+        argvs = [["--format", fmt, *argv] for argv in argvs for fmt in ("json", "csv")]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        runs = {}
+        for setting in ["", *settings]:
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   "NPY_DISABLE_CPU_FEATURES": setting}
+            child = subprocess.run([sys.executable, "-c", _RUN_ALL], input=json.dumps(argvs), env=env,
+                                   capture_output=True, text=True, timeout=300)
+            assert child.returncode == 0, (setting, child.stderr)
+            runs[setting] = json.loads(child.stdout)
+        assert len(runs[""]) == 46 and all(code == 0 for _, code, _, _ in runs[""])
+        for setting in settings:
+            differ = [want[0] for want, got in zip(runs[""], runs[setting]) if want != got]
+            assert not differ, (setting, differ)

@@ -969,7 +969,7 @@ class TestQuadScale:
     @pytest.mark.parametrize("scale", RECT_SCALES)
     def test_quad_form_detections(self, scale):
         boxes = _scaled_rects(scale)
-        *_, rows = parse_detections("".join(f"im1 ship 0.5 {_quad_text(b)}\n" for b in boxes), CLASSES, quad_form=True)
+        *_, rows = parse_detections("".join(f"im1 ship 0.5 {_quad_text(b)}\n" for b in boxes), CLASSES)
         assert len(rows) == len(boxes)
         for row, box in zip(rows.tolist(), boxes):
             _assert_same_box(OrientedBox180(*row), box, scale)
@@ -987,8 +987,22 @@ class TestParseDetections:
     def test_quad_form(self):
         box = canonicalize180(1, 2, 8, 3, 35)
         coords = " ".join(f"{v:.10f}" for v in to_quad(box).as_array().ravel())
-        *_, rows = parse_detections(f"im1 0 0.9 {coords}\n", CLASSES, quad_form=True)
+        *_, rows = parse_detections(f"im1 0 0.9 {coords}\n", CLASSES)
         assert rows[0, 2] == pytest.approx(8.0, abs=1e-6)
+
+    @pytest.mark.parametrize("text, error", [
+        ("\nim1 ship 0.9 0 0 4 0 4 2 0 2\nim1 ship 0.8 1 2 8 3 35\n", "line 3: expected 11 tokens, got 8"),
+        ("im1 ship 0.9 1 2 8 3 35\nim1 ship 0.8 0 0 4 0 4 2 0 2\n", "line 2: expected 8 tokens, got 11"),
+        ("im1 ship 0.9 0 0 4 0 4 2 0\nim1 ship 0.8 0 0 4 0 4 2 0 2\n", "line 1: expected 8 tokens, got 10"),
+    ])
+    def test_first_line_sets_the_form(self, text, error):
+        with pytest.raises(AnnotationParseError) as exc:
+            parse_detections(text, CLASSES)
+        assert str(exc.value) == error
+
+    def test_blank_lines_before_a_quad_file(self):
+        image_ids, class_ids, scores, rows = parse_detections("\n \nim1 ship 0.9 0 0 4 0 4 2 0 2\n", CLASSES)
+        assert (image_ids, class_ids, scores.tolist(), rows.tolist()) == (["im1"], [0], [0.9], [[2.0, 1.0, 4.0, 2.0, 0.0]])
 
     def test_malformed_line(self):
         with pytest.raises(AnnotationParseError):
@@ -1016,7 +1030,7 @@ class TestParseDetections:
             lines = [line if line is None or isinstance(line, tuple) else ("ship", line) for line in lines]
             text = "".join("\n" if line is None else "im1 %s %s\n" % line for line in lines)
             with pytest.raises(AnnotationParseError) as exc:
-                parse_detections(text, CLASSES, quad_form=quad_form)
+                parse_detections(text, CLASSES)
             assert str(exc.value) == error
 
     @pytest.mark.parametrize("lines, line_no, error", [
@@ -1151,8 +1165,9 @@ class TestReadersAgainstLoopReaders:
                 rng = np.random.default_rng(seed)
                 for lines in _with_bad_token(_detection_lines(rng, quad_form), rng):
                     text = _text(lines)
-                    want = _outcome(loop_parse_detections, caplog, text, CLASSES, quad_form)
-                    assert _outcome(parse_detections, caplog, text, CLASSES, quad_form) == want
+                    first_form = next((len(tokens) == 11 for tokens in lines if tokens), False)  # the form the file sets
+                    want = _outcome(loop_parse_detections, caplog, text, CLASSES, first_form)
+                    assert _outcome(parse_detections, caplog, text, CLASSES) == want
                     seen[_fault(want)] += 1
         assert set(seen) == {"columns", *FAULTS} - {"difficult flag"}, seen
 

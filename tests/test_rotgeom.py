@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cslkit.rotgeom import (
     OrientedBox180,
     QuadBox,
     _aligned_iou,
+    _near_pair_quads,
     aligned_bbox,
     aligned_bboxes,
     aligned_iou,
@@ -40,6 +42,7 @@ from oracles import (
     clip_convex,
     clipped_iou,
     concentric_rect_iou,
+    exact_quad_iou,
     mc_iou,
     scalar_canonicalize180,
     shoelace_area,
@@ -1319,3 +1322,98 @@ class TestConvexIntersectionOracle:
                 assert _signed(got) > 0  # counter-clockwise
                 assert len(got) == len(want)
                 assert vertex_set_equal(got, want, tol=1e-9)
+
+
+def _error_pairs(rng, n):
+    """Seeded (a, b) row pairs by class: 2n random overlapping pairs; n
+    near-parallel pairs, angle gaps 1e-9 to 0.1 degrees; n pairs with a
+    sliver of aspect 4e-8 to 1e-3 against a sliver or a box; n overlapping
+    pairs at scales 1e-3 to 1e6 shifted by up to 1e6; and n // 4 a boxes,
+    half at angles whose frame is exact, each touching a b box along an
+    edge or at a corner, nested in it and holding it, equal to it, and
+    sharing both long edges' lines with it or one."""
+    def boxes(m, aspect):
+        long = rng.uniform(2.0, 50.0, m)
+        return np.column_stack([rng.uniform(0.0, 100.0, (m, 2)), long, long * aspect, rng.uniform(-90.0, 90.0, m)])
+
+    def placed(a, along, across, h, w, turn=0.0):
+        """Boxes h x w whose centres lie along and across the a boxes' long sides from theirs."""
+        t = np.radians(a[:, 4])
+        c, s = np.cos(t), np.sin(t)
+        return np.column_stack([a[:, 0] + along * c - across * s, a[:, 1] + along * s + across * c, h, w, a[:, 4] + turn])
+
+    def near(a, aspect, spread):
+        """Boxes at any angle whose centres lie within spread long sides of the a boxes' centres."""
+        return placed(a, *rng.uniform(-spread, spread, (2, len(a))) * a[:, 2], *boxes(len(a), aspect)[:, 2:].T)
+
+    def box_aspect(m):
+        return rng.uniform(0.05, 1.0, m)
+
+    def sliver(m):
+        return 10.0 ** rng.uniform(math.log10(4e-8), -3.0, m)
+
+    pairs = {}
+    a = boxes(2 * n, box_aspect(2 * n))
+    pairs["overlapping"] = a, near(a, box_aspect(2 * n), 0.5)
+    a = boxes(n, box_aspect(n))
+    b = near(a, box_aspect(n), 0.3)
+    b[:, 4] = a[:, 4] + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-9.0, -1.0, n)
+    pairs["near-parallel"] = a, b
+    a = boxes(n, sliver(n))
+    pairs["sliver"] = a, near(a, np.where(rng.random(n) < 0.5, sliver(n), box_aspect(n)), 0.2)
+    scale, shift = 10.0 ** rng.uniform(-3.0, 6.0, (n, 1)), rng.uniform(-1e6, 1e6, (n, 2))
+    a = boxes(n, box_aspect(n))
+    b = near(a, box_aspect(n), 0.5)
+    for rows in (a, b):
+        rows[:, :4] *= scale
+        rows[:, :2] += shift
+    pairs["scaled"] = a, b
+    m = n // 4
+    a = boxes(m, box_aspect(m))
+    a[: m // 2, 4] = rng.choice([-90.0, -45.0, 0.0, 30.0, 45.0], m // 2)
+    h, w = a[:, 2], a[:, 3]
+    hb, wb = h * rng.uniform(0.2, 1.5, m), w * rng.uniform(0.2, 1.5, m)
+
+    def sign():
+        return rng.choice([-1.0, 1.0], m)
+
+    across = np.where(rng.random(m) < 0.5, sign() * (w + wb) / 2.0, rng.uniform(-0.4, 0.4, m) * w)
+    pairs["touching"] = a, placed(a, sign() * (h + hb) / 2.0, across, hb, wb)
+    hn, wn = h * rng.uniform(0.1, 0.9, m), w * rng.uniform(0.1, 0.9, m)
+    inner = placed(a, rng.uniform(-0.5, 0.5, m) * (h - hn), rng.uniform(-0.5, 0.5, m) * (w - wn), hn, wn)
+    pairs["nested"] = np.concatenate([a, inner]), np.concatenate([inner, a])
+    pairs["identical"] = a, a.copy()
+    both = placed(a, rng.uniform(-0.9, 0.9, m) * h, 0.0, hb, w)
+    one = placed(a, rng.uniform(-0.4, 0.4, m) * h, sign() * (w - wb) / 2.0, hb, wb)
+    pairs["collinear-edge"] = np.concatenate([a, a]), np.concatenate([both, one])
+    return {name: (canonicalize180_rows(a), canonicalize180_rows(b)) for name, (a, b) in pairs.items()}
+
+
+# The worst |kernel - exact| on these pairs is 3.1e-11, on two crossing
+# slivers: the kernel sums its pieces about the a box's centre, so its
+# absolute error in the area grows with the pair's size squared, and in the
+# IoU as 1 / aspect where both boxes are thin. Every other class stays
+# within 1.8e-15 (collinear edges) and 3.4e-16 elsewhere. Over 30 seeds the
+# sliver class reached 2.2e-10; the bound keeps 4.5 times that.
+KERNEL_IOU_BOUND = 1e-9
+
+
+class TestKernelErrorBound:
+    """Every IoU the kernel returns lies within KERNEL_IOU_BOUND of the
+    exact IoU of the two float quads it builds for the pair, which
+    tests/oracles.exact_quad_iou clips in rational arithmetic; pairs
+    whose circumcircles do not meet, which it never clips, are 0."""
+
+    def test_within_bound_of_the_exact_clip(self):
+        worst = {}
+        for name, (a, b) in _error_pairs(np.random.default_rng(2031), 400).items():
+            got, exact = rotated_iou_pairs(a, b), [Fraction(0)] * len(a)
+            assert np.isfinite(got).all(), name
+            k = np.arange(len(a))
+            for near, _, p, q, _ in _near_pair_quads(a, b, k, k):
+                for pair, p_quad, q_quad in zip(near.tolist(), p.T, q.T):
+                    exact[pair] = exact_quad_iou(p_quad, q_quad)
+            worst[name] = float(max(abs(Fraction(iou) - want) for iou, want in zip(got.tolist(), exact)))
+            if name != "touching":
+                assert sum(want > 0 for want in exact) >= 0.8 * len(a), name  # the class overlaps
+        assert max(worst.values()) <= KERNEL_IOU_BOUND, worst
